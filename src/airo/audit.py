@@ -190,11 +190,11 @@ def audit_draft(draft: DraftArtifact, bundle: InputBundle) -> list[AuditRow]:
     known = set(bundle.note_ids)
     rows: list[AuditRow] = []
     for entry in draft.checklist:
-        cited = tuple((bundle.note(i).citation, bundle.note(i).pid)
-                      for i in entry.supporting_ids if i in known)
+        notes = [bundle.note(i) for i in entry.supporting_ids if i in known]
+        cited = tuple((note.citation, note.pid) for note in notes)
         if entry.needs_human_check:
             status = AuditStatus.NEEDS_HUMAN_CHECK
-        elif any(i not in known for i in entry.supporting_ids):
+        elif len(notes) < len(entry.supporting_ids):
             status = AuditStatus.INVENTED_CITATION
         elif not entry.supporting_ids:
             status = AuditStatus.UNSUPPORTED

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DoubleAssigned, MalformedSyntax, SchemaViolation, Uncovered, UnknownMember
 
@@ -49,19 +49,27 @@ class NoteRecord:
 
 @dataclass(frozen=True)
 class InputBundle:
+    """Validated bundle; ``note()`` is an O(1) lookup through an id -> note index.
+
+    The index is built once from ``notes`` and is left out of equality,
+    hashing and repr, so two bundles with equal fields stay equal.
+    """
+
     title: str
     contribution: str
     target_words: int
     notes: tuple[NoteRecord, ...]
+    _by_id: dict[str, NoteRecord] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.notes:
             raise SchemaViolation("bundle must contain at least one note")
-        seen: set[str] = set()
+        by_id: dict[str, NoteRecord] = {}
         for note in self.notes:
-            if note.id in seen:
+            if note.id in by_id:
                 raise SchemaViolation(f"duplicate id {note.id}")
-            seen.add(note.id)
+            by_id[note.id] = note
+        object.__setattr__(self, "_by_id", by_id)
         if not isinstance(self.target_words, int) or isinstance(self.target_words, bool):
             raise SchemaViolation("target_words must be an integer")
         if self.target_words < MIN_TARGET_WORDS:
@@ -72,10 +80,7 @@ class InputBundle:
         return tuple(note.id for note in self.notes)
 
     def note(self, note_id: str) -> NoteRecord:
-        for note in self.notes:
-            if note.id == note_id:
-                return note
-        raise KeyError(note_id)
+        return self._by_id[note_id]
 
 
 @dataclass(frozen=True)
@@ -133,26 +138,20 @@ def parse_bundle(raw: bytes) -> InputBundle:
     _check_keys(data, _BUNDLE_FIELDS, "bundle")
     title = _expect_str(data, "title", "bundle")
     contribution = _expect_str(data, "contribution", "bundle")
-    target_words = data["target_words"]
-    if not isinstance(target_words, int) or isinstance(target_words, bool):
-        raise SchemaViolation("bundle: target_words must be an integer")
     if not isinstance(data["notes"], list):
         raise SchemaViolation("bundle: notes must be a list")
 
     notes = []
-    seen: set[str] = set()
     for index, item in enumerate(data["notes"]):
         where = f"notes[{index}]"
         record = _expect_object(item, where)
         _check_keys(record, _NOTE_FIELDS, where)
         values = {key: _expect_str(record, key, where) for key in _NOTE_FIELDS}
-        if values["id"] in seen:
-            raise SchemaViolation(f"duplicate id {values['id']}")
-        seen.add(values["id"])
         notes.append(NoteRecord(**values))
 
+    # duplicate ids and the type of target_words are checked by InputBundle
     return InputBundle(title=title, contribution=contribution,
-                       target_words=target_words, notes=tuple(notes))
+                       target_words=data["target_words"], notes=tuple(notes))
 
 
 def bundle_to_dict(bundle: InputBundle) -> dict:

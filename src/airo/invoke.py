@@ -11,8 +11,6 @@ import json
 import os
 import re
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -142,6 +140,9 @@ def _read_stub_fixture(config: ModelConfig, fixtures: Mapping[str, str] | None,
 
 def _post_chat(config: ModelConfig, body: dict, api_key: str | None,
                urlopen: Callable) -> tuple[str, str | None]:
+    import urllib.error
+    import urllib.request  # imported here so offline commands start without http.client
+
     url = config.endpoint.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
     if api_key:
@@ -193,13 +194,15 @@ def complete(prompt: RenderedPrompt, config: ModelConfig, *,
 
     body = build_request_body(prompt, config)
     key = api_key if api_key is not None else os.environ.get(ENV_API_KEY)
-    opener = urlopen if urlopen is not None else urllib.request.urlopen
+    if urlopen is None:
+        import urllib.request
+        urlopen = urllib.request.urlopen
     wait = sleep if sleep is not None else time.sleep
     attempt = 0
     while True:
         attempt += 1
         try:
-            text, finish = _post_chat(config, body, key, opener)
+            text, finish = _post_chat(config, body, key, urlopen)
         except Transport:
             if attempt > max_retries:
                 raise

@@ -387,7 +387,11 @@ def read_crate_members(archive: Path) -> dict[str, bytes]:
 
 def read_manifest(archive: Path) -> CrateManifest:
     """Parse ro-crate-metadata.json and cross-check it against the archive members."""
-    members = read_crate_members(archive)
+    return manifest_from_members(read_crate_members(archive))
+
+
+def manifest_from_members(members: dict[str, bytes]) -> CrateManifest:
+    """``read_manifest`` over members already read from the archive."""
     if MANIFEST_NAME not in members:
         raise ManifestMissing(f"archive has no {MANIFEST_NAME}")
     try:

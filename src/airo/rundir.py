@@ -11,7 +11,6 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .errors import PathExists, RunLocked, StageOrder
@@ -170,6 +169,8 @@ def init_scaffold(path: Path, label: str, with_demo: bool = True) -> RunDirector
     run = RunDirectory(path)
     for sub in (TEMPLATES_DIR, FIXTURES_DIR, OUTPUTS_DIR, PROVENANCE_DIR, CRATE_DIR):
         run.file(sub).mkdir(parents=True, exist_ok=True)
+
+    from importlib import resources
 
     package = resources.files("airo")
     for name in ("taxonomy.tmpl", "synthesis.tmpl"):

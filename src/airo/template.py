@@ -24,7 +24,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
 from .bundle import InputBundle, Taxonomy
@@ -143,6 +142,8 @@ def load_template(path: Path) -> PromptTemplate:
 
 
 def default_template_text(stage: Stage) -> str:
+    from importlib import resources
+
     return resources.files("airo").joinpath(f"templates/{stage.value}.tmpl").read_text("utf-8")
 
 

@@ -18,7 +18,7 @@ from .bundle import canonical_bytes, parse_bundle, parse_taxonomy
 from .errors import SourceMismatch, ToolkitError
 from .provenance import parse_log, sha256_hex, sha256_of_text
 from .redact import parse_redacted_log
-from .rocrate import card_bundle_digest, read_crate_members, read_manifest
+from .rocrate import card_bundle_digest, manifest_from_members, read_crate_members
 
 
 class CheckName(Enum):
@@ -125,9 +125,10 @@ def verify_crate(archive: Path) -> VerificationReport:
         findings.append("cannot recompute audit: draft or bundle unavailable")
     else:
         recomputed = audit_draft(draft, bundle)
+        known = set(bundle.note_ids)
         for index, row in enumerate(recomputed):
             if row.status is AuditStatus.INVENTED_CITATION:
-                unknown = [i for i in row.supporting_ids if i not in set(bundle.note_ids)]
+                unknown = [i for i in row.supporting_ids if i not in known]
                 findings.append(f"InventedCitation: claim {index} cites unknown id(s) "
                                 f"{', '.join(unknown)}")
         closure_errors, _ = inline_findings(draft, bundle)
@@ -160,7 +161,7 @@ def verify_crate(archive: Path) -> VerificationReport:
     findings = []
     redacted = None
     try:
-        manifest = read_manifest(archive)
+        manifest = manifest_from_members(members)
     except ToolkitError as err:
         findings.append(f"manifest unusable: {err}")
         manifest = None

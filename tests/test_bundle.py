@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -94,6 +95,32 @@ def test_round_trip_and_canonical_stability(bundle: InputBundle):
     encoded = canonical_bytes(bundle)
     assert parse_bundle(encoded) == bundle
     assert canonical_bytes(parse_bundle(encoded)) == encoded
+
+
+@given(bundles(), bundles())
+def test_note_index(bundle: InputBundle, other: InputBundle):
+    for note in bundle.notes:
+        assert bundle.note(note.id) is note
+    with pytest.raises(KeyError):
+        bundle.note("Absent0")  # strategy ids are at most six characters
+
+    # the index is invisible to equality, hashing, repr and the canonical form
+    twin = dataclasses.replace(bundle)
+    assert twin == bundle and hash(twin) == hash(bundle)
+    assert repr(twin) == repr(bundle)
+    assert "_by_id" not in repr(bundle)
+    assert canonical_bytes(twin) == canonical_bytes(bundle)
+
+    rebuilt = dataclasses.replace(bundle, notes=other.notes)
+    for note in other.notes:
+        assert rebuilt.note(note.id) is note
+    for note in bundle.notes:
+        if note.id not in other.note_ids:
+            with pytest.raises(KeyError):
+                rebuilt.note(note.id)
+
+    with pytest.raises(SchemaViolation, match=f"duplicate id {bundle.notes[0].id}"):
+        dataclasses.replace(bundle, notes=bundle.notes + bundle.notes[:1])
 
 
 @given(st.binary(max_size=200))

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from airo import cli, rundir
 
@@ -194,3 +198,15 @@ def test_unredacted_log_never_in_crate(demo_run):
     _, crate = demo_run
     for name in read_crate_members(crate):
         assert "interaction_log.json" != name.rsplit("/", 1)[-1]
+
+
+def test_cli_import_leaves_the_http_stack_unloaded():
+    # offline commands (verify above all) must not pay for urllib.request at start
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import airo.cli, sys; "
+                               "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    assert loaded == "[]"
