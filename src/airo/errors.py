@@ -41,6 +41,10 @@ class TemplateInvalid(ToolkitError):
 
 # --- model invocation ---
 
+class ConfigInvalid(ToolkitError):
+    """Model configuration file is not JSON or violates ModelConfig's constraints."""
+
+
 class Transport(ToolkitError):
     """Network/HTTP failure talking to the model endpoint."""
 

@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from .bundle import InputBundle, Taxonomy, parse_taxonomy
-from .errors import (DoubleAssigned, EmptyResponse, FixtureMissing, MalformedSyntax,
-                     StageOutputInvalid, Transport, Uncovered, UnknownMember)
+from .errors import (ConfigInvalid, DoubleAssigned, EmptyResponse, FixtureMissing,
+                     MalformedSyntax, StageOutputInvalid, Transport, Uncovered, UnknownMember)
 from .template import (RenderedPrompt, Stage, PromptTemplate,
                        render_synthesis_prompt, render_taxonomy_prompt)
 
@@ -86,10 +86,13 @@ class ModelConfig:
 
 
 def config_from_file(path: Path) -> ModelConfig:
-    data = dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    if data.get("interface") == Interface.OPENAI_COMPATIBLE.value and not data.get("endpoint"):
-        data["endpoint"] = os.environ.get(ENV_ENDPOINT, "")
-    return ModelConfig.from_dict(data)
+    try:
+        data = dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        if data.get("interface") == Interface.OPENAI_COMPATIBLE.value and not data.get("endpoint"):
+            data["endpoint"] = os.environ.get(ENV_ENDPOINT, "")
+        return ModelConfig.from_dict(data)
+    except (ValueError, KeyError, TypeError) as err:
+        raise ConfigInvalid(f"{path}: {type(err).__name__}: {err}") from err
 
 
 @dataclass(frozen=True)

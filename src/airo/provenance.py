@@ -20,6 +20,7 @@ from .template import Stage
 
 if TYPE_CHECKING:
     from .invoke import Invocation
+    from .redact import RedactionPolicy
 
 RUN_ID_RE = re.compile(r"^ro-[a-z0-9-]+$")
 _LABEL_RE = re.compile(r"^[a-z0-9-]+$")
@@ -55,15 +56,19 @@ def sha256_of_text(text: str) -> Digest:
 
 @dataclass(frozen=True)
 class InvocationRecord:
-    """One logged model interaction; digests are always present, raw texts optional."""
+    """One logged model interaction; digests are always present, the rest optional.
+
+    A redacted record has no timestamps, source paths or host, and keeps raw
+    texts only at auditor tier. ``to_dict`` omits fields that are None.
+    """
 
     stage: Stage
     config: ModelConfig
     prompt_sha256: Digest
     response_sha256: Digest
     bundle_sha256: Digest
-    started_at: str
-    ended_at: str
+    started_at: str | None
+    ended_at: str | None
     attempt: int
     prompt_text: str | None = None
     response_text: str | None = None
@@ -96,44 +101,53 @@ class InvocationRecord:
             "started_at": self.started_at,
             "ended_at": self.ended_at,
             "attempt": self.attempt,
+            "prompt_text": self.prompt_text,
+            "response_text": self.response_text,
+            "source_paths": list(self.source_paths) if self.source_paths is not None else None,
+            "host_id": self.host_id,
         }
-        if self.prompt_text is not None:
-            data["prompt_text"] = self.prompt_text
-        if self.response_text is not None:
-            data["response_text"] = self.response_text
-        if self.source_paths is not None:
-            data["source_paths"] = list(self.source_paths)
-        if self.host_id is not None:
-            data["host_id"] = self.host_id
-        return data
+        return {key: value for key, value in data.items() if value is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "InvocationRecord":
-        paths = data.get("source_paths")
-        return cls(stage=Stage(data["stage"]),
-                   config=ModelConfig.from_dict(data["config"]),
-                   prompt_sha256=Digest.from_dict(data["prompt_sha256"]),
-                   response_sha256=Digest.from_dict(data["response_sha256"]),
-                   bundle_sha256=Digest.from_dict(data["bundle_sha256"]),
-                   started_at=data["started_at"],
-                   ended_at=data["ended_at"],
-                   attempt=data["attempt"],
-                   prompt_text=data.get("prompt_text"),
-                   response_text=data.get("response_text"),
-                   source_paths=tuple(paths) if paths is not None else None,
-                   host_id=data.get("host_id"))
+        record = cls(stage=Stage(data["stage"]),
+                     config=ModelConfig.from_dict(data["config"]),
+                     prompt_sha256=Digest.from_dict(data["prompt_sha256"]),
+                     response_sha256=Digest.from_dict(data["response_sha256"]),
+                     bundle_sha256=Digest.from_dict(data["bundle_sha256"]),
+                     started_at=data.get("started_at"),
+                     ended_at=data.get("ended_at"),
+                     attempt=data["attempt"],
+                     prompt_text=data.get("prompt_text"),
+                     response_text=data.get("response_text"),
+                     source_paths=(tuple(data["source_paths"])
+                                   if data.get("source_paths") is not None else None),
+                     host_id=data.get("host_id"))
+        if not all(isinstance(text, (str, type(None)))
+                   for text in (record.prompt_text, record.response_text)):
+            raise TypeError("prompt_text and response_text must be strings")
+        return record
 
 
 @dataclass
 class InteractionLog:
+    """A private log (``created_at`` set, records ordered by ``started_at``) or a
+    redacted one (``policy`` and ``redacted_from_sha256`` set, ``created_at`` None)."""
+
     run_id: str
     records: list[InvocationRecord] = field(default_factory=list)
-    created_at: str = field(default_factory=utc_now_rfc3339)
+    created_at: str | None = field(default_factory=utc_now_rfc3339)
+    policy: RedactionPolicy | None = None
+    redacted_from_sha256: Digest | None = None
 
     def __post_init__(self):
         if not RUN_ID_RE.match(self.run_id):
             raise ValueError(f"run_id must match 'ro-' + lowercase alphanumerics/hyphens, "
                              f"got {self.run_id!r}")
+        if self.policy is not None:
+            return
+        if any(r.started_at is None or r.ended_at is None for r in self.records):
+            raise ValueError("private log records must carry started_at and ended_at")
         for earlier, later in zip(self.records, self.records[1:]):
             if later.started_at < earlier.started_at:
                 raise ValueError("records must be ordered by started_at, nondecreasing")
@@ -144,8 +158,12 @@ class InteractionLog:
         self.records.append(record)
 
     def to_dict(self) -> dict:
-        return {"run_id": self.run_id, "created_at": self.created_at,
-                "records": [record.to_dict() for record in self.records]}
+        if self.policy is None:
+            head = {"run_id": self.run_id, "created_at": self.created_at}
+        else:
+            head = {"run_id": self.run_id, "policy": self.policy.to_dict(),
+                    "redacted_from_sha256": self.redacted_from_sha256.to_dict()}
+        return {**head, "records": [record.to_dict() for record in self.records]}
 
     def to_bytes(self) -> bytes:
         return (json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n").encode("utf-8")

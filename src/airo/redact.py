@@ -16,9 +16,7 @@ from typing import Sequence
 from urllib.parse import urlsplit
 
 from .errors import MalformedSyntax
-from .invoke import ModelConfig
-from .provenance import Digest, InteractionLog, sha256_hex
-from .template import Stage
+from .provenance import Digest, InteractionLog, InvocationRecord, sha256_hex
 
 GENERALIZED_ENDPOINT = "generalized-endpoint"
 
@@ -31,29 +29,21 @@ class Tier(Enum):
 
 @dataclass(frozen=True)
 class RedactionPolicy:
-    tier: Tier
-    drop_timestamps: bool
-    drop_raw_text: bool
-    drop_paths_and_host: bool
-    generalize_endpoint: bool
+    """The tier alone sets the policy: every tier drops timestamps, paths and host and
+    generalizes the endpoint; only the auditor tier keeps raw text."""
 
-    def __post_init__(self):
-        if self.tier in (Tier.PUBLIC, Tier.REVIEWER):
-            if not (self.drop_timestamps and self.drop_raw_text
-                    and self.drop_paths_and_host and self.generalize_endpoint):
-                raise ValueError(f"{self.tier.value} tier requires all redaction flags set")
-        else:  # auditor keeps raw text, still drops attribution material
-            if not (self.drop_timestamps and self.drop_paths_and_host):
-                raise ValueError("auditor tier requires dropping timestamps and paths/host")
-            if self.drop_raw_text:
-                raise ValueError("auditor tier retains raw text")
+    tier: Tier
+    drop_timestamps = True
+    drop_paths_and_host = True
+    generalize_endpoint = True
+
+    @property
+    def drop_raw_text(self) -> bool:
+        return self.tier is not Tier.AUDITOR
 
     @classmethod
     def for_tier(cls, tier: Tier | str) -> "RedactionPolicy":
-        tier = Tier(tier) if isinstance(tier, str) else tier
-        keep_text = tier is Tier.AUDITOR
-        return cls(tier=tier, drop_timestamps=True, drop_raw_text=not keep_text,
-                   drop_paths_and_host=True, generalize_endpoint=True)
+        return cls(tier=Tier(tier))
 
     def to_dict(self) -> dict:
         return {"tier": self.tier.value, "drop_timestamps": self.drop_timestamps,
@@ -63,69 +53,20 @@ class RedactionPolicy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RedactionPolicy":
-        return cls(tier=Tier(data["tier"]), drop_timestamps=data["drop_timestamps"],
-                   drop_raw_text=data["drop_raw_text"],
-                   drop_paths_and_host=data["drop_paths_and_host"],
-                   generalize_endpoint=data["generalize_endpoint"])
+        """The policy of ``data["tier"]``; flags that contradict the tier are a ValueError."""
+        policy = cls.for_tier(data["tier"])
+        if data != policy.to_dict():
+            raise ValueError(f"redaction flags do not match tier {policy.tier.value!r}")
+        return policy
 
 
-@dataclass(frozen=True)
-class RedactedRecord:
-    stage: Stage
-    config: ModelConfig
-    prompt_sha256: Digest
-    response_sha256: Digest
-    bundle_sha256: Digest
-    attempt: int
-    prompt_text: str | None = None
-    response_text: str | None = None
-
-    def to_dict(self) -> dict:
-        data = {"stage": self.stage.value, "config": self.config.to_dict(),
-                "prompt_sha256": self.prompt_sha256.to_dict(),
-                "response_sha256": self.response_sha256.to_dict(),
-                "bundle_sha256": self.bundle_sha256.to_dict(),
-                "attempt": self.attempt}
-        if self.prompt_text is not None:
-            data["prompt_text"] = self.prompt_text
-        if self.response_text is not None:
-            data["response_text"] = self.response_text
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RedactedRecord":
-        return cls(stage=Stage(data["stage"]), config=ModelConfig.from_dict(data["config"]),
-                   prompt_sha256=Digest.from_dict(data["prompt_sha256"]),
-                   response_sha256=Digest.from_dict(data["response_sha256"]),
-                   bundle_sha256=Digest.from_dict(data["bundle_sha256"]),
-                   attempt=data["attempt"],
-                   prompt_text=data.get("prompt_text"),
-                   response_text=data.get("response_text"))
-
-
-@dataclass(frozen=True)
-class RedactedLog:
-    run_id: str
-    records: tuple[RedactedRecord, ...]
-    policy: RedactionPolicy
-    redacted_from_sha256: Digest
-
-    def to_dict(self) -> dict:
-        return {"run_id": self.run_id, "policy": self.policy.to_dict(),
-                "redacted_from_sha256": self.redacted_from_sha256.to_dict(),
-                "records": [record.to_dict() for record in self.records]}
-
-    def to_bytes(self) -> bytes:
-        return (json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-
-
-def parse_redacted_log(raw: bytes) -> RedactedLog:
+def parse_redacted_log(raw: bytes) -> InteractionLog:
     try:
         data = json.loads(raw.decode("utf-8"))
-        return RedactedLog(run_id=data["run_id"],
-                           policy=RedactionPolicy.from_dict(data["policy"]),
-                           redacted_from_sha256=Digest.from_dict(data["redacted_from_sha256"]),
-                           records=tuple(RedactedRecord.from_dict(r) for r in data["records"]))
+        return InteractionLog(run_id=data["run_id"], created_at=None,
+                              policy=RedactionPolicy.from_dict(data["policy"]),
+                              redacted_from_sha256=Digest.from_dict(data["redacted_from_sha256"]),
+                              records=[InvocationRecord.from_dict(r) for r in data["records"]])
     except (ValueError, KeyError, TypeError) as err:
         raise MalformedSyntax(f"redacted log unreadable: {err}") from err
 
@@ -154,33 +95,21 @@ def generalize_endpoint(endpoint: str, tier: Tier) -> str:
     return f"{split.scheme}://{registrable}"
 
 
-def _redact_config(config: ModelConfig, policy: RedactionPolicy) -> ModelConfig:
-    if not policy.generalize_endpoint:
-        return config
-    return replace(config, endpoint=generalize_endpoint(config.endpoint, policy.tier))
-
-
-def redact(log: InteractionLog | RedactedLog, policy: RedactionPolicy) -> RedactedLog:
+def redact(log: InteractionLog, policy: RedactionPolicy) -> InteractionLog:
     """Apply a policy; idempotent when re-applied to an already-redacted log."""
     keep_text = not policy.drop_raw_text
     records = []
     for record in log.records:
-        records.append(RedactedRecord(
-            stage=record.stage,
-            config=_redact_config(record.config, policy),
-            prompt_sha256=record.prompt_sha256,
-            response_sha256=record.response_sha256,
-            bundle_sha256=record.bundle_sha256,
-            attempt=record.attempt,
+        endpoint = generalize_endpoint(record.config.endpoint, policy.tier)
+        records.append(replace(
+            record, config=replace(record.config, endpoint=endpoint),
+            started_at=None, ended_at=None, source_paths=None, host_id=None,
             prompt_text=record.prompt_text if keep_text else None,
-            response_text=record.response_text if keep_text else None,
-        ))
-    if isinstance(log, RedactedLog):
-        source_digest = log.redacted_from_sha256
-    else:
-        source_digest = sha256_hex(log.canonical_bytes())
-    return RedactedLog(run_id=log.run_id, records=tuple(records), policy=policy,
-                       redacted_from_sha256=source_digest)
+            response_text=record.response_text if keep_text else None))
+    source_digest = (sha256_hex(log.canonical_bytes()) if log.policy is None
+                     else log.redacted_from_sha256)
+    return InteractionLog(run_id=log.run_id, records=records, created_at=None, policy=policy,
+                          redacted_from_sha256=source_digest)
 
 
 @dataclass(frozen=True)
@@ -197,7 +126,7 @@ BUILTIN_SHAPES = {
 }
 
 
-def check_redaction(redacted: RedactedLog,
+def check_redaction(redacted: InteractionLog,
                     forbidden: Sequence[str] = ()) -> list[RedactionFinding]:
     """Scan every retained text field for forbidden patterns; empty result = pass.
 

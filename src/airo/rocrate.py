@@ -23,8 +23,7 @@ from .bundle import canonical_bytes, parse_bundle
 from .errors import (CrateUnreadable, DanglingEntity, ManifestMalformed, ManifestMissing,
                      MissingSection, UnredactedLeak)
 from .provenance import Digest, parse_log, sha256_hex
-from .redact import GENERALIZED_ENDPOINT, RedactionPolicy, Tier, generalize_endpoint, \
-    parse_redacted_log
+from .redact import RedactionPolicy, Tier, generalize_endpoint, parse_redacted_log
 
 ROCRATE_CONTEXT = "https://w3id.org/ro/crate/1.1/context"
 ROCRATE_CONFORMS_TO = "https://w3id.org/ro/crate/1.1"
@@ -302,13 +301,12 @@ def pack(run_path: Path, policy: RedactionPolicy, out_path: Path | None = None,
                 raise UnredactedLeak(f"redacted log record {index} retains raw text under a "
                                      f"text-dropping policy (tier {policy.tier.value}); "
                                      f"re-run redact at the requested tier")
-    if policy.generalize_endpoint:
-        for index, record in enumerate(redacted.records):
-            endpoint = record.config.endpoint
-            if endpoint and endpoint != GENERALIZED_ENDPOINT \
-                    and endpoint != generalize_endpoint(endpoint, redacted.policy.tier):
-                raise UnredactedLeak(f"redacted log record {index} carries a non-generalized "
-                                     f"endpoint")
+    for index, record in enumerate(redacted.records):
+        endpoint = record.config.endpoint
+        # generalize_endpoint is idempotent, so a redacted endpoint maps to itself
+        if endpoint and endpoint != generalize_endpoint(endpoint, redacted.policy.tier):
+            raise UnredactedLeak(f"redacted log record {index} carries a non-generalized "
+                                 f"endpoint")
 
     actions = [
         ActionEntity(id="#taxonomy-invocation", name="taxonomy stage model invocation",
@@ -338,8 +336,8 @@ def _parse_manifest_graph(data: dict) -> tuple[tuple[FileEntity, ...], tuple[Act
     actions: list[ActionEntity] = []
     root_seen = False
     for node in data["@graph"]:
-        if not isinstance(node, dict) or "@id" not in node:
-            raise ManifestMalformed("graph node without @id")
+        if not isinstance(node, dict) or not isinstance(node.get("@id"), str):
+            raise ManifestMalformed("graph node without a string @id")
         node_types = node.get("@type", [])
         if isinstance(node_types, str):
             node_types = [node_types]
@@ -398,7 +396,10 @@ def manifest_from_members(members: dict[str, bytes]) -> CrateManifest:
         data = json.loads(members[MANIFEST_NAME].decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as err:
         raise ManifestMalformed(f"{MANIFEST_NAME} is not valid JSON: {err}") from err
-    entities, actions = _parse_manifest_graph(data)
+    try:
+        entities, actions = _parse_manifest_graph(data)
+    except (TypeError, KeyError, AttributeError) as err:
+        raise ManifestMalformed(f"{MANIFEST_NAME} has an unexpected shape: {err!r}") from err
 
     file_names = set(members) - {MANIFEST_NAME}
     entity_ids = [entity.id for entity in entities]

@@ -16,7 +16,7 @@ from pathlib import Path
 from .audit import audit_draft, inline_findings, parse_draft, read_audit_csv, AuditStatus
 from .bundle import canonical_bytes, parse_bundle, parse_taxonomy
 from .errors import SourceMismatch, ToolkitError
-from .provenance import parse_log, sha256_hex, sha256_of_text
+from .provenance import parse_log, sha256_hex
 from .redact import parse_redacted_log
 from .rocrate import card_bundle_digest, manifest_from_members, read_crate_members
 
@@ -182,19 +182,10 @@ def verify_crate(archive: Path) -> VerificationReport:
         except ToolkitError as err:
             findings.append(f"redacted log unreadable: {err}")
     if redacted is not None:
-        texts_seen = False
         for index, record in enumerate(redacted.records):
-            if record.prompt_text is not None:
-                texts_seen = True
-                if sha256_of_text(record.prompt_text) != record.prompt_sha256:
-                    findings.append(f"log record {index}: prompt text does not re-hash to "
-                                    f"prompt_sha256")
-            if record.response_text is not None:
-                texts_seen = True
-                if sha256_of_text(record.response_text) != record.response_sha256:
-                    findings.append(f"log record {index}: response text does not re-hash to "
-                                    f"response_sha256")
-        if not texts_seen:
+            findings.extend(f"log record {index}: {finding}"
+                            for finding in record.linkage_findings())
+        if all(r.prompt_text is None and r.response_text is None for r in redacted.records):
             findings.append(f"skipped: raw-text re-hash not possible at tier "
                             f"'{redacted.policy.tier.value}' (texts redacted)")
     hash_findings = [f for f in findings if not f.startswith("skipped:")]
@@ -254,13 +245,7 @@ def verify_against_source(archive: Path, source_log_path: Path) -> SourceCheckRe
 
     findings: list[str] = []
     for index, (src, red) in enumerate(zip(source.records, redacted.records)):
-        if src.prompt_text is not None and sha256_of_text(src.prompt_text) != src.prompt_sha256:
-            findings.append(f"record {index}: source prompt text does not re-hash to its "
-                            f"stored digest")
-        if src.response_text is not None \
-                and sha256_of_text(src.response_text) != src.response_sha256:
-            findings.append(f"record {index}: source response text does not re-hash to its "
-                            f"stored digest")
+        findings.extend(f"record {index}: source {finding}" for finding in src.linkage_findings())
         for label in ("prompt_sha256", "response_sha256", "bundle_sha256"):
             if getattr(src, label) != getattr(red, label):
                 findings.append(f"record {index}: {label} differs between source log and "

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from airo import cli, rundir
 
 from conftest import run_pipeline
@@ -89,6 +91,21 @@ def test_missing_stub_fixture_is_usage_error(tmp_path, capsys):
     run_dir = tmp_path / "run"
     cli.main(["init", "demo", "--run-dir", str(run_dir)])
     assert cli.main(["taxonomy", "--stub", "no-such", "--run-dir", str(run_dir)]) == 2
+
+
+@pytest.mark.parametrize("config_text", [
+    '{"interface": "offline-stub", "model_na',
+    json.dumps({"interface": "offline-stub", "model_name": "m", "temperature": -1,
+                "top_p": 1.0, "max_tokens": 10}),
+], ids=["truncated-json", "negative-temperature"])
+def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, config_text):
+    run_dir = tmp_path / "run"
+    cli.main(["init", "demo", "--run-dir", str(run_dir)])
+    (run_dir / rundir.CONFIG).write_text(config_text)
+    capsys.readouterr()
+    assert cli.main(["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and rundir.CONFIG in err
 
 
 def test_transport_error_exit_code(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from airo.bundle import canonical_bytes, parse_bundle
@@ -122,6 +124,17 @@ def test_log_serialization_round_trip():
 def test_parse_log_rejects_garbage():
     with pytest.raises(MalformedSyntax):
         parse_log(b"not a log")
+
+
+@pytest.mark.parametrize("missing", ["started_at", "ended_at"])
+def test_parse_log_rejects_a_record_without_timestamps(missing):
+    bundle = parse_bundle(make_raw([NOTE]))
+    log = InteractionLog(run_id="ro-x")
+    log.append(record_invocation(invocation_for(bundle), bundle))
+    data = log.to_dict()
+    del data["records"][0][missing]
+    with pytest.raises(MalformedSyntax):
+        parse_log(json.dumps(data).encode())
 
 
 def test_canonical_log_bytes_configuration_is_covered():

@@ -10,7 +10,7 @@ from airo.bundle import canonical_bytes, parse_bundle
 from airo.errors import (DanglingEntity, ManifestMalformed, ManifestMissing, MissingSection,
                          UnredactedLeak)
 from airo.provenance import sha256_hex
-from airo.redact import RedactionPolicy, Tier
+from airo.redact import GENERALIZED_ENDPOINT, RedactionPolicy, Tier
 from airo.rocrate import (MANIFEST_NAME, Role, build_card, card_bundle_digest, pack,
                           read_crate_members, read_manifest, write_zip_deterministic)
 
@@ -88,6 +88,25 @@ def test_pack_refuses_raw_text_under_dropping_policy(demo_copy, auditor_run, tmp
     shutil.copy(auditor_dir / rundir.REDACTED_LOG, run_dir / rundir.REDACTED_LOG)
     with pytest.raises(UnredactedLeak, match="raw text"):
         pack(run_dir, RedactionPolicy.for_tier(Tier.REVIEWER))
+
+
+@pytest.mark.parametrize("endpoint, leaks", [
+    ("https://inference.internal.lab:8443/v1", True),
+    ("https://internal.lab", False),
+    (GENERALIZED_ENDPOINT, False),
+    ("", False),
+], ids=["raw", "generalized", "constant", "empty"])
+def test_pack_refuses_a_non_generalized_endpoint(demo_copy, endpoint, leaks):
+    run_dir, _ = demo_copy
+    log_path = run_dir / rundir.REDACTED_LOG
+    data = json.loads(log_path.read_text())
+    data["records"][0]["config"]["endpoint"] = endpoint
+    log_path.write_text(json.dumps(data))
+    if leaks:
+        with pytest.raises(UnredactedLeak, match="endpoint"):
+            pack(run_dir, RedactionPolicy.for_tier(Tier.REVIEWER))
+    else:
+        assert pack(run_dir, RedactionPolicy.for_tier(Tier.REVIEWER)).is_file()
 
 
 def test_pack_missing_artifact_is_dangling(demo_copy):

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from airo import rundir
-from airo.errors import CrateUnreadable, SourceMismatch
+from airo.errors import CrateUnreadable, SourceMismatch, ToolkitError
 from airo.provenance import parse_log
-from airo.rocrate import read_crate_members, write_zip_deterministic
+from airo.rocrate import MANIFEST_NAME, read_crate_members, write_zip_deterministic
 from airo.verify import (CheckName, CheckStatus, verify_against_source, verify_crate)
 
 from conftest import run_pipeline
@@ -144,3 +144,57 @@ def test_verify_against_source_edited_response(tmp_path, demo_run):
     result = verify_against_source(crate, edited)
     assert result.status is CheckStatus.FAIL
     assert any("record 1" in finding and "re-hash" in finding for finding in result.findings)
+
+
+def _node(manifest, node_id):
+    return next(node for node in manifest["@graph"] if node["@id"] == node_id)
+
+
+HOSTILE_MANIFESTS = {
+    "action-object-not-a-reference":
+        lambda manifest: _node(manifest, "#taxonomy-invocation").update(object=["x"]),
+    "digest-not-a-string": lambda manifest: _node(manifest, "outputs/draft.md").update(sha256=5),
+    "graph-not-a-list": lambda manifest: manifest.update({"@graph": 5}),
+    "id-not-a-string": lambda manifest: _node(manifest, "outputs/draft.md").update({"@id": 5}),
+    "type-not-a-string":
+        lambda manifest: _node(manifest, "outputs/draft.md").update({"@type": 5}),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(HOSTILE_MANIFESTS))
+def test_hostile_manifest_shape_is_a_finding(tmp_path, demo_run, mutation):
+    _, crate = demo_run
+    members = read_crate_members(crate)
+    manifest = json.loads(members[MANIFEST_NAME])
+    HOSTILE_MANIFESTS[mutation](manifest)
+    members[MANIFEST_NAME] = json.dumps(manifest).encode()
+    tampered = tmp_path / "tampered.zip"
+    write_zip_deterministic(tampered, members)
+
+    hash_check = verify_crate(tampered).check(CheckName.HASH_INTEGRITY)
+    assert hash_check.status is CheckStatus.FAIL
+    assert any(finding.startswith("manifest unusable") for finding in hash_check.findings)
+
+
+def test_non_string_raw_text_in_crate_log_is_a_finding(tmp_path, demo_run):
+    _, crate = demo_run
+    members = read_crate_members(crate)
+    data = json.loads(members["provenance/interaction_log.redacted.json"])
+    data["records"][0]["prompt_text"] = 5
+    members["provenance/interaction_log.redacted.json"] = json.dumps(data).encode()
+    tampered = tmp_path / "tampered.zip"
+    write_zip_deterministic(tampered, members)
+
+    hash_check = verify_crate(tampered).check(CheckName.HASH_INTEGRITY)
+    assert hash_check.status is CheckStatus.FAIL
+    assert any("redacted log unreadable" in finding for finding in hash_check.findings)
+
+
+def test_non_string_raw_text_in_source_log_is_an_error(tmp_path, demo_run):
+    run_dir, crate = demo_run
+    data = json.loads((run_dir / rundir.INTERACTION_LOG).read_bytes())
+    data["records"][0]["prompt_text"] = 5
+    edited = tmp_path / "edited_log.json"
+    edited.write_text(json.dumps(data))
+    with pytest.raises(ToolkitError):
+        verify_against_source(crate, edited)
