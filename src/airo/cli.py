@@ -17,6 +17,7 @@ import json
 import platform
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import rundir
@@ -27,11 +28,11 @@ from .errors import (EmptyResponse, FixtureMissing, RunLocked, StageOrder,
                      StageOutputInvalid, ToolkitError, Transport)
 from .invoke import (Interface, ModelConfig, config_from_file, run_synthesis_stage,
                      run_taxonomy_stage, utc_now_rfc3339)
-from .provenance import InteractionLog, new_run, parse_log, record_invocation, sha256_hex
+from .provenance import InteractionLog, new_run, parse_log, record_invocation
 from .redact import RedactionPolicy, Tier, check_redaction, redact
 from .rocrate import build_card, pack
 from .template import (Stage, load_template, validate_template)
-from .verify import CheckStatus, verify_against_source, verify_crate
+from .verify import CheckResult, CheckStatus, verify_against_source, verify_crate
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -45,22 +46,6 @@ def _load_config(run: rundir.RunDirectory, args) -> ModelConfig:
     if args.stub:
         config = replace(config, interface=Interface.OFFLINE_STUB, stub_fixture=args.stub)
     return config
-
-
-def _config_digest(config: ModelConfig) -> str:
-    return sha256_hex(json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")).hex
-
-
-def _load_log(run: rundir.RunDirectory, run_id: str) -> InteractionLog:
-    log_path = run.file(rundir.INTERACTION_LOG)
-    if log_path.is_file():
-        return parse_log(log_path.read_bytes())
-    return InteractionLog(run_id=run_id)
-
-
-def _append_record(run: rundir.RunDirectory, log: InteractionLog, record) -> None:
-    log.append(record)
-    run.file(rundir.INTERACTION_LOG).write_bytes(log.to_bytes())
 
 
 def cmd_init(args) -> int:
@@ -112,61 +97,53 @@ def cmd_validate(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
-def cmd_taxonomy(args) -> int:
+def _run_model_stage(args, stage: str, template_rel: str, output_rel: str, produce) -> int:
+    """Run one model stage; every interaction is logged, a failed one included.
+
+    ``produce(run, bundle, config, options)`` invokes the model with
+    ``options`` and returns ``(output bytes, invocation, summary)``.
+    """
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
-        state = run.require("taxonomy")
+        state = run.require(stage)
         bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
         config = _load_config(run, args)
-        template = load_template(run.file(rundir.TAXONOMY_TMPL))
-        log = _load_log(run, state.run_id)
+        options = {"template": load_template(run.file(template_rel)),
+                   "fixtures_dir": run.file(rundir.FIXTURES_DIR)}
+        log_path = run.file(rundir.INTERACTION_LOG)
+        log = (parse_log(log_path.read_bytes()) if log_path.is_file()
+               else InteractionLog(run_id=state.run_id))
         host = platform.node() or None
-        paths = [str(run.file(rundir.BUNDLE)), str(run.file(rundir.TAXONOMY_TMPL))]
+        paths = [str(run.file(rundir.BUNDLE)), str(run.file(template_rel))]
+
+        def keep(invocation) -> None:
+            log.append(record_invocation(invocation, bundle, paths, host))
+            log_path.write_bytes(log.to_bytes())
+
         try:
-            taxonomy, invocation = run_taxonomy_stage(
-                bundle, config, template=template,
-                fixtures_dir=run.file(rundir.FIXTURES_DIR))
+            output, invocation, summary = produce(run, bundle, config, options)
         except (StageOutputInvalid, EmptyResponse) as err:
             if err.invocation is not None:  # provenance totality: keep the interaction
-                _append_record(run, log,
-                               record_invocation(err.invocation, bundle, paths, host))
+                keep(err.invocation)
             raise
-        _append_record(run, log, record_invocation(invocation, bundle, paths, host))
-        run.file(rundir.TAXONOMY_JSON).write_bytes(taxonomy_to_bytes(taxonomy))
-        run.mark_complete("taxonomy", _config_digest(config))
+        keep(invocation)
+        run.file(output_rel).write_bytes(output)
+        run.mark_complete(stage)
         if invocation.budget_exceeded:
             print("warning: response was truncated at max_tokens", file=sys.stderr)
-        print(f"wrote {rundir.TAXONOMY_JSON} ({len(taxonomy.clusters)} cluster(s))")
+        print(f"wrote {output_rel}{summary}")
     return EXIT_OK
 
 
-def cmd_draft(args) -> int:
-    run = rundir.RunDirectory(Path(args.run_dir))
-    with run.lock():
-        state = run.require("draft")
-        bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
-        taxonomy = parse_taxonomy(run.file(rundir.TAXONOMY_JSON).read_bytes(), bundle)
-        config = _load_config(run, args)
-        template = load_template(run.file(rundir.SYNTHESIS_TMPL))
-        log = _load_log(run, state.run_id)
-        host = platform.node() or None
-        paths = [str(run.file(rundir.BUNDLE)), str(run.file(rundir.SYNTHESIS_TMPL))]
-        try:
-            text, invocation = run_synthesis_stage(
-                bundle, taxonomy, config, template=template,
-                fixtures_dir=run.file(rundir.FIXTURES_DIR))
-        except EmptyResponse as err:
-            if err.invocation is not None:
-                _append_record(run, log,
-                               record_invocation(err.invocation, bundle, paths, host))
-            raise
-        _append_record(run, log, record_invocation(invocation, bundle, paths, host))
-        run.file(rundir.DRAFT_MD).write_text(text, encoding="utf-8")
-        run.mark_complete("draft", _config_digest(config))
-        if invocation.budget_exceeded:
-            print("warning: response was truncated at max_tokens", file=sys.stderr)
-        print(f"wrote {rundir.DRAFT_MD}")
-    return EXIT_OK
+def _produce_taxonomy(run: rundir.RunDirectory, bundle, config: ModelConfig, options: dict):
+    taxonomy, invocation = run_taxonomy_stage(bundle, config, **options)
+    return taxonomy_to_bytes(taxonomy), invocation, f" ({len(taxonomy.clusters)} cluster(s))"
+
+
+def _produce_draft(run: rundir.RunDirectory, bundle, config: ModelConfig, options: dict):
+    taxonomy = parse_taxonomy(run.file(rundir.TAXONOMY_JSON).read_bytes(), bundle)
+    text, invocation = run_synthesis_stage(bundle, taxonomy, config, **options)
+    return text.encode("utf-8"), invocation, ""
 
 
 def cmd_audit(args) -> int:
@@ -253,20 +230,19 @@ def cmd_pack(args) -> int:
     return EXIT_OK
 
 
+def _print_check(check: CheckResult) -> None:
+    print(f"{check.status.value.upper():7s} {check.name.value}")
+    for finding in check.findings:
+        print(f"        - {finding}")
+
+
 def cmd_verify(args) -> int:
     report = verify_crate(Path(args.crate))
     for check in report.checks:
-        print(f"{check.status.value.upper():7s} {check.name.value}")
-        for finding in check.findings:
-            print(f"        - {finding}")
-    if args.source_log:
-        result = verify_against_source(Path(args.crate), Path(args.source_log))
-        print(f"{result.status.value.upper():7s} SourceDerivation")
-        for finding in result.findings:
-            print(f"        - {finding}")
-        if result.status is not CheckStatus.PASS:
-            print("overall: FAIL")
-            return EXIT_FAILURE
+        _print_check(check)
+    if args.source_log:  # read only now, so a SourceMismatch still shows the checks above
+        report.checks.append(verify_against_source(Path(args.crate), Path(args.source_log)))
+        _print_check(report.checks[-1])
     print(f"overall: {report.overall.value.upper()}")
     return EXIT_OK if report.overall is CheckStatus.PASS else EXIT_FAILURE
 
@@ -293,9 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("validate", cmd_validate, "check the bundle and templates; exit 1 on problems")
 
-    for name, handler, help_text in (("taxonomy", cmd_taxonomy, "run stage 1: cluster the papers"),
-                                     ("draft", cmd_draft, "run stage 2: draft the section")):
-        p = add(name, handler, help_text)
+    for name, template_rel, output_rel, produce, help_text in (
+            ("taxonomy", rundir.TAXONOMY_TMPL, rundir.TAXONOMY_JSON, _produce_taxonomy,
+             "run stage 1: cluster the papers"),
+            ("draft", rundir.SYNTHESIS_TMPL, rundir.DRAFT_MD, _produce_draft,
+             "run stage 2: draft the section")):
+        p = add(name, partial(_run_model_stage, stage=name, template_rel=template_rel,
+                              output_rel=output_rel, produce=produce), help_text)
         p.add_argument("--config", help="model config file (default: <run>/config.json)")
         p.add_argument("--stub", help="offline stub fixture name (forces offline-stub mode)")
 

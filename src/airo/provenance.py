@@ -145,6 +145,9 @@ class InteractionLog:
             raise ValueError(f"run_id must match 'ro-' + lowercase alphanumerics/hyphens, "
                              f"got {self.run_id!r}")
         if self.policy is not None:
+            if any(value is not None for r in self.records
+                   for value in (r.started_at, r.ended_at, r.source_paths, r.host_id)):
+                raise ValueError("redacted log records carry no timestamps, paths or host")
             return
         if any(r.started_at is None or r.ended_at is None for r in self.records):
             raise ValueError("private log records must carry started_at and ended_at")

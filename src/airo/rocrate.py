@@ -56,7 +56,6 @@ class FileEntity:
     types: tuple[str, ...]
     role: Role
     sha256: Digest | None
-    produced_by: str | None
     description: str
 
 
@@ -219,7 +218,6 @@ def _action_entity_json(action: ActionEntity) -> dict:
 
 def _build_manifest_json(run_id: str, members: dict[str, bytes],
                          roles: dict[str, Role], actions: list[ActionEntity]) -> dict:
-    produced_by = {res: action.id for action in actions for res in action.results}
     graph: list[dict] = [
         {"@id": MANIFEST_NAME, "@type": "CreativeWork",
          "conformsTo": {"@id": ROCRATE_CONFORMS_TO}, "about": {"@id": "./"}},
@@ -239,7 +237,6 @@ def _build_manifest_json(run_id: str, members: dict[str, bytes],
         types: tuple[str, ...] = ("File", "SoftwareSourceCode") if role is Role.CODE else ("File",)
         entity = FileEntity(id=name, types=types, role=role,
                             sha256=sha256_hex(members[name]),
-                            produced_by=produced_by.get(name),
                             description=descriptions[role])
         graph.append(_file_entity_json(entity))
     graph.extend(_action_entity_json(action) for action in actions)
@@ -290,7 +287,7 @@ def pack(run_path: Path, policy: RedactionPolicy, out_path: Path | None = None,
         members[member_name] = run.file(source).read_bytes()
         roles[member_name] = role
 
-    # leak gate: no unredacted log by name, no raw texts under a dropping policy
+    # leak gate: no unredacted log by name, no raw texts under a dropping policy, no other tier
     for member_name in members:
         if Path(member_name).name == UNREDACTED_LOG_BASENAME:
             raise UnredactedLeak(f"unredacted interaction log in payload: {member_name}")
@@ -301,6 +298,9 @@ def pack(run_path: Path, policy: RedactionPolicy, out_path: Path | None = None,
                 raise UnredactedLeak(f"redacted log record {index} retains raw text under a "
                                      f"text-dropping policy (tier {policy.tier.value}); "
                                      f"re-run redact at the requested tier")
+    if redacted.policy.tier is not policy.tier:
+        raise UnredactedLeak(f"redacted log is at tier {redacted.policy.tier.value}, not the "
+                             f"requested {policy.tier.value}; re-run redact at the requested tier")
     for index, record in enumerate(redacted.records):
         endpoint = record.config.endpoint
         # generalize_endpoint is idempotent, so a redacted endpoint maps to itself
@@ -363,14 +363,10 @@ def _parse_manifest_graph(data: dict) -> tuple[tuple[FileEntity, ...], tuple[Act
                 except ValueError as err:
                     raise ManifestMalformed(f"entity {node['@id']}: {err}") from None
             entities.append(FileEntity(id=node["@id"], types=tuple(node_types), role=role,
-                                       sha256=digest, produced_by=None,
+                                       sha256=digest,
                                        description=node.get("description", "")))
     if not root_seen:
         raise ManifestMalformed("manifest has no root dataset entity './'")
-    produced_by = {res: action.id for action in actions for res in action.results}
-    entities = [FileEntity(id=e.id, types=e.types, role=e.role, sha256=e.sha256,
-                           produced_by=produced_by.get(e.id), description=e.description)
-                for e in entities]
     return tuple(entities), tuple(actions)
 
 

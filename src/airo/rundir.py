@@ -40,7 +40,6 @@ AUDIT_HISTORY = f"{OUTPUTS_DIR}/audit_history.jsonl"
 INTERACTION_LOG = f"{PROVENANCE_DIR}/interaction_log.json"
 REDACTED_LOG = f"{PROVENANCE_DIR}/interaction_log.redacted.json"
 
-STAGES = ("taxonomy", "draft", "audit", "redact", "card", "pack")
 _PREREQUISITES = {
     "taxonomy": (),
     "draft": ("taxonomy",),
@@ -90,17 +89,15 @@ class RunState:
     label: str
     created_at: str
     completed: list[str] = field(default_factory=list)
-    stage_configs: dict[str, str] = field(default_factory=dict)  # stage -> config sha256 hex
 
     def to_dict(self) -> dict:
         return {"run_id": self.run_id, "label": self.label, "created_at": self.created_at,
-                "completed": self.completed, "stage_configs": self.stage_configs}
+                "completed": self.completed}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunState":
         return cls(run_id=data["run_id"], label=data["label"], created_at=data["created_at"],
-                   completed=list(data.get("completed", [])),
-                   stage_configs=dict(data.get("stage_configs", {})))
+                   completed=list(data.get("completed", [])))
 
 
 class RunDirectory:
@@ -136,12 +133,10 @@ class RunDirectory:
                              f"{', '.join(missing)}")
         return state
 
-    def mark_complete(self, stage: str, config_digest: str | None = None) -> None:
+    def mark_complete(self, stage: str) -> None:
         state = self.load_state()
         if stage not in state.completed:
             state.completed.append(stage)
-        if config_digest is not None:
-            state.stage_configs[stage] = config_digest
         self.save_state(state)
 
     @contextmanager

@@ -27,6 +27,7 @@ class CheckName(Enum):
     CLAIM_MAPPING = "ClaimMapping"
     HASH_INTEGRITY = "HashIntegrity"
     INPUT_DERIVATION = "InputDerivation"
+    SOURCE_DERIVATION = "SourceDerivation"  # the escrow check against a private log
 
 
 class CheckStatus(Enum):
@@ -62,14 +63,6 @@ class VerificationReport:
         return {"overall": self.overall.value,
                 "checks": [{"name": c.name.value, "status": c.status.value,
                             "findings": c.findings} for c in self.checks]}
-
-    def to_markdown(self) -> str:
-        lines = ["# Verification report", ""]
-        for check in self.checks:
-            lines.append(f"- **{check.name.value}**: {check.status.value}")
-            lines.extend(f"  - {finding}" for finding in check.findings)
-        lines += ["", f"Overall: {self.overall.value}"]
-        return "\n".join(lines) + "\n"
 
 
 def _result(name: CheckName, findings: list[str], skipped: bool = False) -> CheckResult:
@@ -218,13 +211,7 @@ def verify_crate(archive: Path) -> VerificationReport:
                                       hash_check, derivation_check])
 
 
-@dataclass
-class SourceCheckResult:
-    status: CheckStatus
-    findings: list[str] = field(default_factory=list)
-
-
-def verify_against_source(archive: Path, source_log_path: Path) -> SourceCheckResult:
+def verify_against_source(archive: Path, source_log_path: Path) -> CheckResult:
     """Escrow check: does the private unredacted log match the crate's redacted log?
 
     Raises SourceMismatch when the log clearly belongs to a different run
@@ -254,5 +241,4 @@ def verify_against_source(archive: Path, source_log_path: Path) -> SourceCheckRe
     if recomputed != redacted.redacted_from_sha256:
         findings.append(f"source log canonical hash {recomputed.hex} does not match "
                         f"redacted_from_sha256 {redacted.redacted_from_sha256.hex}")
-    return SourceCheckResult(status=CheckStatus.FAIL if findings else CheckStatus.PASS,
-                             findings=findings)
+    return _result(CheckName.SOURCE_DERIVATION, findings)

@@ -17,6 +17,14 @@ PIPELINE = (
     ["pack", "--tier", "reviewer"],
 )
 
+# Fields only a private log record may carry, with values a hand edit could add.
+PRIVATE_ONLY_FIELDS = {
+    "started_at": "2026-01-02T03:04:05Z",
+    "ended_at": "2026-01-02T03:04:06Z",
+    "source_paths": ["/home/alice/run/bundle.json"],
+    "host_id": "workstation-7.internal",
+}
+
 
 def run_pipeline(run_dir: Path, label: str = "demo", tier: str = "reviewer",
                  stubs: dict[str, str] | None = None) -> Path:

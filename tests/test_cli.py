@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from airo import cli, rundir
 
-from conftest import run_pipeline
+from conftest import PRIVATE_ONLY_FIELDS, run_pipeline
 
 
 def test_init_creates_run_and_validates(tmp_path, capsys):
@@ -72,19 +73,72 @@ def test_stage_order_uses_state_not_files(tmp_path, capsys):
     assert "StageOrder" in capsys.readouterr().err
 
 
-def test_failed_taxonomy_keeps_state_but_logs_interaction(tmp_path, capsys):
-    run_dir = tmp_path / "run"
-    cli.main(["init", "demo", "--run-dir", str(run_dir)])
-    (run_dir / rundir.FIXTURES_DIR / "broken.txt").write_text("not json at all")
-    assert cli.main(["taxonomy", "--stub", "broken", "--run-dir", str(run_dir)]) == 1
-    run = rundir.RunDirectory(run_dir)
+# stage -> (stages run before it, its output, the record's stage, a stub that fails it)
+MODEL_STAGES = {
+    "taxonomy": ([], rundir.TAXONOMY_JSON, "taxonomy", "not json at all"),  # StageOutputInvalid
+    "draft": ([["taxonomy", "--stub", "taxonomy_demo"]], rundir.DRAFT_MD, "synthesis", ""),
+}
+
+
+def _init_before(run_dir: Path, stage: str) -> rundir.RunDirectory:
+    assert cli.main(["init", "demo", "--run-dir", str(run_dir)]) == 0
+    for step in MODEL_STAGES[stage][0]:
+        assert cli.main(step + ["--run-dir", str(run_dir)]) == 0
+    return rundir.RunDirectory(run_dir)
+
+
+@pytest.mark.parametrize("stage", sorted(MODEL_STAGES))
+def test_failed_taxonomy_keeps_state_but_logs_interaction(tmp_path, capsys, stage):
+    before, output, record_stage, broken = MODEL_STAGES[stage]
+    run = _init_before(tmp_path / "run", stage)
+    (run.file(rundir.FIXTURES_DIR) / "broken.txt").write_text(broken)
+    assert cli.main([stage, "--stub", "broken", "--run-dir", str(run.path)]) == 1
     state = run.load_state()
-    assert "taxonomy" not in state.completed
-    assert not run.file(rundir.TAXONOMY_JSON).exists()
+    assert stage not in state.completed
+    assert not run.file(output).exists()
     # provenance totality: the failed interaction is still on the record
     log = json.loads(run.file(rundir.INTERACTION_LOG).read_text())
-    assert len(log["records"]) == 1
-    assert log["records"][0]["response_text"] == "not json at all"
+    assert len(log["records"]) == len(before) + 1
+    assert log["records"][-1]["stage"] == record_stage
+    assert log["records"][-1]["response_text"] == broken
+
+
+@pytest.mark.parametrize("stage", sorted(MODEL_STAGES))
+def test_truncated_response_warns_and_completes(tmp_path, capsys, stage):
+    _, output, record_stage, _ = MODEL_STAGES[stage]
+    run = _init_before(tmp_path / "run", stage)
+    config = json.loads(run.file(rundir.CONFIG).read_text())
+    config["max_tokens"] = 20  # both demo fixtures are longer than 20 words
+    run.file(rundir.CONFIG).write_text(json.dumps(config))
+    capsys.readouterr()
+    demo_stub = f"{record_stage}_demo"
+    assert cli.main([stage, "--stub", demo_stub, "--run-dir", str(run.path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: response was truncated at max_tokens\n"
+    assert captured.out.startswith(f"wrote {output}")
+    assert stage in run.load_state().completed
+
+
+def test_draft_file_rehashes_to_the_logged_response(tmp_path):
+    run = _init_before(tmp_path / "run", "draft")
+    fixture = run.file(rundir.FIXTURES_DIR) / "synthesis_demo.txt"
+    fixture.write_text(fixture.read_text(encoding="utf-8") + "Naïve café — ✓\n",
+                       encoding="utf-8")
+    assert cli.main(["draft", "--stub", "synthesis_demo", "--run-dir", str(run.path)]) == 0
+    record = json.loads(run.file(rundir.INTERACTION_LOG).read_text())["records"][-1]
+    digest = hashlib.sha256(run.file(rundir.DRAFT_MD).read_bytes()).hexdigest()
+    assert digest == record["response_sha256"]["hex"]
+
+
+def test_run_state_with_stage_configs_still_resumes(tmp_path):
+    # run.json written before stage_configs was dropped carries the key
+    run = _init_before(tmp_path / "run", "draft")
+    state = json.loads(run.state_path.read_text())
+    state["stage_configs"] = {"taxonomy": "ab" * 32}
+    run.state_path.write_text(json.dumps(state))
+    assert cli.main(["draft", "--stub", "synthesis_demo", "--run-dir", str(run.path)]) == 0
+    assert run.load_state().completed == ["taxonomy", "draft"]
+    assert "stage_configs" not in json.loads(run.state_path.read_text())
 
 
 def test_missing_stub_fixture_is_usage_error(tmp_path, capsys):
@@ -208,6 +262,20 @@ def test_verify_with_source_log(tmp_path, capsys, demo_run):
     assert code == 0
     out = capsys.readouterr().out
     assert "SourceDerivation" in out
+
+
+@pytest.mark.parametrize("field", sorted(PRIVATE_ONLY_FIELDS))
+def test_pack_refuses_a_redacted_log_with_private_fields(demo_copy, capsys, field):
+    run_dir, _ = demo_copy
+    log_path = run_dir / rundir.REDACTED_LOG
+    data = json.loads(log_path.read_text())
+    data["records"][0][field] = PRIVATE_ONLY_FIELDS[field]
+    log_path.write_text(json.dumps(data))
+    output = run_dir / "leaky.crate.zip"
+    assert cli.main(["pack", "--tier", "reviewer", "--output", str(output),
+                     "--run-dir", str(run_dir)]) == 1
+    assert "MalformedSyntax" in capsys.readouterr().err
+    assert not output.exists()
 
 
 def test_unredacted_log_never_in_crate(demo_run):

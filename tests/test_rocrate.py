@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import platform
 import shutil
+from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
+import airo.invoke
 from airo import rundir
 from airo.bundle import canonical_bytes, parse_bundle
 from airo.errors import (DanglingEntity, ManifestMalformed, ManifestMissing, MissingSection,
@@ -13,6 +18,8 @@ from airo.provenance import sha256_hex
 from airo.redact import GENERALIZED_ENDPOINT, RedactionPolicy, Tier
 from airo.rocrate import (MANIFEST_NAME, Role, build_card, card_bundle_digest, pack,
                           read_crate_members, read_manifest, write_zip_deterministic)
+
+from conftest import run_pipeline
 
 CARD_SECTION_NAMES = ("run_id", "research_topic", "model_configuration", "artifacts_released",
                       "intended_use", "human_oversight", "disclosure", "limitations",
@@ -109,6 +116,18 @@ def test_pack_refuses_a_non_generalized_endpoint(demo_copy, endpoint, leaks):
         assert pack(run_dir, RedactionPolicy.for_tier(Tier.REVIEWER)).is_file()
 
 
+@pytest.mark.parametrize("requested", [Tier.PUBLIC, Tier.AUDITOR])
+def test_pack_refuses_a_redacted_log_at_another_tier(demo_copy, requested):
+    run_dir, _ = demo_copy
+    # the run was redacted at reviewer tier, which keeps the endpoint's domain
+    log_path = run_dir / rundir.REDACTED_LOG
+    data = json.loads(log_path.read_text())
+    data["records"][0]["config"]["endpoint"] = "https://internal.lab"
+    log_path.write_text(json.dumps(data))
+    with pytest.raises(UnredactedLeak, match="at tier reviewer, not the requested"):
+        pack(run_dir, RedactionPolicy.for_tier(requested))
+
+
 def test_pack_missing_artifact_is_dangling(demo_copy):
     run_dir, _ = demo_copy
     (run_dir / rundir.DRAFT_MD).unlink()
@@ -136,10 +155,10 @@ def test_manifest_digests_and_produced_by(demo_run):
     for entity in manifest.entities:
         assert entity.sha256 is not None
         assert entity.sha256 == sha256_hex(members[entity.id])
-    assert manifest.entity("outputs/taxonomy.json").produced_by == "#taxonomy-invocation"
-    assert manifest.entity("outputs/draft.md").produced_by == "#synthesis-invocation"
-    assert manifest.entity("outputs/audit.csv").produced_by == "#claim-audit"
     by_id = {action.id: action for action in manifest.actions}
+    assert by_id["#taxonomy-invocation"].results == ("outputs/taxonomy.json",)
+    assert by_id["#synthesis-invocation"].results == ("outputs/draft.md",)
+    assert by_id["#claim-audit"].results == ("outputs/audit.csv",)
     assert by_id["#taxonomy-invocation"].log_record == 0
     assert by_id["#synthesis-invocation"].log_record == 1
 
@@ -194,3 +213,30 @@ def test_manifest_is_rocrate_shaped(demo_run):
     assert root["@type"] == "Dataset"
     parts = {ref["@id"] for ref in root["hasPart"]}
     assert parts == set(read_crate_members(crate)) - {MANIFEST_NAME}
+
+
+# SHA-256 of the demo crate at each tier, built under the frozen clock and host below.
+DEMO_CRATE_SHA256 = {
+    "public": "ff5358058afc0e1bc090be4fc121dc0b44722da4d5f938f4d89916822268e9f1",
+    "reviewer": "cce31dcfc4c791c21a23bae5e9604700fecf1c4f940e9f229c64afcd4e2e0af2",
+    "auditor": "f7c4a8ea24e573d65b1200f78c70fae2cf19d666eb854298d384e89face3c3a4",
+}
+
+
+class _FrozenDatetime(datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2026, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
+
+
+@pytest.mark.parametrize("tier", sorted(DEMO_CRATE_SHA256))
+def test_demo_crate_bytes_are_pinned(tmp_path, monkeypatch, tier):
+    # a refactor must leave the released bytes alone; any format drift must be deliberate.
+    # Every timestamp comes from airo.invoke's clock (InteractionLog's default_factory
+    # binds utc_now_rfc3339, which reads the module's datetime). The host and the
+    # run-relative paths reach the crate through the private log's digest.
+    monkeypatch.setattr(airo.invoke, "datetime", _FrozenDatetime)
+    monkeypatch.setattr(platform, "node", lambda: "golden-host")
+    monkeypatch.chdir(tmp_path)
+    crate = run_pipeline(Path("run"), label="demo", tier=tier)
+    assert hashlib.sha256(crate.read_bytes()).hexdigest() == DEMO_CRATE_SHA256[tier]
