@@ -194,8 +194,9 @@ def cmd_redact(args) -> int:
         policy = RedactionPolicy.for_tier(args.tier)
         log = parse_log(run.file(rundir.INTERACTION_LOG).read_bytes())
         redacted = redact(log, policy)
-        findings = check_redaction(redacted)
-        if policy.drop_raw_text and findings:
+        # the auditor tier keeps raw text by design, so only a text-dropping tier is scanned
+        findings = check_redaction(redacted) if policy.drop_raw_text else []
+        if findings:
             for finding in findings:
                 print(f"redaction finding: {finding.field_path}: {finding.pattern} "
                       f"({finding.excerpt})", file=sys.stderr)

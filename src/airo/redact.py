@@ -78,17 +78,21 @@ def generalize_endpoint(endpoint: str, tier: Tier) -> str:
     """Scheme + registrable domain at reviewer/auditor tier; a constant for public.
 
     The registrable domain is approximated by the last two host labels; IP
-    hosts carry direct attribution and collapse to the constant.
+    hosts carry direct attribution and, like an unparseable URL, collapse to
+    the constant. Applying the function to its own result changes nothing.
     """
     if tier is Tier.PUBLIC:
         return GENERALIZED_ENDPOINT
     if not endpoint:
         return ""
-    split = urlsplit(endpoint)
-    host = split.hostname
-    if not split.scheme or not host:
+    try:
+        split = urlsplit(endpoint)
+        host = split.hostname
+    except ValueError:  # e.g. an unclosed "[" in the host
         return GENERALIZED_ENDPOINT
-    if _IP_HOST_RE.match(host):
+    # a bracketed host is an IP literal (RFC 3986), whatever urlsplit accepts
+    bracketed = split.netloc.rpartition("@")[2].startswith("[")
+    if not split.scheme or not host or bracketed or _IP_HOST_RE.match(host):
         return GENERALIZED_ENDPOINT
     labels = host.split(".")
     registrable = ".".join(labels[-2:]) if len(labels) >= 2 else host

@@ -371,10 +371,19 @@ def _parse_manifest_graph(data: dict) -> tuple[tuple[FileEntity, ...], tuple[Act
 
 
 def read_crate_members(archive: Path) -> dict[str, bytes]:
+    """``{name: bytes}`` of every file member; a name stored twice is CrateUnreadable."""
     try:
         with zipfile.ZipFile(archive) as zf:
-            return {info.filename: zf.read(info.filename) for info in zf.infolist()
-                    if not info.is_dir()}
+            members: dict[str, bytes] = {}
+            for info in zf.infolist():
+                if info.is_dir():
+                    continue
+                if info.filename in members:
+                    # a reader could pick either copy, so no copy can be trusted
+                    raise CrateUnreadable(f"archive {archive} stores member "
+                                          f"{info.filename} more than once")
+                members[info.filename] = zf.read(info)
+            return members
     except (OSError, zipfile.BadZipFile) as err:
         raise CrateUnreadable(f"cannot read archive {archive}: {err}") from err
 

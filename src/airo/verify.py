@@ -33,7 +33,6 @@ class CheckName(Enum):
 class CheckStatus(Enum):
     PASS = "Pass"
     FAIL = "Fail"
-    SKIPPED = "Skipped"
 
 
 @dataclass
@@ -65,9 +64,7 @@ class VerificationReport:
                             "findings": c.findings} for c in self.checks]}
 
 
-def _result(name: CheckName, findings: list[str], skipped: bool = False) -> CheckResult:
-    if skipped:
-        return CheckResult(name, CheckStatus.SKIPPED, findings)
+def _result(name: CheckName, findings: list[str]) -> CheckResult:
     status = CheckStatus.FAIL if findings else CheckStatus.PASS
     return CheckResult(name, status, findings)
 
@@ -178,13 +175,12 @@ def verify_crate(archive: Path) -> VerificationReport:
         for index, record in enumerate(redacted.records):
             findings.extend(f"log record {index}: {finding}"
                             for finding in record.linkage_findings())
-        if all(r.prompt_text is None and r.response_text is None for r in redacted.records):
-            findings.append(f"skipped: raw-text re-hash not possible at tier "
-                            f"'{redacted.policy.tier.value}' (texts redacted)")
-    hash_findings = [f for f in findings if not f.startswith("skipped:")]
-    hash_check = CheckResult(CheckName.HASH_INTEGRITY,
-                             CheckStatus.FAIL if hash_findings else CheckStatus.PASS,
-                             findings)
+    hash_check = _result(CheckName.HASH_INTEGRITY, findings)
+    # the tier-skip is reported as a finding but does not decide the status
+    if redacted is not None and all(r.prompt_text is None and r.response_text is None
+                                    for r in redacted.records):
+        hash_check.findings.append(f"skipped: raw-text re-hash not possible at tier "
+                                   f"'{redacted.policy.tier.value}' (texts redacted)")
 
     # 5. InputDerivation: every log record binds to the packed bundle's canonical hash.
     findings = []

@@ -11,7 +11,7 @@ import pytest
 
 from airo import cli, rundir
 
-from conftest import PRIVATE_ONLY_FIELDS, run_pipeline
+from conftest import PIPELINE, PRIVATE_ONLY_FIELDS, run_pipeline
 
 
 def test_init_creates_run_and_validates(tmp_path, capsys):
@@ -241,6 +241,58 @@ def test_pack_before_redact_is_stage_order(tmp_path, capsys):
         assert cli.main(step + ["--run-dir", str(run_dir)]) == 0
     assert cli.main(["pack", "--run-dir", str(run_dir)]) == 1
     assert "StageOrder" in capsys.readouterr().err
+
+
+REDACT_STEP = PIPELINE.index(["redact", "--tier", "reviewer"])
+
+
+def _run_until_redact(run_dir: Path, **config) -> rundir.RunDirectory:
+    """A demo run with ``config`` merged into config.json and every stage before redact done."""
+    assert cli.main(["init", "demo", "--run-dir", str(run_dir)]) == 0
+    run = rundir.RunDirectory(run_dir)
+    data = json.loads(run.file(rundir.CONFIG).read_text())
+    run.file(rundir.CONFIG).write_text(json.dumps({**data, **config}))
+    for step in PIPELINE[:REDACT_STEP]:
+        assert cli.main(step + ["--run-dir", str(run_dir)]) == 0
+    return run
+
+
+@pytest.mark.parametrize("tier", ["public", "reviewer"])
+def test_redact_refuses_a_local_path_at_text_dropping_tiers(tmp_path, capsys, tier):
+    run = _run_until_redact(tmp_path / "run", model_name="/home/alice/model")
+    capsys.readouterr()
+    assert cli.main(["redact", "--tier", tier, "--run-dir", str(run.path)]) == 1
+    assert "redaction finding" in capsys.readouterr().err
+    assert not run.file(rundir.REDACTED_LOG).exists()
+    assert "redact" not in run.load_state().completed
+
+
+def test_redact_does_not_scan_the_auditor_tier(tmp_path, monkeypatch):
+    # the auditor tier keeps raw text by design; a scan there would be thrown away
+    run = _run_until_redact(tmp_path / "run")
+    redact = ["redact", "--tier", "auditor", "--run-dir", str(run.path)]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("check_redaction called at auditor tier")
+
+    monkeypatch.setattr(cli, "check_redaction", refuse)
+    assert cli.main(redact) == 0
+    assert "redact" in run.load_state().completed
+    unscanned = run.file(rundir.REDACTED_LOG).read_bytes()
+    monkeypatch.undo()
+    run.file(rundir.REDACTED_LOG).unlink()
+    assert cli.main(redact) == 0
+    assert run.file(rundir.REDACTED_LOG).read_bytes() == unscanned
+
+
+def test_ipv6_endpoint_never_reaches_the_crate(tmp_path):
+    run = _run_until_redact(tmp_path / "run", endpoint="https://[fe80::1]:8443/v1")
+    for step in PIPELINE[REDACT_STEP:]:
+        assert cli.main(step + ["--run-dir", str(run.path)]) == 0, step
+    from airo.rocrate import read_crate_members
+    crate = run.file(rundir.CRATE_DIR) / f"{run.load_state().run_id}.crate.zip"
+    for name, data in read_crate_members(crate).items():
+        assert b"fe80:" not in data, name
 
 
 def test_verify_tampered_crate_nonzero_exit(tmp_path, capsys, demo_run):

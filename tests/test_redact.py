@@ -94,17 +94,37 @@ def test_digest_triples_preserved_bitwise():
 
 
 def test_endpoint_generalization():
-    assert generalize_endpoint("https://inference.internal.lab:8443/v1",
-                               Tier.PUBLIC) == GENERALIZED_ENDPOINT
-    assert generalize_endpoint("https://inference.internal.lab:8443/v1",
-                               Tier.REVIEWER) == "https://internal.lab"
-    assert generalize_endpoint("http://localhost:8080/v1", Tier.REVIEWER) == "http://localhost"
-    assert generalize_endpoint("http://10.0.0.5:80/v1", Tier.REVIEWER) == GENERALIZED_ENDPOINT
+    # hosts and their idempotence are covered per tier by ENDPOINT_FORMS below
     assert generalize_endpoint("not a url", Tier.AUDITOR) == GENERALIZED_ENDPOINT
     assert generalize_endpoint("", Tier.REVIEWER) == ""
-    # stable under re-application
-    once = generalize_endpoint("https://inference.internal.lab:8443/v1", Tier.REVIEWER)
-    assert generalize_endpoint(once, Tier.REVIEWER) == once
+    assert generalize_endpoint("", Tier.PUBLIC) == GENERALIZED_ENDPOINT
+
+
+# endpoint -> its form at reviewer and auditor tier; public always gets the constant
+ENDPOINT_FORMS = {
+    "https://inference.internal.lab:8443/v1": "https://internal.lab",
+    "http://localhost:8080/v1": "http://localhost",
+    "http://10.0.0.5:80/v1": GENERALIZED_ENDPOINT,
+    "http://167772165/v1": GENERALIZED_ENDPOINT,  # a resolver reads this as 10.0.0.5
+    "https://[fe80::1]:8443/v1": GENERALIZED_ENDPOINT,
+    "https://[fe80::1%25eth0]:8443/v1": GENERALIZED_ENDPOINT,
+    "http://[2001:db8::7]/v1": GENERALIZED_ENDPOINT,
+    "https://[::ffff:10.0.0.5]/v1": GENERALIZED_ENDPOINT,
+    "https://user@[fe80::1]/v1": GENERALIZED_ENDPOINT,
+    "https://[fe80::1/v1": GENERALIZED_ENDPOINT,  # unclosed bracket: urlsplit refuses it
+    # bracketed name that is no address: refused by urlsplit on newer Pythons,
+    # parsed to host "gpu-host" on older ones; collapses either way
+    "https://[gpu-host]/v1": GENERALIZED_ENDPOINT,
+}
+
+
+@pytest.mark.parametrize("tier", list(Tier), ids=lambda tier: tier.value)
+@pytest.mark.parametrize("endpoint", sorted(ENDPOINT_FORMS))
+def test_endpoint_generalization_per_host(endpoint, tier):
+    expected = GENERALIZED_ENDPOINT if tier is Tier.PUBLIC else ENDPOINT_FORMS[endpoint]
+    once = generalize_endpoint(endpoint, tier)
+    assert once == expected
+    assert generalize_endpoint(once, tier) == once
 
 
 def test_public_tier_collapses_endpoint_to_constant():

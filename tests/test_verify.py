@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import warnings
+import zipfile
 
 import pytest
 
-from airo import rundir
+from airo import cli, rundir
 from airo.errors import CrateUnreadable, SourceMismatch, ToolkitError
 from airo.provenance import parse_log, sha256_hex
 from airo.rocrate import MANIFEST_NAME, read_crate_members, write_zip_deterministic
@@ -44,6 +46,48 @@ def test_reviewer_tier_raw_text_subcheck_reported_skipped(demo_run):
     hash_check = report.check(CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.PASS
     assert any("skipped" in finding for finding in hash_check.findings)
+
+
+def test_skip_note_does_not_hide_a_digest_mismatch(tmp_path, demo_run):
+    # a member whose name starts like the tier-skip note must still be hash-checked
+    _, crate = demo_run
+    members = read_crate_members(crate)
+    members["skipped:note.txt"] = b"tampered after packing"
+    manifest = json.loads(members[MANIFEST_NAME])
+    manifest["@graph"].append({"@id": "skipped:note.txt", "@type": "File",
+                               "additionalType": "data",
+                               "sha256": sha256_hex(b"as packed").hex})
+    members[MANIFEST_NAME] = json.dumps(manifest).encode()
+    tampered = tmp_path / "tampered.zip"
+    write_zip_deterministic(tampered, members)
+
+    report = verify_crate(tampered)
+    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    assert hash_check.status is CheckStatus.FAIL
+    assert any(finding.startswith("skipped:note.txt: digest mismatch")
+               for finding in hash_check.findings)
+    assert report.overall is CheckStatus.FAIL
+
+
+def test_duplicate_member_name_is_unreadable(tmp_path, demo_run, capsys):
+    # a forged first copy of the draft ahead of the genuine one
+    run_dir, crate = demo_run
+    members = read_crate_members(crate)
+    forged = tmp_path / "forged.zip"
+    with warnings.catch_warnings(), zipfile.ZipFile(forged, "w") as zf:
+        warnings.simplefilter("ignore", UserWarning)  # zipfile warns on the duplicate name
+        zf.writestr("outputs/draft.md", members["outputs/draft.md"] + b"forged\n")
+        for name, data in members.items():
+            zf.writestr(name, data)
+
+    with pytest.raises(CrateUnreadable, match="more than once"):
+        verify_crate(forged)
+    with pytest.raises(CrateUnreadable, match="more than once"):
+        verify_against_source(forged, run_dir / rundir.INTERACTION_LOG)
+    capsys.readouterr()
+    assert cli.main(["verify", str(forged)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "more than once" in err
 
 
 def test_auditor_tier_rehashes_raw_texts(auditor_run):
