@@ -14,12 +14,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 from .errors import DoubleAssigned, MalformedSyntax, SchemaViolation, Uncovered, UnknownMember
 
 ID_PATTERN = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 
 _NOTE_FIELDS = ("id", "pid", "citation", "summary", "strengths", "limitations", "relation")
+_NOTE_KEYS = frozenset(_NOTE_FIELDS)
 _NOTE_REQUIRED_NONEMPTY = ("pid", "citation", "summary")
 _BUNDLE_FIELDS = ("title", "contribution", "target_words", "notes")
 _CLUSTER_FIELDS = ("name", "rationale", "member_ids")
@@ -143,37 +145,43 @@ def parse_bundle(raw: bytes) -> InputBundle:
 
     notes = []
     for index, item in enumerate(data["notes"]):
-        where = f"notes[{index}]"
-        record = _expect_object(item, where)
-        _check_keys(record, _NOTE_FIELDS, where)
-        values = {key: _expect_str(record, key, where) for key in _NOTE_FIELDS}
-        notes.append(NoteRecord(**values))
+        # For JSON input this one test is the same predicate as the checks
+        # below, which only run to name what is wrong with a failing note.
+        if not (type(item) is dict and item.keys() == _NOTE_KEYS
+                and all(type(value) is str for value in item.values())):
+            where = f"notes[{index}]"
+            _check_keys(_expect_object(item, where), _NOTE_FIELDS, where)
+            for key in _NOTE_FIELDS:
+                _expect_str(item, key, where)
+        notes.append(NoteRecord(**item))
 
     # duplicate ids and the type of target_words are checked by InputBundle
     return InputBundle(title=title, contribution=contribution,
                        target_words=data["target_words"], notes=tuple(notes))
 
 
-def bundle_to_dict(bundle: InputBundle) -> dict:
-    return {
-        "title": bundle.title,
-        "contribution": bundle.contribution,
-        "target_words": bundle.target_words,
-        "notes": [
-            {key: getattr(note, key) for key in _NOTE_FIELDS} for note in bundle.notes
-        ],
-    }
+_NOTE_FORMAT = ('{"citation":%s,"id":%s,"limitations":%s,"pid":%s,'
+                '"relation":%s,"strengths":%s,"summary":%s}')
 
 
 def canonical_bytes(bundle: InputBundle) -> bytes:
     """Deterministic encoding: sorted keys, no insignificant whitespace, UTF-8.
 
     Two bundles equal field-by-field yield identical bytes; this is the form
-    all bundle digests are computed over.
+    all bundle digests are computed over. The bytes are those of
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"), ensure_ascii=False)``,
+    written directly: ``encode_basestring`` is the string escaper json.dumps
+    uses when ``ensure_ascii`` is off.
     """
-    return json.dumps(bundle_to_dict(bundle), sort_keys=True,
-                      separators=(",", ":"), ensure_ascii=False,
-                      allow_nan=False).encode("utf-8")
+    notes = ",".join(
+        _NOTE_FORMAT % (encode_basestring(note.citation), encode_basestring(note.id),
+                        encode_basestring(note.limitations), encode_basestring(note.pid),
+                        encode_basestring(note.relation), encode_basestring(note.strengths),
+                        encode_basestring(note.summary))
+        for note in bundle.notes)
+    return ('{"contribution":%s,"notes":[%s],"target_words":%d,"title":%s}' % (
+        encode_basestring(bundle.contribution), notes, bundle.target_words,
+        encode_basestring(bundle.title))).encode("utf-8")
 
 
 def parse_taxonomy(raw: bytes, bundle: InputBundle) -> Taxonomy:

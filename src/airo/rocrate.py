@@ -371,7 +371,10 @@ def _parse_manifest_graph(data: dict) -> tuple[tuple[FileEntity, ...], tuple[Act
 
 
 def read_crate_members(archive: Path) -> dict[str, bytes]:
-    """``{name: bytes}`` of every file member; a name stored twice is CrateUnreadable."""
+    """``{name: bytes}`` of every file member.
+
+    A name stored twice, or a member stored compressed, is CrateUnreadable.
+    """
     try:
         with zipfile.ZipFile(archive) as zf:
             members: dict[str, bytes] = {}
@@ -382,6 +385,12 @@ def read_crate_members(archive: Path) -> dict[str, bytes]:
                     # a reader could pick either copy, so no copy can be trusted
                     raise CrateUnreadable(f"archive {archive} stores member "
                                           f"{info.filename} more than once")
+                if info.compress_type != zipfile.ZIP_STORED:
+                    # pack never compresses; refusing here also keeps every
+                    # decompressor's own errors out of verify
+                    raise CrateUnreadable(f"archive {archive} stores member "
+                                          f"{info.filename} compressed; crates are "
+                                          f"stored uncompressed")
                 members[info.filename] = zf.read(info)
             return members
     except (OSError, zipfile.BadZipFile) as err:

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import PathExists, RunLocked, StageOrder
+from .errors import MalformedSyntax, PathExists, RunLocked, StageOrder
 from .invoke import utc_now_rfc3339
 from .provenance import new_run
 
@@ -118,7 +118,12 @@ class RunDirectory:
         if not self.exists():
             raise StageOrder(f"{self.path} is not an initialized run directory "
                              f"(missing {STATE}); run 'airo init' first")
-        return RunState.from_dict(json.loads(self.state_path.read_text(encoding="utf-8")))
+        try:
+            return RunState.from_dict(json.loads(self.state_path.read_text(encoding="utf-8")))
+        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as err:
+            # what a kill in the middle of save_state leaves behind
+            raise MalformedSyntax(f"{STATE} in {self.path} is not a readable run state: "
+                                  f"{err!r}") from err
 
     def save_state(self, state: RunState) -> None:
         self.state_path.write_text(json.dumps(state.to_dict(), indent=2) + "\n",

@@ -10,23 +10,23 @@ from airo.bundle import InputBundle, NoteRecord
 
 note_ids = st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,5}", fullmatch=True)
 
-_any_text = st.text(max_size=60)
-_nonempty_text = st.text(min_size=1, max_size=60)
-
 
 @st.composite
-def bundles(draw) -> InputBundle:
+def bundles(draw, alphabet=st.characters(codec="utf-8")) -> InputBundle:
+    """Valid bundles whose free-text fields are drawn from ``alphabet``."""
+    any_text = st.text(alphabet, max_size=60)
+    nonempty_text = st.text(alphabet, min_size=1, max_size=60)
     ids = draw(st.lists(note_ids, min_size=1, max_size=6, unique=True))
     notes = tuple(
         NoteRecord(id=nid,
-                   pid=draw(_nonempty_text),
-                   citation=draw(_nonempty_text),
-                   summary=draw(_nonempty_text),
-                   strengths=draw(_any_text),
-                   limitations=draw(_any_text),
-                   relation=draw(_any_text))
+                   pid=draw(nonempty_text),
+                   citation=draw(nonempty_text),
+                   summary=draw(nonempty_text),
+                   strengths=draw(any_text),
+                   limitations=draw(any_text),
+                   relation=draw(any_text))
         for nid in ids)
-    return InputBundle(title=draw(_any_text), contribution=draw(_any_text),
+    return InputBundle(title=draw(any_text), contribution=draw(any_text),
                        target_words=draw(st.integers(50, 5000)), notes=notes)
 
 

@@ -58,6 +58,56 @@ def test_bad_id_pattern_rejected():
             parse_bundle(make_raw([dict(NOTE, id=bad)]))
 
 
+SECOND = dict(NOTE, id="P2")
+
+
+def _without(key: str) -> dict:
+    return {k: v for k, v in SECOND.items() if k != key}
+
+
+# (second note, exception type, exact message): a note that fails parse_bundle's
+# one-test accept must still get the error that names its first fault
+MALFORMED_NOTES = {
+    "list": (["P2"], MalformedSyntax, "notes[1] must be a JSON object, got list"),
+    "string": ("P2", MalformedSyntax, "notes[1] must be a JSON object, got str"),
+    "null": (None, MalformedSyntax, "notes[1] must be a JSON object, got NoneType"),
+    "missing-pid": (_without("pid"), SchemaViolation, "notes[1]: missing field 'pid'"),
+    "unexpected": (dict(SECOND, extra="x"), SchemaViolation,
+                   "notes[1]: unexpected field 'extra'"),
+    "missing-and-unexpected": (dict(_without("summary"), extra="x"), SchemaViolation,
+                               "notes[1]: missing field 'summary'"),
+    "unexpected-and-non-string": (dict(SECOND, extra="x", id=2), SchemaViolation,
+                                  "notes[1]: unexpected field 'extra'"),
+    "id-int": (dict(SECOND, id=2), SchemaViolation, "notes[1]: field 'id' must be a string"),
+    "pid-null": (dict(SECOND, pid=None), SchemaViolation,
+                 "notes[1]: field 'pid' must be a string"),
+    "citation-list": (dict(SECOND, citation=["Smith"]), SchemaViolation,
+                      "notes[1]: field 'citation' must be a string"),
+    "summary-object": (dict(SECOND, summary={"text": "s"}), SchemaViolation,
+                       "notes[1]: field 'summary' must be a string"),
+    "strengths-bool": (dict(SECOND, strengths=True), SchemaViolation,
+                       "notes[1]: field 'strengths' must be a string"),
+    "limitations-float": (dict(SECOND, limitations=1.5), SchemaViolation,
+                          "notes[1]: field 'limitations' must be a string"),
+    "relation-int": (dict(SECOND, relation=0), SchemaViolation,
+                     "notes[1]: field 'relation' must be a string"),
+    "non-string-before-bad-id": (dict(SECOND, id="2P", relation=None), SchemaViolation,
+                                 "notes[1]: field 'relation' must be a string"),
+    "bad-id": (dict(SECOND, id="2P"), SchemaViolation,
+               "note id '2P' must be a letter followed by alphanumerics"),
+    "empty-summary": (dict(SECOND, summary=""), SchemaViolation,
+                      "note P2: field 'summary' must be nonempty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NOTES))
+def test_malformed_note_error_is_exact(case):
+    note, error, message = MALFORMED_NOTES[case]
+    with pytest.raises(error) as raised:
+        parse_bundle(make_raw([NOTE, note]))
+    assert type(raised.value) is error and str(raised.value) == message
+
+
 def test_target_words_minimum():
     with pytest.raises(SchemaViolation, match="target_words"):
         parse_bundle(make_raw([NOTE], target_words=49))
@@ -88,6 +138,37 @@ def test_canonical_bytes_differ_on_one_character():
     a = parse_bundle(make_raw([NOTE]))
     b = parse_bundle(make_raw([dict(NOTE, summary="S")]))
     assert canonical_bytes(a) != canonical_bytes(b)
+
+
+def reference_canonical_bytes(bundle: InputBundle) -> bytes:
+    """The json.dumps form that canonical_bytes writes by hand."""
+    data = {"title": bundle.title, "contribution": bundle.contribution,
+            "target_words": bundle.target_words,
+            "notes": [dataclasses.asdict(note) for note in bundle.notes]}
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                      allow_nan=False).encode("utf-8")
+
+
+# what json.dumps escapes (quote, backslash, C0 controls) next to what it
+# passes through unescaped (DEL, U+2028, non-ASCII, astral characters)
+_ESCAPE_HEAVY = st.one_of(st.sampled_from('"\\\x7f\u2028\u2029\u00e9\u4e2d'
+                                          '\U0001f600\U00010000'),
+                          st.characters(max_codepoint=0x1F),
+                          st.characters(codec="utf-8"))
+
+
+@given(bundles(alphabet=_ESCAPE_HEAVY))
+def test_canonical_bytes_equal_the_json_dumps_reference(bundle: InputBundle):
+    assert canonical_bytes(bundle) == reference_canonical_bytes(bundle)
+
+
+def test_lone_surrogate_fails_like_the_reference():
+    bundle = InputBundle(title="t", contribution="c", target_words=100, notes=(
+        NoteRecord("P1", "pid1", "Cite 1", "half a pair: \ud800", "", "", ""),))
+    with pytest.raises(UnicodeEncodeError):
+        reference_canonical_bytes(bundle)
+    with pytest.raises(UnicodeEncodeError):
+        canonical_bytes(bundle)
 
 
 @given(bundles())

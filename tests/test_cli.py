@@ -162,6 +162,27 @@ def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, config_text):
     assert err.startswith("error:") and rundir.CONFIG in err
 
 
+@pytest.mark.parametrize("state_bytes", [
+    None,  # the first 20 bytes of the valid run.json, as a kill in save_state leaves it
+    b"\xff\xfe not utf-8",
+    b"[]",
+    b'{"run_id": "ro-demo"}',
+], ids=["truncated", "not-utf8", "not-an-object", "missing-keys"])
+@pytest.mark.parametrize("command", [["validate"], ["taxonomy", "--stub", "taxonomy_demo"],
+                                     ["resolve", "0", "checked"]], ids=lambda c: c[0])
+def test_unreadable_run_state_is_an_error_not_a_traceback(tmp_path, capsys, command,
+                                                          state_bytes):
+    run_dir = tmp_path / "run"
+    cli.main(["init", "demo", "--run-dir", str(run_dir)])
+    state_path = run_dir / rundir.STATE
+    state_path.write_bytes(state_path.read_bytes()[:20] if state_bytes is None else state_bytes)
+    capsys.readouterr()
+    assert cli.main(command + ["--run-dir", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and rundir.STATE in err
+    assert not (run_dir / rundir.LOCK).exists()
+
+
 def test_transport_error_exit_code(tmp_path, monkeypatch, capsys):
     import urllib.error
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import struct
 import warnings
 import zipfile
 
@@ -88,6 +89,43 @@ def test_duplicate_member_name_is_unreadable(tmp_path, demo_run, capsys):
     assert cli.main(["verify", str(forged)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "more than once" in err
+
+
+def _deflated_copy(crate, target):
+    """The crate's members re-zipped with ZIP_DEFLATED, which pack never writes."""
+    with zipfile.ZipFile(target, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+        for name, data in read_crate_members(crate).items():
+            zf.writestr(name, data)
+    return target
+
+
+def _flip_deflate_stream(archive, name):
+    """Flip the first two bytes of a member's deflate stream in place."""
+    data = bytearray(archive.read_bytes())
+    with zipfile.ZipFile(archive) as zf:
+        offset = zf.getinfo(name).header_offset
+    name_length, extra_length = struct.unpack("<HH", data[offset + 26:offset + 30])
+    start = offset + 30 + name_length + extra_length
+    data[start] ^= 0xFF
+    data[start + 1] ^= 0xFF
+    archive.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["deflated", "corrupt-deflate-stream"])
+def test_compressed_member_is_unreadable(tmp_path, demo_run, capsys, corrupt):
+    run_dir, crate = demo_run
+    deflated = _deflated_copy(crate, tmp_path / "deflated.zip")
+    if corrupt:
+        _flip_deflate_stream(deflated, "outputs/draft.md")
+
+    with pytest.raises(CrateUnreadable, match="compressed"):
+        verify_crate(deflated)
+    with pytest.raises(CrateUnreadable, match="compressed"):
+        verify_against_source(deflated, run_dir / rundir.INTERACTION_LOG)
+    capsys.readouterr()
+    assert cli.main(["verify", str(deflated)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "compressed" in err
 
 
 def test_auditor_tier_rehashes_raw_texts(auditor_run):
