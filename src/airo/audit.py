@@ -25,7 +25,7 @@ import io
 import re
 from dataclasses import dataclass, replace
 
-from .bundle import ID_PATTERN, InputBundle
+from .bundle import ID_PATTERN, InputBundle, restore
 from .errors import (AlreadySupported, IndexOutOfRange, MalformedChecklistEntry,
                      MalformedSyntax, MissingChecklist, MissingHeader)
 from enum import Enum
@@ -37,6 +37,7 @@ HUMAN_CHECK_MARKER = "[NEEDS HUMAN CHECK]"
 _BULLET_RE = re.compile(r"^\s*[-*]\s+(.*)$")
 _TRAILING_IDS_RE = re.compile(r"\[([^\[\]]*)\]\s*$")
 _INLINE_CITATION_RE = re.compile(r"\(([^();]+);\s*([A-Za-z][A-Za-z0-9]*)\)")
+_ID_SEPARATOR_RE = re.compile(r"[\s,]+")
 
 
 class AuditStatus(Enum):
@@ -44,6 +45,9 @@ class AuditStatus(Enum):
     NEEDS_HUMAN_CHECK = "needs_human_check"
     UNSUPPORTED = "unsupported"
     INVENTED_CITATION = "invented_citation"
+
+
+_STATUS_BY_VALUE = {status.value: status for status in AuditStatus}
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,8 @@ def _parse_bullet(content: str, line_number: int) -> ClaimEntry:
     ids: tuple[str, ...] = ()
     match = _TRAILING_IDS_RE.search(text.rstrip())
     if match:
-        tokens = [tok for tok in re.split(r"[\s,]+", match.group(1).strip()) if tok]
-        bad = [tok for tok in tokens if not ID_PATTERN.match(tok)]
+        tokens = [tok for tok in _ID_SEPARATOR_RE.split(match.group(1).strip()) if tok]
+        bad = [tok for tok in tokens if not ID_PATTERN.fullmatch(tok)]
         if bad:
             raise MalformedChecklistEntry(
                 f"trailing id group contains invalid token(s): {', '.join(bad)}", line_number)
@@ -99,7 +103,8 @@ def _parse_bullet(content: str, line_number: int) -> ClaimEntry:
     claim = " ".join(text.split())
     if not claim:
         raise MalformedChecklistEntry("checklist entry has no claim text", line_number)
-    return ClaimEntry(claim=claim, supporting_ids=ids, needs_human_check=flagged)
+    return restore(ClaimEntry, {"claim": claim, "supporting_ids": ids,
+                                "needs_human_check": flagged})
 
 
 def parse_draft(raw: str) -> DraftArtifact:
@@ -152,9 +157,9 @@ def parse_draft(raw: str) -> DraftArtifact:
     markers = []
     for p_index, paragraph in enumerate(paragraphs):
         for match in _INLINE_CITATION_RE.finditer(paragraph):
-            citations.append(InlineCitation(citation=match.group(1).strip(),
-                                            note_id=match.group(2),
-                                            paragraph=p_index, offset=match.start()))
+            citations.append(restore(InlineCitation, {
+                "citation": match.group(1).strip(), "note_id": match.group(2),
+                "paragraph": p_index, "offset": match.start()}))
         start = 0
         while (found := paragraph.find(HUMAN_CHECK_MARKER, start)) != -1:
             markers.append((p_index, found))
@@ -187,7 +192,7 @@ def audit_draft(draft: DraftArtifact, bundle: InputBundle) -> list[AuditRow]:
     Status precedence: an explicit human-check flag wins, then any id outside
     the bundle, then the no-ids case, then Supported.
     """
-    known = set(bundle.note_ids)
+    known = bundle.known_ids
     rows: list[AuditRow] = []
     for entry in draft.checklist:
         notes = [bundle.note(i) for i in entry.supporting_ids if i in known]
@@ -200,8 +205,10 @@ def audit_draft(draft: DraftArtifact, bundle: InputBundle) -> list[AuditRow]:
             status = AuditStatus.UNSUPPORTED
         else:
             status = AuditStatus.SUPPORTED
-        rows.append(AuditRow(claim=entry.claim, supporting_ids=entry.supporting_ids,
-                             cited=cited, status=status))
+        rows.append(restore(AuditRow, {"claim": entry.claim,
+                                       "supporting_ids": entry.supporting_ids,
+                                       "cited": cited, "status": status,
+                                       "resolver_note": None}))
     return rows
 
 
@@ -211,7 +218,7 @@ def inline_findings(draft: DraftArtifact, bundle: InputBundle) -> tuple[list[str
     Errors: inline ids absent from the bundle (citation-closure violations).
     Informational: inline ids no checklist claim refers to (orphans).
     """
-    known = set(bundle.note_ids)
+    known = bundle.known_ids
     checklist_ids = {i for entry in draft.checklist for i in entry.supporting_ids}
     errors = []
     info = []
@@ -259,14 +266,13 @@ def read_audit_csv(data: bytes) -> list[AuditRow]:
         if len(fields) != 4:
             raise MalformedSyntax(f"audit CSV row has {len(fields)} fields, expected 4")
         claim, ids, status, note = fields
-        try:
-            parsed_status = AuditStatus(status)
-        except ValueError:
-            raise MalformedSyntax(f"unknown audit status {status!r}") from None
-        rows.append(AuditRow(claim=claim,
-                             supporting_ids=tuple(i for i in ids.split(";") if i),
-                             cited=(), status=parsed_status,
-                             resolver_note=note or None))
+        parsed_status = _STATUS_BY_VALUE.get(status)
+        if parsed_status is None:
+            raise MalformedSyntax(f"unknown audit status {status!r}")
+        rows.append(restore(AuditRow, {"claim": claim,
+                                       "supporting_ids": tuple(filter(None, ids.split(";"))),
+                                       "cited": (), "status": parsed_status,
+                                       "resolver_note": note or None}))
     return rows
 
 

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 
 from .errors import DoubleAssigned, MalformedSyntax, SchemaViolation, Uncovered, UnknownMember
 
-ID_PATTERN = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
+# Matched with fullmatch: a trailing newline is not part of an id.
+ID_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 _NOTE_FIELDS = ("id", "pid", "citation", "summary", "strengths", "limitations", "relation")
 _NOTE_KEYS = frozenset(_NOTE_FIELDS)
@@ -27,6 +29,19 @@ _BUNDLE_FIELDS = ("title", "contribution", "target_words", "notes")
 _CLUSTER_FIELDS = ("name", "rationale", "member_ids")
 
 MIN_TARGET_WORDS = 50
+
+
+def restore(cls, state: dict):
+    """An instance of the frozen dataclass ``cls`` whose fields are ``state``.
+
+    Like ``copy`` and ``pickle``, it sets the instance's state without
+    ``__init__`` or ``__post_init__``, so ``state`` must hold every field,
+    already checked by the caller. ``state`` becomes the instance's
+    ``__dict__``: pass a fresh dict and keep no reference to it.
+    """
+    record = object.__new__(cls)
+    object.__setattr__(record, "__dict__", state)
+    return record
 
 
 @dataclass(frozen=True)
@@ -42,7 +57,7 @@ class NoteRecord:
     relation: str
 
     def __post_init__(self):
-        if not ID_PATTERN.match(self.id):
+        if not ID_PATTERN.fullmatch(self.id):
             raise SchemaViolation(f"note id {self.id!r} must be a letter followed by alphanumerics")
         for field in _NOTE_REQUIRED_NONEMPTY:
             if not getattr(self, field):
@@ -80,6 +95,11 @@ class InputBundle:
     @property
     def note_ids(self) -> tuple[str, ...]:
         return tuple(note.id for note in self.notes)
+
+    @property
+    def known_ids(self) -> KeysView[str]:
+        """The note ids as a read-only set view of the index, for membership tests."""
+        return self._by_id.keys()
 
     def note(self, note_id: str) -> NoteRecord:
         return self._by_id[note_id]
@@ -134,6 +154,13 @@ def _load_json(raw: bytes, what: str):
         raise MalformedSyntax(f"{what} is not valid JSON at offset {err.pos}: {err.msg}") from err
 
 
+_is_str = str.__instancecheck__  # JSON strings are never str subclasses
+# NoteRecord's interned field names in field order, the state __init__ leaves:
+# keys taken from the JSON text are equal but not identical, and attribute
+# reads on them take a slower path on Python 3.11.
+_NOTE_STATE = dict.fromkeys(_NOTE_FIELDS)
+
+
 def parse_bundle(raw: bytes) -> InputBundle:
     """Parse and fully validate a bundle file; errors name the offending record."""
     data = _expect_object(_load_json(raw, "bundle"), "bundle")
@@ -146,13 +173,18 @@ def parse_bundle(raw: bytes) -> InputBundle:
     notes = []
     for index, item in enumerate(data["notes"]):
         # For JSON input this one test is the same predicate as the checks
-        # below, which only run to name what is wrong with a failing note.
-        if not (type(item) is dict and item.keys() == _NOTE_KEYS
-                and all(type(value) is str for value in item.values())):
-            where = f"notes[{index}]"
-            _check_keys(_expect_object(item, where), _NOTE_FIELDS, where)
-            for key in _NOTE_FIELDS:
-                _expect_str(item, key, where)
+        # below and NoteRecord's own, which only run to name what is wrong
+        # with a failing note.
+        if (type(item) is dict and item.keys() == _NOTE_KEYS
+                and all(map(_is_str, item.values()))
+                and item["pid"] and item["citation"] and item["summary"]
+                and ID_PATTERN.fullmatch(item["id"])):
+            notes.append(restore(NoteRecord, {**_NOTE_STATE, **item}))
+            continue
+        where = f"notes[{index}]"
+        _check_keys(_expect_object(item, where), _NOTE_FIELDS, where)
+        for key in _NOTE_FIELDS:
+            _expect_str(item, key, where)
         notes.append(NoteRecord(**item))
 
     # duplicate ids and the type of target_words are checked by InputBundle
@@ -213,7 +245,7 @@ def parse_taxonomy(raw: bytes, bundle: InputBundle) -> Taxonomy:
             raise MalformedSyntax(f"{where}: member_ids must be a list of strings")
         clusters.append(Cluster(name=name, rationale=rationale, member_ids=tuple(member_ids)))
 
-    known = set(bundle.note_ids)
+    known = bundle.known_ids
     assigned: set[str] = set()
     for cluster in clusters:
         for member in cluster.member_ids:
@@ -223,8 +255,8 @@ def parse_taxonomy(raw: bytes, bundle: InputBundle) -> Taxonomy:
             if member in assigned:
                 raise DoubleAssigned(f"note id {member} assigned to more than one cluster")
             assigned.add(member)
-    missing = [nid for nid in bundle.note_ids if nid not in assigned]
-    if missing:
+    if len(assigned) != len(known):
+        missing = [nid for nid in bundle.note_ids if nid not in assigned]
         raise Uncovered(f"note ids in no cluster: {', '.join(missing)}")
 
     return Taxonomy(clusters=tuple(clusters))

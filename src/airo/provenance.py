@@ -22,9 +22,10 @@ if TYPE_CHECKING:
     from .invoke import Invocation
     from .redact import RedactionPolicy
 
-RUN_ID_RE = re.compile(r"^ro-[a-z0-9-]+$")
-_LABEL_RE = re.compile(r"^[a-z0-9-]+$")
-_HEX_RE = re.compile(r"^[0-9a-f]{64}$")
+# Matched with fullmatch: a trailing newline is not part of a run id or digest.
+RUN_ID_RE = re.compile(r"ro-[a-z0-9-]+")
+_LABEL_RE = re.compile(r"[a-z0-9-]+")
+_HEX_RE = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class Digest:
     def __post_init__(self):
         if self.algorithm != "sha256":
             raise ValueError(f"unsupported digest algorithm: {self.algorithm}")
-        if not _HEX_RE.match(self.hex):
+        if not _HEX_RE.fullmatch(self.hex):
             raise ValueError("digest hex must be 64 lowercase hexadecimal characters")
 
     def to_dict(self) -> dict:
@@ -141,7 +142,7 @@ class InteractionLog:
     redacted_from_sha256: Digest | None = None
 
     def __post_init__(self):
-        if not RUN_ID_RE.match(self.run_id):
+        if not RUN_ID_RE.fullmatch(self.run_id):
             raise ValueError(f"run_id must match 'ro-' + lowercase alphanumerics/hyphens, "
                              f"got {self.run_id!r}")
         if self.policy is not None:
@@ -209,9 +210,9 @@ def record_invocation(invocation: "Invocation", bundle: InputBundle,
 def new_run(label: str) -> str:
     """Normalize a label into a run id: lowercased, whitespace -> hyphens, 'ro-' prefix."""
     normalized = re.sub(r"\s+", "-", label.strip().lower())
-    if not normalized or not _LABEL_RE.match(normalized):
+    if not normalized or not _LABEL_RE.fullmatch(normalized):
         raise InvalidLabel(f"label must reduce to lowercase alphanumerics/hyphens, got {label!r}")
     run_id = f"ro-{normalized}"
-    if not RUN_ID_RE.match(run_id):
+    if not RUN_ID_RE.fullmatch(run_id):
         raise InvalidLabel(f"label {label!r} does not normalize to a valid run id")
     return run_id

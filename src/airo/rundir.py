@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import MalformedSyntax, PathExists, RunLocked, StageOrder
 from .invoke import utc_now_rfc3339
-from .provenance import new_run
+from .provenance import RUN_ID_RE, new_run
 
 BUNDLE = "bundle.json"
 CONFIG = "config.json"
@@ -96,8 +96,19 @@ class RunState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunState":
-        return cls(run_id=data["run_id"], label=data["label"], created_at=data["created_at"],
-                   completed=list(data.get("completed", [])))
+        """State read back from run.json; a field of the wrong type or shape is a
+        TypeError or ValueError, never a silently converted value."""
+        state = cls(run_id=data["run_id"], label=data["label"], created_at=data["created_at"],
+                    completed=data.get("completed", []))
+        for name in ("run_id", "label", "created_at"):
+            if not isinstance(getattr(state, name), str):
+                raise TypeError(f"'{name}' must be a string")
+        if not (isinstance(state.completed, list)
+                and all(isinstance(stage, str) for stage in state.completed)):
+            raise TypeError("'completed' must be a list of strings")
+        if not RUN_ID_RE.fullmatch(state.run_id):
+            raise ValueError(f"'run_id' {state.run_id!r} is not a valid run id")
+        return state
 
 
 class RunDirectory:
@@ -120,8 +131,9 @@ class RunDirectory:
                              f"(missing {STATE}); run 'airo init' first")
         try:
             return RunState.from_dict(json.loads(self.state_path.read_text(encoding="utf-8")))
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as err:
-            # what a kill in the middle of save_state leaves behind
+        except (ValueError, KeyError, TypeError) as err:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError, which
+            # is what a kill in the middle of save_state leaves behind
             raise MalformedSyntax(f"{STATE} in {self.path} is not a readable run state: "
                                   f"{err!r}") from err
 

@@ -115,7 +115,7 @@ def verify_crate(archive: Path) -> VerificationReport:
         findings.append("cannot recompute audit: draft or bundle unavailable")
     else:
         recomputed = audit_draft(draft, bundle)
-        known = set(bundle.note_ids)
+        known = bundle.known_ids
         for index, row in enumerate(recomputed):
             if row.status is AuditStatus.INVENTED_CITATION:
                 unknown = [i for i in row.supporting_ids if i not in known]

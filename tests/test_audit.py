@@ -6,13 +6,14 @@ import io
 import pytest
 from hypothesis import given
 
-from airo.audit import (AuditRow, AuditStatus, HUMAN_CHECK_MARKER, audit_draft,
-                        draft_to_text, inline_findings, parse_draft, read_audit_csv,
-                        resolve_claim, write_audit_csv)
+from airo.audit import (AuditRow, AuditStatus, ClaimEntry, HUMAN_CHECK_MARKER,
+                        InlineCitation, audit_draft, draft_to_text, inline_findings,
+                        parse_draft, read_audit_csv, resolve_claim, write_audit_csv)
 from airo.errors import (AlreadySupported, IndexOutOfRange, MalformedChecklistEntry,
-                         MissingChecklist, MissingHeader)
+                         MalformedSyntax, MissingChecklist, MissingHeader)
 from strategies import audit_rows, drafts
 
+from test_bundle import assert_same_record
 from test_template import bundle_with
 
 FIXTURE = """RELATED WORK (DRAFT)
@@ -134,6 +135,45 @@ def test_inline_findings_split_errors_and_info():
     errors, info = inline_findings(draft, bundle)
     assert len(errors) == 1 and "P9" in errors[0]
     assert len(info) == 1 and "P2" in info[0]
+
+
+def test_parsed_records_are_constructed_records():
+    draft = parse_draft(FIXTURE)
+    for parsed, constructed in zip(draft.checklist, [
+            ClaimEntry("First claim about methods", ("P1",), False),
+            ClaimEntry("Comparative claim", ("P1", "P2"), False),
+            ClaimEntry("Open claim with no support", (), True)], strict=True):
+        assert_same_record(parsed, constructed)
+    for parsed, constructed in zip(draft.inline_citations, [
+            InlineCitation("Author1 2021", "P1", 0, draft.body[0].index("(Author1")),
+            InlineCitation("Author2 2022", "P2", 1, draft.body[1].index("(Author2"))],
+            strict=True):
+        assert_same_record(parsed, constructed)
+
+    rows = audit_draft(draft, bundle_with(2))
+    cite1, cite2 = ("Author1 2021", "pid1"), ("Author2 2022", "pid2")
+    for parsed, constructed in zip(rows, [
+            AuditRow("First claim about methods", ("P1",), (cite1,), AuditStatus.SUPPORTED),
+            AuditRow("Comparative claim", ("P1", "P2"), (cite1, cite2), AuditStatus.SUPPORTED),
+            AuditRow("Open claim with no support", (), (), AuditStatus.NEEDS_HUMAN_CHECK)],
+            strict=True):
+        assert_same_record(parsed, constructed)
+
+    rows = resolve_claim(rows, 2, "checked by hand")
+    for parsed, constructed in zip(read_audit_csv(write_audit_csv(rows)), [
+            AuditRow("First claim about methods", ("P1",), (), AuditStatus.SUPPORTED),
+            AuditRow("Comparative claim", ("P1", "P2"), (), AuditStatus.SUPPORTED),
+            AuditRow("Open claim with no support", (), (), AuditStatus.NEEDS_HUMAN_CHECK,
+                     "checked by hand")], strict=True):
+        assert_same_record(parsed, constructed)
+
+
+@pytest.mark.parametrize("status", ["bogus", "Supported", "SUPPORTED", "supported ", ""])
+def test_unknown_audit_status_is_malformed(status):
+    data = write_audit_csv([AuditRow("claim", ("P1",), (), AuditStatus.SUPPORTED)])
+    with pytest.raises(MalformedSyntax) as raised:
+        read_audit_csv(data.replace(b",supported,", f",{status},".encode()))
+    assert str(raised.value) == f"unknown audit status {status!r}"
 
 
 def test_csv_header_only_for_empty_rows():

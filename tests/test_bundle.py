@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airo.bundle import (InputBundle, NoteRecord, canonical_bytes, parse_bundle,
                          parse_taxonomy)
-from airo.errors import (DoubleAssigned, MalformedSyntax, SchemaViolation, Uncovered,
-                         UnknownMember)
-from strategies import bundles
+from airo.errors import (DoubleAssigned, MalformedSyntax, SchemaViolation, ToolkitError,
+                         Uncovered, UnknownMember)
+from strategies import bundles, note_ids
 
 NOTE = {"id": "P1", "pid": "10.1/x", "citation": "Smith 2020", "summary": "s",
         "strengths": "", "limitations": "", "relation": ""}
@@ -95,8 +97,14 @@ MALFORMED_NOTES = {
                                  "notes[1]: field 'relation' must be a string"),
     "bad-id": (dict(SECOND, id="2P"), SchemaViolation,
                "note id '2P' must be a letter followed by alphanumerics"),
+    "empty-pid": (dict(SECOND, pid=""), SchemaViolation,
+                  "note P2: field 'pid' must be nonempty"),
+    "empty-citation": (dict(SECOND, citation=""), SchemaViolation,
+                       "note P2: field 'citation' must be nonempty"),
     "empty-summary": (dict(SECOND, summary=""), SchemaViolation,
                       "note P2: field 'summary' must be nonempty"),
+    "id-trailing-newline": (dict(SECOND, id="P2\n"), SchemaViolation,
+                            "note id 'P2\\n' must be a letter followed by alphanumerics"),
 }
 
 
@@ -106,6 +114,112 @@ def test_malformed_note_error_is_exact(case):
     with pytest.raises(error) as raised:
         parse_bundle(make_raw([NOTE, note]))
     assert type(raised.value) is error and str(raised.value) == message
+
+
+def reference_parse_bundle(raw: bytes) -> InputBundle:
+    """Field-by-field note checks and ``NoteRecord(**item)`` for every note: the
+    reference for the error parse_bundle raises and the bundle it returns.
+    Only the notes vary in the tests that use it."""
+    data = json.loads(raw)
+    notes = []
+    for index, item in enumerate(data["notes"]):
+        where = f"notes[{index}]"
+        if not isinstance(item, dict):
+            raise MalformedSyntax(f"{where} must be a JSON object, got {type(item).__name__}")
+        for key in NOTE:
+            if key not in item:
+                raise SchemaViolation(f"{where}: missing field '{key}'")
+        for key in item:
+            if key not in NOTE:
+                raise SchemaViolation(f"{where}: unexpected field '{key}'")
+        for key in NOTE:
+            if not isinstance(item[key], str):
+                raise SchemaViolation(f"{where}: field '{key}' must be a string")
+        notes.append(NoteRecord(**item))
+    return InputBundle(title=data["title"], contribution=data["contribution"],
+                       target_words=data["target_words"], notes=tuple(notes))
+
+
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=12)
+_BAD_IDS = st.sampled_from(["", "1P", "P 1", "p-1", "P_1", "P1\n", "\nP1", "P\u00e9"])
+_NON_STRINGS = st.sampled_from([None, 0, 1.5, True, [], {}, ["P1"]])
+
+
+@st.composite
+def _faulty(draw, note: dict):
+    """``note`` with one fault of a kind parse_bundle must refuse."""
+    kind = draw(st.sampled_from(["bad-id", "empty-pid", "empty-citation", "empty-summary",
+                                 "non-string", "missing", "extra", "not-object"]))
+    if kind == "bad-id":
+        return dict(note, id=draw(_BAD_IDS))
+    if kind.startswith("empty-"):
+        return dict(note, **{kind.removeprefix("empty-"): ""})
+    if kind == "non-string":
+        return dict(note, **{draw(st.sampled_from(sorted(NOTE))): draw(_NON_STRINGS)})
+    if kind == "missing":
+        key = draw(st.sampled_from(sorted(NOTE)))
+        return {k: v for k, v in note.items() if k != key}
+    if kind == "extra":
+        return dict(note, **{draw(st.sampled_from(["extra", "ID", "notes", ""])): "x"})
+    return draw(_NON_STRINGS)
+
+
+@st.composite
+def notes_with_faults(draw) -> list:
+    """Valid notes with faults injected at random positions, sometimes none."""
+    ids = draw(st.lists(note_ids, min_size=1, max_size=8, unique=True))
+    notes = [{"id": nid, "pid": "p" + draw(_TEXT), "citation": "c" + draw(_TEXT),
+              "summary": "s" + draw(_TEXT), "strengths": draw(_TEXT),
+              "limitations": draw(_TEXT), "relation": draw(_TEXT)} for nid in ids]
+    for position in draw(st.sets(st.integers(0, len(notes) - 1), max_size=2)):
+        notes[position] = draw(_faulty(notes[position]))
+    return notes
+
+
+@settings(max_examples=300)
+@given(notes_with_faults())
+def test_parse_bundle_matches_the_field_by_field_reference(notes):
+    raw = make_raw(notes)
+    try:
+        expected = reference_parse_bundle(raw)
+    except ToolkitError as err:
+        with pytest.raises(ToolkitError) as raised:
+            parse_bundle(raw)
+        assert type(raised.value) is type(err) and str(raised.value) == str(err)
+    else:
+        parsed = parse_bundle(raw)
+        assert parsed == expected
+        for note, reference in zip(parsed.notes, expected.notes):
+            assert vars(note) == vars(reference)
+
+
+def assert_same_record(parsed, constructed) -> None:
+    """``parsed`` cannot be told apart from ``constructed``, built by its constructor."""
+    assert type(parsed) is type(constructed)
+    assert parsed == constructed and constructed == parsed
+    assert hash(parsed) == hash(constructed)
+    assert repr(parsed) == repr(constructed)
+    assert list(vars(parsed).items()) == list(vars(constructed).items())
+    for twin in (copy.copy(parsed), copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed)),
+                 dataclasses.replace(parsed)):
+        assert type(twin) is type(constructed)
+        assert twin == constructed and hash(twin) == hash(constructed)
+    first = dataclasses.fields(parsed)[0].name
+    changed = dataclasses.replace(parsed, **{first: getattr(parsed, first) * 2})
+    assert changed == dataclasses.replace(constructed, **{first: getattr(parsed, first) * 2})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(parsed, first, getattr(parsed, first))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(parsed, first)
+    assert parsed == constructed
+
+
+def test_parsed_note_is_a_constructed_note():
+    # the second note's keys come in reverse order in the file
+    notes = [NOTE, dict(reversed(dict(SECOND, strengths="good", relation="close").items()))]
+    bundle = parse_bundle(make_raw(notes))
+    for parsed, item in zip(bundle.notes, notes, strict=True):
+        assert_same_record(parsed, NoteRecord(**item))
 
 
 def test_target_words_minimum():

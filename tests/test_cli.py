@@ -162,12 +162,21 @@ def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, config_text):
     assert err.startswith("error:") and rundir.CONFIG in err
 
 
+_STATE = {"run_id": "ro-demo", "label": "demo", "created_at": "2026-01-02T03:04:05Z",
+          "completed": []}
+
+
 @pytest.mark.parametrize("state_bytes", [
     None,  # the first 20 bytes of the valid run.json, as a kill in save_state leaves it
     b"\xff\xfe not utf-8",
     b"[]",
     b'{"run_id": "ro-demo"}',
-], ids=["truncated", "not-utf8", "not-an-object", "missing-keys"])
+    json.dumps(dict(_STATE, completed="taxonomy")).encode(),
+    json.dumps(dict(_STATE, run_id=5)).encode(),
+    json.dumps(dict(_STATE, run_id="ro-x\n")).encode(),
+    json.dumps(dict(_STATE, created_at=None)).encode(),
+], ids=["truncated", "not-utf8", "not-an-object", "missing-keys", "completed-string",
+        "run-id-int", "run-id-trailing-newline", "created-at-null"])
 @pytest.mark.parametrize("command", [["validate"], ["taxonomy", "--stub", "taxonomy_demo"],
                                      ["resolve", "0", "checked"]], ids=lambda c: c[0])
 def test_unreadable_run_state_is_an_error_not_a_traceback(tmp_path, capsys, command,

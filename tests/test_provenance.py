@@ -36,6 +36,18 @@ def test_digest_format_invariant():
         Digest(hex="a" * 64, algorithm="md5")
 
 
+def test_digest_hex_with_a_trailing_newline_is_rejected():
+    with pytest.raises(ValueError):
+        Digest(hex="a" * 64 + "\n")
+    log = json.loads(InteractionLog(run_id="ro-x").to_bytes())
+    bundle = parse_bundle(make_raw([NOTE]))
+    record = record_invocation(invocation_for(bundle), bundle).to_dict()
+    record["bundle_sha256"]["hex"] += "\n"
+    log["records"] = [record]
+    with pytest.raises(MalformedSyntax, match="digest hex"):
+        parse_log(json.dumps(log).encode())
+
+
 def invocation_for(bundle, prompt_fixture="fixture response"):
     prompt = render_taxonomy_prompt(bundle)
     return complete(prompt, stub_config(), fixtures={"fx": prompt_fixture})
@@ -95,6 +107,15 @@ def test_run_id_pattern_enforced():
     with pytest.raises(ValueError):
         InteractionLog(run_id="ro-UPPER")
     InteractionLog(run_id="ro-ok-1")
+
+
+def test_run_id_with_a_trailing_newline_is_rejected():
+    with pytest.raises(ValueError, match="run_id"):
+        InteractionLog(run_id="ro-x\n")
+    log = json.loads(InteractionLog(run_id="ro-x").to_bytes())
+    log["run_id"] = "ro-x\n"
+    with pytest.raises(MalformedSyntax, match="run_id"):
+        parse_log(json.dumps(log).encode())
 
 
 def test_log_append_only_ordering():
