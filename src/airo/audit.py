@@ -170,22 +170,6 @@ def parse_draft(raw: str) -> DraftArtifact:
                          inline_citations=tuple(citations), body_markers=tuple(markers))
 
 
-def draft_to_text(draft: DraftArtifact) -> str:
-    """Serialize back to the draft grammar; parse_draft(draft_to_text(d)) == d."""
-    parts = [DRAFT_HEADER, ""]
-    for paragraph in draft.body:
-        parts += [paragraph, ""]
-    parts.append(CHECKLIST_HEADING)
-    for entry in draft.checklist:
-        line = f"- {entry.claim}"
-        if entry.supporting_ids:
-            line += f" [{', '.join(entry.supporting_ids)}]"
-        if entry.needs_human_check:
-            line += f" {HUMAN_CHECK_MARKER}"
-        parts.append(line)
-    return "\n".join(parts) + "\n"
-
-
 def audit_draft(draft: DraftArtifact, bundle: InputBundle) -> list[AuditRow]:
     """One row per checklist claim, in checklist order.
 

@@ -116,10 +116,6 @@ class Cluster:
 class Taxonomy:
     clusters: tuple[Cluster, ...]
 
-    def member_map(self) -> dict[str, str]:
-        """note id -> cluster name (assumes validated against a bundle)."""
-        return {mid: c.name for c in self.clusters for mid in c.member_ids}
-
 
 def _expect_object(value, what: str) -> dict:
     if not isinstance(value, dict):

@@ -211,11 +211,9 @@ def cmd_card(args) -> int:
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
         card = build_card(run.path)
-        run.file(rundir.CARD_JSON).write_text(
-            json.dumps(card.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
         run.file(rundir.CARD_MD).write_text(card.to_markdown(), encoding="utf-8")
         run.mark_complete("card")
-        print(f"wrote {rundir.CARD_MD} and {rundir.CARD_JSON}")
+        print(f"wrote {rundir.CARD_MD}")
     return EXIT_OK
 
 
@@ -286,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("index", type=int, help="audit row index (0-based)")
     p.add_argument("note", help="resolver note text")
 
-    add("card", cmd_card, "build the inspection card (card.md, card.json)")
+    add("card", cmd_card, "build the inspection card (card.md)")
 
     for name, handler, help_text in (("redact", cmd_redact, "write the redacted interaction log"),
                                      ("pack", cmd_pack, "package the run as an RO-Crate zip")):

@@ -111,6 +111,16 @@ class InvocationRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "InvocationRecord":
+        """A record from its JSON form; a field of the wrong type is a TypeError and
+        an attempt below 1 a ValueError."""
+        attempt, source_paths = data["attempt"], data.get("source_paths")
+        if type(attempt) is not int:  # bool is an int subclass, and not a count
+            raise TypeError(f"attempt must be an integer, got {attempt!r}")
+        if attempt < 1:
+            raise ValueError(f"attempt must be at least 1, got {attempt}")
+        if source_paths is not None and not (isinstance(source_paths, list) and all(
+                isinstance(path, str) for path in source_paths)):
+            raise TypeError("source_paths must be a list of strings")
         record = cls(stage=Stage(data["stage"]),
                      config=ModelConfig.from_dict(data["config"]),
                      prompt_sha256=Digest.from_dict(data["prompt_sha256"]),
@@ -118,15 +128,16 @@ class InvocationRecord:
                      bundle_sha256=Digest.from_dict(data["bundle_sha256"]),
                      started_at=data.get("started_at"),
                      ended_at=data.get("ended_at"),
-                     attempt=data["attempt"],
+                     attempt=attempt,
                      prompt_text=data.get("prompt_text"),
                      response_text=data.get("response_text"),
-                     source_paths=(tuple(data["source_paths"])
-                                   if data.get("source_paths") is not None else None),
+                     source_paths=tuple(source_paths) if source_paths is not None else None,
                      host_id=data.get("host_id"))
         if not all(isinstance(text, (str, type(None)))
-                   for text in (record.prompt_text, record.response_text)):
-            raise TypeError("prompt_text and response_text must be strings")
+                   for text in (record.prompt_text, record.response_text, record.started_at,
+                                record.ended_at, record.host_id)):
+            raise TypeError("prompt_text, response_text, started_at, ended_at and host_id "
+                            "must be strings")
         return record
 
 

@@ -12,7 +12,6 @@ import json
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
 from urllib.parse import urlsplit
 
 from .errors import MalformedSyntax
@@ -130,15 +129,9 @@ BUILTIN_SHAPES = {
 }
 
 
-def check_redaction(redacted: InteractionLog,
-                    forbidden: Sequence[str] = ()) -> list[RedactionFinding]:
-    """Scan every retained text field for forbidden patterns; empty result = pass.
-
-    ``forbidden`` entries are regular expressions (plain substrings work as-is
-    unless they contain regex metacharacters).
-    """
+def check_redaction(redacted: InteractionLog) -> list[RedactionFinding]:
+    """Scan every retained text field for the built-in shapes; empty result = pass."""
     patterns = [(name, re.compile(expr)) for name, expr in BUILTIN_SHAPES.items()]
-    patterns += [(f"forbidden[{i}]", re.compile(expr)) for i, expr in enumerate(forbidden)]
 
     findings: list[RedactionFinding] = []
 

@@ -28,7 +28,6 @@ from .redact import RedactionPolicy, Tier, generalize_endpoint, parse_redacted_l
 ROCRATE_CONTEXT = "https://w3id.org/ro/crate/1.1/context"
 ROCRATE_CONFORMS_TO = "https://w3id.org/ro/crate/1.1"
 MANIFEST_NAME = "ro-crate-metadata.json"
-UNREDACTED_LOG_BASENAME = "interaction_log.json"
 
 # Fixed ZIP member metadata; zeroed within the format's limits (DOS epoch).
 _ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)
@@ -70,16 +69,8 @@ class ActionEntity:
 
 @dataclass(frozen=True)
 class CrateManifest:
-    context: str
-    root_id: str
     entities: tuple[FileEntity, ...]
     actions: tuple[ActionEntity, ...]
-
-    def entity(self, entity_id: str) -> FileEntity:
-        for item in self.entities:
-            if item.id == entity_id:
-                return item
-        raise KeyError(entity_id)
 
 
 @dataclass(frozen=True)
@@ -93,19 +84,6 @@ class InspectionCard:
     disclosure: str
     limitations: str
     reproducibility_note: str
-
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "research_topic": self.research_topic,
-            "model_configuration": self.model_configuration,
-            "artifacts_released": list(self.artifacts_released),
-            "intended_use": self.intended_use,
-            "human_oversight": self.human_oversight,
-            "disclosure": self.disclosure,
-            "limitations": self.limitations,
-            "reproducibility_note": self.reproducibility_note,
-        }
 
     def to_markdown(self) -> str:
         config = self.model_configuration
@@ -176,8 +154,10 @@ def build_card(run_path: Path) -> InspectionCard:
         "temperature": config.temperature,
         "top_p": config.top_p,
         "max_tokens": config.max_tokens,
-        # the card is a release artifact, so never expose the raw endpoint
-        "endpoint": generalize_endpoint(config.endpoint, Tier.REVIEWER),
+        # the card is built once and may be packed at any tier, so it says
+        # what the most restrictive tier says: the constant, never a host
+        "endpoint": (generalize_endpoint(config.endpoint, Tier.PUBLIC)
+                     if config.endpoint else ""),
         "input_bundle_sha256": bundle_digest.hex,
     }
     return InspectionCard(run_id=state.run_id, research_topic=bundle.title,
@@ -254,13 +234,8 @@ def write_zip_deterministic(path: Path, members: dict[str, bytes]) -> None:
             archive.writestr(info, members[name])
 
 
-def pack(run_path: Path, policy: RedactionPolicy, out_path: Path | None = None,
-         extra_paths: tuple[str, ...] = ()) -> Path:
-    """Package the run at the given redaction tier; deterministic by construction.
-
-    ``extra_paths`` are run-relative files added to the payload as plain data;
-    they pass through the same leak gate as everything else.
-    """
+def pack(run_path: Path, policy: RedactionPolicy, out_path: Path | None = None) -> Path:
+    """Package the run at the given redaction tier; deterministic by construction."""
     run = rundir.RunDirectory(Path(run_path))
     state = run.load_state()
 
@@ -274,8 +249,6 @@ def pack(run_path: Path, policy: RedactionPolicy, out_path: Path | None = None,
         "provenance/interaction_log.redacted.json": (rundir.REDACTED_LOG, Role.PROVENANCE),
         "card.md": (rundir.CARD_MD, Role.PROVENANCE),
     }
-    for extra in extra_paths:
-        payload[extra] = (extra, Role.DATA)
 
     missing = [rel for rel, (src, _) in payload.items() if not run.file(src).is_file()]
     if missing:
@@ -287,10 +260,7 @@ def pack(run_path: Path, policy: RedactionPolicy, out_path: Path | None = None,
         members[member_name] = run.file(source).read_bytes()
         roles[member_name] = role
 
-    # leak gate: no unredacted log by name, no raw texts under a dropping policy, no other tier
-    for member_name in members:
-        if Path(member_name).name == UNREDACTED_LOG_BASENAME:
-            raise UnredactedLeak(f"unredacted interaction log in payload: {member_name}")
+    # leak gate: no raw texts under a dropping policy, no log of another tier
     redacted = parse_redacted_log(members["provenance/interaction_log.redacted.json"])
     if policy.drop_raw_text:
         for index, record in enumerate(redacted.records):
@@ -427,5 +397,4 @@ def manifest_from_members(members: dict[str, bytes]) -> CrateManifest:
         raise ManifestMalformed(f"archive member(s) not described by the manifest: "
                                 f"{', '.join(unlisted)}")
 
-    return CrateManifest(context=data["@context"], root_id="./",
-                         entities=entities, actions=actions)
+    return CrateManifest(entities=entities, actions=actions)

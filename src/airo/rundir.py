@@ -21,7 +21,6 @@ BUNDLE = "bundle.json"
 CONFIG = "config.json"
 CARD_SECTIONS = "card_sections.json"
 CARD_MD = "card.md"
-CARD_JSON = "card.json"
 STATE = "run.json"
 LOCK = ".lock"
 TEMPLATES_DIR = "templates"

@@ -70,7 +70,6 @@ class PromptTemplate:
 class RenderedPrompt:
     stage: Stage
     text: str
-    placeholder_bindings: dict[str, str]
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,6 @@ class TemplateReport:
     @property
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
-
-    def failures(self) -> list[TemplateCheck]:
-        return [check for check in self.checks if not check.passed]
 
 
 def parse_template(text: str) -> PromptTemplate:
@@ -151,22 +147,16 @@ def default_template(stage: Stage) -> PromptTemplate:
     return parse_template(default_template_text(stage))
 
 
-def _split_body(body: str) -> list[tuple[str, str]]:
-    """Tokenize the body into ("lit", text) and ("ph", NAME) segments."""
-    segments: list[tuple[str, str]] = []
-    pos = 0
-    for match in PLACEHOLDER_RE.finditer(body):
-        if match.start() > pos:
-            segments.append(("lit", body[pos:match.start()]))
-        segments.append(("ph", match.group(1)))
-        pos = match.end()
-    if pos < len(body):
-        segments.append(("lit", body[pos:]))
-    return segments
-
-
 def _body_placeholders(template: PromptTemplate) -> set[str]:
-    return {name for kind, name in _split_body(template.body) if kind == "ph"}
+    return set(PLACEHOLDER_RE.findall(template.body))
+
+
+def _fill(template: PromptTemplate, bindings: dict[str, str]) -> str:
+    """Substitute the data bindings and the two slots in one pass; ``re.sub``
+    never rescans what it substitutes, so placeholder-shaped data stays data."""
+    values = {**bindings, SLOT_CONSTRAINTS: template.constraint_block,
+              SLOT_OUTPUT: template.output_spec}
+    return PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], template.body)
 
 
 def constraint_placement(text: str, constraint_block: str) -> tuple[bool, str]:
@@ -182,51 +172,36 @@ def constraint_placement(text: str, constraint_block: str) -> tuple[bool, str]:
                    f"outside the first/last {int(PLACEMENT_FRACTION * 100)}%")
 
 
+def _structural_checks(template: PromptTemplate, present: set[str]) -> list[TemplateCheck]:
+    """The placeholder and constraint-block checks, which need no rendered text."""
+    unknown = sorted(present - ALLOWED_PLACEHOLDERS[template.stage])
+    missing = sorted(REQUIRED_PLACEHOLDERS[template.stage] - present)
+    nonempty = bool(template.constraint_block.strip())
+    return [
+        TemplateCheck("known placeholders", not unknown,
+                      f"unknown placeholder(s): {', '.join(unknown)}" if unknown else ""),
+        TemplateCheck("required placeholders", not missing,
+                      f"missing placeholder: {', '.join(missing)}" if missing else ""),
+        TemplateCheck("constraint block nonempty", nonempty,
+                      "" if nonempty else "HARD_CONSTRAINTS section is empty"),
+    ]
+
+
 def validate_template(template: PromptTemplate) -> TemplateReport:
     """Check every template invariant; returns a pass/fail report, never raises."""
-    checks: list[TemplateCheck] = []
     present = _body_placeholders(template)
-    allowed = ALLOWED_PLACEHOLDERS[template.stage]
-    required = REQUIRED_PLACEHOLDERS[template.stage]
-
-    unknown = sorted(present - allowed)
-    checks.append(TemplateCheck(
-        "known placeholders", not unknown,
-        f"unknown placeholder(s): {', '.join(unknown)}" if unknown else ""))
-
-    missing = sorted(required - present)
-    checks.append(TemplateCheck(
-        "required placeholders", not missing,
-        f"missing placeholder: {', '.join(missing)}" if missing else ""))
-
-    checks.append(TemplateCheck(
-        "constraint block nonempty", bool(template.constraint_block.strip()),
-        "" if template.constraint_block.strip() else "HARD_CONSTRAINTS section is empty"))
+    checks = _structural_checks(template, present)
 
     # Worst-case placement check: all data placeholders empty. Real renders
     # only grow the text, which keeps an end-placed block in the last quarter.
     if template.constraint_block.strip():
-        skeleton = _assemble(template, {name: "" for name in present - _SLOTS})
+        skeleton = _fill(template, dict.fromkeys(present - _SLOTS, ""))
         ok, detail = constraint_placement(skeleton, template.constraint_block)
         checks.append(TemplateCheck("constraint placement", ok, detail))
     else:
         checks.append(TemplateCheck("constraint placement", False, "no constraint block to place"))
 
     return TemplateReport(checks=tuple(checks))
-
-
-def _assemble(template: PromptTemplate, bindings: dict[str, str]) -> str:
-    parts: list[str] = []
-    for kind, value in _split_body(template.body):
-        if kind == "lit":
-            parts.append(value)
-        elif value == SLOT_CONSTRAINTS:
-            parts.append(template.constraint_block)
-        elif value == SLOT_OUTPUT:
-            parts.append(template.output_spec)
-        else:
-            parts.append(bindings[value])
-    return "".join(parts)
 
 
 def format_notes(bundle: InputBundle, stage: Stage) -> str:
@@ -254,15 +229,15 @@ def format_taxonomy(taxonomy: Taxonomy) -> str:
 def render(template: PromptTemplate, bundle: InputBundle,
            taxonomy: Taxonomy | None = None) -> RenderedPrompt:
     """Substitute bundle data into the template and enforce render-time invariants."""
-    report = validate_template(template)
-    failures = [c for c in report.failures() if c.name != "constraint placement"]
+    present = _body_placeholders(template)
+    failures = [c for c in _structural_checks(template, present) if not c.passed]
     if failures:
         raise TemplateInvalid("; ".join(f"{c.name}: {c.detail}" for c in failures))
     if template.stage is Stage.SYNTHESIS and taxonomy is None:
         raise TemplateInvalid("synthesis template requires a taxonomy")
 
     bindings: dict[str, str] = {}
-    for name in _body_placeholders(template) - _SLOTS:
+    for name in present - _SLOTS:
         if name == "TITLE":
             bindings[name] = bundle.title
         elif name == "CONTRIBUTION":
@@ -274,32 +249,11 @@ def render(template: PromptTemplate, bundle: InputBundle,
         elif name == "TAXONOMY":
             bindings[name] = format_taxonomy(taxonomy)
 
-    text = _assemble(template, bindings)
+    text = _fill(template, bindings)
     ok, detail = constraint_placement(text, template.constraint_block)
     if not ok:
         raise TemplateInvalid(detail)
-    bindings[SLOT_CONSTRAINTS] = template.constraint_block
-    bindings[SLOT_OUTPUT] = template.output_spec
-    return RenderedPrompt(stage=template.stage, text=text, placeholder_bindings=bindings)
-
-
-def render_segments(template: PromptTemplate, bundle: InputBundle,
-                    taxonomy: Taxonomy | None = None) -> list[tuple[str, str]]:
-    """Rendered text as (origin, text) pieces: origin "template" or "data".
-
-    The joined pieces equal render(...).text; used to check that unsubstituted
-    placeholder-shaped text can only ever arrive via data values.
-    """
-    rendered = render(template, bundle, taxonomy)
-    pieces: list[tuple[str, str]] = []
-    for kind, value in _split_body(template.body):
-        if kind == "lit":
-            pieces.append(("template", value))
-        elif value in _SLOTS:
-            pieces.append(("template", rendered.placeholder_bindings[value]))
-        else:
-            pieces.append(("data", rendered.placeholder_bindings[value]))
-    return pieces
+    return RenderedPrompt(stage=template.stage, text=text)
 
 
 def render_taxonomy_prompt(bundle: InputBundle,

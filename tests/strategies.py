@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from airo.audit import (AuditRow, AuditStatus, ClaimEntry, DraftArtifact,
-                        CHECKLIST_HEADING, DRAFT_HEADER)
+                        CHECKLIST_HEADING, DRAFT_HEADER, HUMAN_CHECK_MARKER, parse_draft)
 from airo.bundle import InputBundle, NoteRecord
 
 note_ids = st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,5}", fullmatch=True)
@@ -50,9 +50,24 @@ def claim_entries(draw) -> ClaimEntry:
                       needs_human_check=draw(st.booleans()))
 
 
+def draft_to_text(draft: DraftArtifact) -> str:
+    """Serialize back to the draft grammar; parse_draft(draft_to_text(d)) == d."""
+    parts = [DRAFT_HEADER, ""]
+    for paragraph in draft.body:
+        parts += [paragraph, ""]
+    parts.append(CHECKLIST_HEADING)
+    for entry in draft.checklist:
+        line = f"- {entry.claim}"
+        if entry.supporting_ids:
+            line += f" [{', '.join(entry.supporting_ids)}]"
+        if entry.needs_human_check:
+            line += f" {HUMAN_CHECK_MARKER}"
+        parts.append(line)
+    return "\n".join(parts) + "\n"
+
+
 @st.composite
 def drafts(draw) -> DraftArtifact:
-    from airo.audit import parse_draft, draft_to_text
     artifact = DraftArtifact(
         header=DRAFT_HEADER,
         body=tuple(draw(st.lists(_prose(120), max_size=4))),

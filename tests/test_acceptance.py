@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from airo import cli, rundir
-from airo.audit import read_audit_csv, AuditStatus, draft_to_text, parse_draft, write_audit_csv
+from airo.audit import read_audit_csv, AuditStatus, parse_draft, write_audit_csv
 from airo.bundle import canonical_bytes, parse_bundle
 from airo.errors import DanglingEntity
 from airo.invoke import Interface, ModelConfig
@@ -26,7 +26,7 @@ from airo.rocrate import (MANIFEST_NAME, Role, build_card, pack, read_crate_memb
 from airo.template import Stage
 from airo.verify import CheckName, CheckStatus, verify_crate
 from conftest import run_pipeline
-from strategies import audit_rows, bundles, drafts
+from strategies import audit_rows, bundles, draft_to_text, drafts
 from test_verify import INVENTED_DRAFT
 
 
@@ -226,7 +226,7 @@ def test_c7_parser_round_trips():
 def test_c8_card_completeness(demo_run):
     run_dir, _ = demo_run
     card = build_card(run_dir)
-    data = card.to_dict()
+    data = vars(card)
     assert len(data) == 9
     for key, value in data.items():
         assert value, f"card section {key} is empty"

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 
 from airo.audit import (AuditRow, AuditStatus, ClaimEntry, HUMAN_CHECK_MARKER,
-                        InlineCitation, audit_draft, draft_to_text, inline_findings,
+                        InlineCitation, audit_draft, inline_findings,
                         parse_draft, read_audit_csv, resolve_claim, write_audit_csv)
 from airo.errors import (AlreadySupported, IndexOutOfRange, MalformedChecklistEntry,
                          MalformedSyntax, MissingChecklist, MissingHeader)
-from strategies import audit_rows, drafts
+from strategies import audit_rows, draft_to_text, drafts
 
 from test_bundle import assert_same_record
 from test_template import bundle_with

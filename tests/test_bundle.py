@@ -344,7 +344,8 @@ def test_taxonomy_valid_single_cluster():
         tax_raw([{"name": "all", "rationale": "r", "member_ids": ["P1", "P2"]}]),
         two_note_bundle())
     assert len(taxonomy.clusters) == 1
-    assert taxonomy.member_map() == {"P1": "all", "P2": "all"}
+    assert taxonomy.clusters[0].name == "all"
+    assert taxonomy.clusters[0].member_ids == ("P1", "P2")
 
 
 def test_taxonomy_unknown_member():

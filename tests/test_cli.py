@@ -325,6 +325,20 @@ def test_ipv6_endpoint_never_reaches_the_crate(tmp_path):
         assert b"fe80:" not in data, name
 
 
+def test_internal_host_never_reaches_a_public_crate(tmp_path):
+    # the card is built once for every tier, so it may not keep what the public log drops
+    run = _run_until_redact(tmp_path / "run", endpoint="https://gpu.internal.lab:8443/v1")
+    for step in PIPELINE[REDACT_STEP:]:
+        step = ["public" if arg == "reviewer" else arg for arg in step]
+        assert cli.main(step + ["--run-dir", str(run.path)]) == 0, step
+    from airo.rocrate import read_crate_members
+    crate = run.file(rundir.CRATE_DIR) / f"{run.load_state().run_id}.crate.zip"
+    members = read_crate_members(crate)
+    for name, data in members.items():
+        assert b"internal.lab" not in data, name
+    assert b"- Endpoint: generalized-endpoint\n" in members["card.md"]
+
+
 def test_verify_tampered_crate_nonzero_exit(tmp_path, capsys, demo_run):
     from airo.rocrate import read_crate_members, write_zip_deterministic
     _, crate = demo_run

@@ -176,12 +176,6 @@ def test_check_redaction_flags_paths_and_timestamps():
     assert any("records[0]" in finding.field_path for finding in findings)
 
 
-def test_check_redaction_user_patterns():
-    redacted = redact(make_log(), RedactionPolicy.for_tier(Tier.AUDITOR))
-    findings = check_redaction(redacted, forbidden=["prompt text number 0"])
-    assert findings, "auditor-tier retained text should match the user pattern"
-
-
 def test_reviewer_completeness_on_fixture():
     log = make_log()
     serialized = redact(log, RedactionPolicy.for_tier(Tier.REVIEWER)).to_bytes().decode()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import airo.invoke
-from airo import rundir
+from airo import cli, rundir
 from airo.bundle import canonical_bytes, parse_bundle
 from airo.errors import (DanglingEntity, ManifestMalformed, ManifestMissing, MissingSection,
                          UnredactedLeak)
@@ -29,7 +29,7 @@ CARD_SECTION_NAMES = ("run_id", "research_topic", "model_configuration", "artifa
 def test_build_card_nine_sections_and_config(demo_run):
     run_dir, _ = demo_run
     card = build_card(run_dir)
-    data = card.to_dict()
+    data = vars(card)
     assert set(data) == set(CARD_SECTION_NAMES)
     for key, value in data.items():
         assert value, f"card section {key} is empty"
@@ -81,11 +81,16 @@ def test_pack_deterministic(demo_copy):
     assert sha256_hex(first) == sha256_hex(second)
 
 
-def test_pack_refuses_unredacted_log_in_payload(demo_copy):
+def test_pack_never_ships_the_unredacted_log(demo_copy):
     run_dir, _ = demo_copy
-    with pytest.raises(UnredactedLeak, match="interaction_log.json"):
-        pack(run_dir, RedactionPolicy.for_tier(Tier.REVIEWER),
-             extra_paths=(rundir.INTERACTION_LOG,))
+    private = (run_dir / rundir.INTERACTION_LOG).read_bytes()
+    for tier in Tier:
+        assert cli.main(["redact", "--tier", tier.value, "--run-dir", str(run_dir)]) == 0
+        crate = pack(run_dir, RedactionPolicy.for_tier(tier),
+                     out_path=run_dir / f"{tier.value}.zip")
+        members = read_crate_members(crate)
+        assert "interaction_log.json" not in {name.rsplit("/", 1)[-1] for name in members}
+        assert private not in members.values()
 
 
 def test_pack_refuses_raw_text_under_dropping_policy(demo_copy, auditor_run, tmp_path):
@@ -142,10 +147,11 @@ def test_read_manifest_bijection_and_roles(demo_run):
     assert {entity.id for entity in manifest.entities} == members
     assert all(entity.role in (Role.CODE, Role.DATA, Role.PROVENANCE)
                for entity in manifest.entities)
-    assert manifest.entity("code/taxonomy.tmpl").role is Role.CODE
-    assert manifest.entity("inputs/bundle.json").role is Role.DATA
-    assert manifest.entity("provenance/interaction_log.redacted.json").role is Role.PROVENANCE
-    assert manifest.entity("card.md").role is Role.PROVENANCE
+    by_id = {entity.id: entity for entity in manifest.entities}
+    assert by_id["code/taxonomy.tmpl"].role is Role.CODE
+    assert by_id["inputs/bundle.json"].role is Role.DATA
+    assert by_id["provenance/interaction_log.redacted.json"].role is Role.PROVENANCE
+    assert by_id["card.md"].role is Role.PROVENANCE
 
 
 def test_manifest_digests_and_produced_by(demo_run):

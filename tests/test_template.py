@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from airo.bundle import InputBundle, NoteRecord, Taxonomy, Cluster
 from airo.errors import TemplateInvalid
-from airo.template import (PromptTemplate, Stage, default_template, parse_template,
-                           render, render_segments, render_synthesis_prompt,
+from airo.template import (ALLOWED_PLACEHOLDERS, PLACEHOLDER_RE, REQUIRED_PLACEHOLDERS,
+                           SLOT_CONSTRAINTS, SLOT_OUTPUT, PromptTemplate, Stage,
+                           constraint_placement, default_template, format_notes,
+                           format_taxonomy, parse_template, render, render_synthesis_prompt,
                            render_taxonomy_prompt, validate_template)
 
 # bracket-free prose so the note-header pattern [ID] can only come from ids
@@ -36,6 +38,62 @@ def bundle_with(n: int = 3, **overrides) -> InputBundle:
 
 def taxonomy_for(bundle: InputBundle) -> Taxonomy:
     return Taxonomy(clusters=(Cluster("everything", "all of it", bundle.note_ids),))
+
+
+def _split_body(body: str) -> list[tuple[str, str]]:
+    """Tokenize the body into ("lit", text) and ("ph", NAME) segments."""
+    segments: list[tuple[str, str]] = []
+    pos = 0
+    for match in PLACEHOLDER_RE.finditer(body):
+        if match.start() > pos:
+            segments.append(("lit", body[pos:match.start()]))
+        segments.append(("ph", match.group(1)))
+        pos = match.end()
+    if pos < len(body):
+        segments.append(("lit", body[pos:]))
+    return segments
+
+
+def reference_text(template: PromptTemplate, bundle: InputBundle,
+                   taxonomy: Taxonomy | None = None) -> str:
+    """Rendering by tokenize-then-join, the reference for render's single re.sub pass."""
+    bindings = {"TITLE": bundle.title, "CONTRIBUTION": bundle.contribution,
+                "TARGET_WORDS": str(bundle.target_words),
+                "NOTES": format_notes(bundle, template.stage),
+                SLOT_CONSTRAINTS: template.constraint_block, SLOT_OUTPUT: template.output_spec}
+    if taxonomy is not None:
+        bindings["TAXONOMY"] = format_taxonomy(taxonomy)
+    return "".join(value if kind == "lit" else bindings[value]
+                   for kind, value in _split_body(template.body))
+
+
+# Placeholder-shaped text, lone braces and non-ASCII; body literals never spell an
+# unknown placeholder because they hold no uppercase letter outside a whole token.
+_PIECES = ("a", " ", "\n", "{", "}", "{{", "}}", "{{x}}", "é", "数", "🙂",
+           "{{TITLE}}", "{{HARD_CONSTRAINTS}}")
+_tricky = st.lists(st.sampled_from(_PIECES), max_size=6).map("".join)
+_tricky_nonempty = st.lists(st.sampled_from(_PIECES), min_size=1, max_size=6).map("".join)
+
+
+@st.composite
+def tricky_templates(draw) -> PromptTemplate:
+    stage = draw(st.sampled_from(Stage))
+    names = sorted(REQUIRED_PLACEHOLDERS[stage])
+    names += draw(st.lists(st.sampled_from(sorted(ALLOWED_PLACEHOLDERS[stage])), max_size=4))
+    body = "".join(draw(_tricky) + f"{{{{{name}}}}}" for name in draw(st.permutations(names)))
+    return PromptTemplate(stage=stage, body=body + draw(_tricky),
+                          constraint_block="rules " + draw(_tricky), output_spec=draw(_tricky))
+
+
+@st.composite
+def tricky_bundles(draw) -> InputBundle:
+    ids = draw(st.lists(st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,4}", fullmatch=True),
+                        min_size=1, max_size=3, unique=True))
+    notes = tuple(NoteRecord(nid, draw(_tricky_nonempty), draw(_tricky_nonempty),
+                             draw(_tricky_nonempty), draw(_tricky), draw(_tricky), draw(_tricky))
+                  for nid in ids)
+    return InputBundle(title=draw(_tricky), contribution=draw(_tricky),
+                       target_words=draw(st.integers(50, 2000)), notes=notes)
 
 
 def test_shipped_defaults_validate():
@@ -67,13 +125,10 @@ def test_placeholder_shaped_data_passes_through_verbatim():
         notes=(NoteRecord("P1", "pid", "Cite", "summary with literal {{TITLE}} token",
                           "", "", ""),) + bundle.notes[1:])
     prompt = render_taxonomy_prompt(poisoned)
-    assert "{{TITLE}}" in prompt.text  # data survives as data
-    # template-origin pieces contain no unsubstituted data placeholder
-    for origin, text in render_segments(default_template(Stage.TAXONOMY), poisoned):
-        if origin == "template":
-            assert "{{TITLE}}" not in text
-    joined = "".join(t for _, t in render_segments(default_template(Stage.TAXONOMY), poisoned))
-    assert joined == prompt.text
+    assert "  Summary: summary with literal {{TITLE}} token\n" in prompt.text  # data stays data
+    # the template's own {{TITLE}} is substituted, so the data's is the only one left
+    assert "a scientific paper on X." in prompt.text
+    assert PLACEHOLDER_RE.findall(prompt.text) == ["TITLE"]
 
 
 def test_synthesis_prompt_substitutes_title_and_target_words():
@@ -81,8 +136,7 @@ def test_synthesis_prompt_substitutes_title_and_target_words():
     prompt = render_synthesis_prompt(bundle, taxonomy_for(bundle))
     assert "a scientific paper on X." in prompt.text
     assert "~350 words" in prompt.text
-    assert prompt.placeholder_bindings["TITLE"] == "X"
-    assert prompt.placeholder_bindings["TARGET_WORDS"] == "350"
+    assert "Topic: X\n" in prompt.text
 
 
 def test_synthesis_prompt_carries_fallback_marker_and_output_sections():
@@ -110,6 +164,17 @@ def test_rendering_is_deterministic():
     assert first.text.encode("utf-8") == second.text.encode("utf-8")
 
 
+@given(tricky_templates(), tricky_bundles())
+def test_one_pass_render_equals_the_tokenizing_reference(template, bundle):
+    taxonomy = taxonomy_for(bundle) if template.stage is Stage.SYNTHESIS else None
+    expected = reference_text(template, bundle, taxonomy)
+    if constraint_placement(expected, template.constraint_block)[0]:
+        assert render(template, bundle, taxonomy).text == expected
+    else:
+        with pytest.raises(TemplateInvalid, match="constraint placement"):
+            render(template, bundle, taxonomy)
+
+
 @given(plain_bundles())
 def test_rendering_deterministic_property(bundle):
     assert render_taxonomy_prompt(bundle) == render_taxonomy_prompt(bundle)
@@ -129,7 +194,7 @@ def test_midplaced_constraints_fail_placement():
         constraint_block="C" * 100,
         output_spec="say json")
     report = validate_template(template)
-    failed = {c.name for c in report.failures()}
+    failed = {c.name for c in report.checks if not c.passed}
     assert "constraint placement" in failed
     with pytest.raises(TemplateInvalid, match="constraint placement"):
         render(template, bundle_with(1))
@@ -140,7 +205,7 @@ def test_missing_target_words_fails_for_synthesis():
     body = template.body.replace("{{TARGET_WORDS}}", "some")
     report = validate_template(PromptTemplate(Stage.SYNTHESIS, body,
                                               template.constraint_block, template.output_spec))
-    failures = {c.name: c.detail for c in report.failures()}
+    failures = {c.name: c.detail for c in report.checks if not c.passed}
     assert "required placeholders" in failures
     assert "TARGET_WORDS" in failures["required placeholders"]
 
@@ -150,7 +215,7 @@ def test_unknown_placeholder_fails():
                               "{{NOTES}} {{BOGUS}} {{HARD_CONSTRAINTS}} {{OUTPUT_SPEC}}",
                               "rules", "output")
     report = validate_template(template)
-    assert any("BOGUS" in c.detail for c in report.failures())
+    assert any("BOGUS" in c.detail for c in report.checks if not c.passed)
     with pytest.raises(TemplateInvalid, match="BOGUS"):
         render(template, bundle_with(1))
 

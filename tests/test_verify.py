@@ -8,7 +8,7 @@ import zipfile
 import pytest
 
 from airo import cli, rundir
-from airo.errors import CrateUnreadable, SourceMismatch, ToolkitError
+from airo.errors import CrateUnreadable, MalformedSyntax, SourceMismatch, ToolkitError
 from airo.provenance import parse_log, sha256_hex
 from airo.rocrate import MANIFEST_NAME, read_crate_members, write_zip_deterministic
 from airo.verify import (CheckName, CheckStatus, verify_against_source, verify_crate)
@@ -268,24 +268,60 @@ def test_non_string_raw_text_in_crate_log_is_a_finding(tmp_path, demo_run):
     assert any("redacted log unreadable" in finding for finding in hash_check.findings)
 
 
-@pytest.mark.parametrize("field", sorted(PRIVATE_ONLY_FIELDS))
-def test_private_field_in_crate_log_is_a_finding(tmp_path, demo_run, field):
-    _, crate = demo_run
+def _crate_with_record_field(tmp_path, crate, field, value):
+    """A copy of ``crate`` whose first log record has ``field`` set to ``value``, with a
+    manifest consistent with the edit, so only the log's content can fail the crate."""
     members = read_crate_members(crate)
     name = "provenance/interaction_log.redacted.json"
     data = json.loads(members[name])
-    data["records"][0][field] = PRIVATE_ONLY_FIELDS[field]
+    data["records"][0][field] = value
     members[name] = json.dumps(data).encode()
-    # a consistent manifest, so only the log's content can fail the crate
     manifest = json.loads(members[MANIFEST_NAME])
     _node(manifest, name)["sha256"] = sha256_hex(members[name]).hex
     members[MANIFEST_NAME] = json.dumps(manifest).encode()
     tampered = tmp_path / "tampered.zip"
     write_zip_deterministic(tampered, members)
+    return tampered
+
+
+@pytest.mark.parametrize("field", sorted(PRIVATE_ONLY_FIELDS))
+def test_private_field_in_crate_log_is_a_finding(tmp_path, demo_run, field):
+    _, crate = demo_run
+    tampered = _crate_with_record_field(tmp_path, crate, field, PRIVATE_ONLY_FIELDS[field])
 
     hash_check = verify_crate(tampered).check(CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.FAIL
     assert any("redacted log unreadable" in finding for finding in hash_check.findings)
+
+
+MISTYPED_RECORD_FIELDS = {
+    "private-source_paths-string": ("private", "source_paths", "bundle.json"),
+    "private-source_paths-non-string-item": ("private", "source_paths", ["bundle.json", 5]),
+    "private-attempt-string": ("private", "attempt", "one"),
+    "private-attempt-bool": ("private", "attempt", True),
+    "private-attempt-zero": ("private", "attempt", 0),
+    "private-ended_at-int": ("private", "ended_at", 5),
+    "private-host_id-list": ("private", "host_id", ["workstation-7"]),
+    "crate-attempt-string": ("crate", "attempt", "one"),
+    "crate-attempt-bool": ("crate", "attempt", True),
+    "crate-attempt-zero": ("crate", "attempt", 0),
+}
+
+
+@pytest.mark.parametrize("log, field, value", list(MISTYPED_RECORD_FIELDS.values()),
+                         ids=list(MISTYPED_RECORD_FIELDS))
+def test_mistyped_record_field_makes_the_log_unreadable(tmp_path, demo_run, log, field, value):
+    run_dir, crate = demo_run
+    if log == "private":
+        data = json.loads((run_dir / rundir.INTERACTION_LOG).read_bytes())
+        data["records"][0][field] = value
+        with pytest.raises(MalformedSyntax, match="interaction log unreadable"):
+            parse_log(json.dumps(data).encode())
+    else:
+        tampered = _crate_with_record_field(tmp_path, crate, field, value)
+        hash_check = verify_crate(tampered).check(CheckName.HASH_INTEGRITY)
+        assert hash_check.status is CheckStatus.FAIL
+        assert any("redacted log unreadable" in finding for finding in hash_check.findings)
 
 
 def test_non_string_raw_text_in_source_log_is_an_error(tmp_path, demo_run):
