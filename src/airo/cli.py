@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
 from dataclasses import replace
 from functools import partial
@@ -25,13 +24,13 @@ from .audit import (audit_draft, inline_findings, parse_draft, read_audit_csv,
                     resolve_claim, write_audit_csv, write_audit_markdown)
 from .bundle import parse_bundle, parse_taxonomy, taxonomy_to_bytes
 from .errors import (EmptyResponse, FixtureMissing, RunLocked, StageOrder,
-                     StageOutputInvalid, ToolkitError, Transport)
+                     StageOutputInvalid, TemplateInvalid, ToolkitError, Transport)
 from .invoke import (Interface, ModelConfig, config_from_file, run_synthesis_stage,
                      run_taxonomy_stage, utc_now_rfc3339)
 from .provenance import InteractionLog, new_run, parse_log, record_invocation
 from .redact import RedactionPolicy, Tier, check_redaction, redact
 from .rocrate import build_card, pack
-from .template import (Stage, load_template, validate_template)
+from .template import Stage, load_template, render, validate_template
 from .verify import CheckResult, CheckStatus, verify_against_source, verify_crate
 
 EXIT_OK = 0
@@ -62,6 +61,7 @@ def cmd_validate(args) -> int:
     run.load_state()
     failures = 0
 
+    bundle = None
     bundle_path = run.file(rundir.BUNDLE)
     if not bundle_path.is_file():
         print(f"FAIL bundle: {rundir.BUNDLE} not found")
@@ -82,16 +82,24 @@ def cmd_validate(args) -> int:
             failures += 1
             continue
         try:
-            report = validate_template(load_template(path))
+            template = load_template(path)
         except ToolkitError as err:
             print(f"FAIL template {stage.value}: {err}")
             failures += 1
             continue
-        for check in report.checks:
+        report = validate_template(template)
+        checks = report.checks
+        if report.passed and bundle is not None and stage is template.stage is Stage.TAXONOMY:
+            try:  # data can move the block where the empty skeleton cannot show it
+                render(template, bundle)
+            except TemplateInvalid as err:
+                checks = tuple(replace(c, passed=False, detail=str(err))
+                               if c.name == "constraint placement" else c for c in checks)
+        for check in checks:
             mark = "ok" if check.passed else "FAIL"
             detail = f" ({check.detail})" if check.detail else ""
             print(f"{mark} template {stage.value}: {check.name}{detail}")
-        if not report.passed:
+        if not all(c.passed for c in checks):
             failures += 1
 
     return EXIT_OK if failures == 0 else EXIT_FAILURE
@@ -103,6 +111,8 @@ def _run_model_stage(args, stage: str, template_rel: str, output_rel: str, produ
     ``produce(run, bundle, config, options)`` invokes the model with
     ``options`` and returns ``(output bytes, invocation, summary)``.
     """
+    import platform  # for the host name; no other command pays for the import
+
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
         state = run.require(stage)
@@ -246,63 +256,67 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.overall is CheckStatus.PASS else EXIT_FAILURE
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _option(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+_RUN_DIR = _option("--run-dir", default=".", help="run directory (default: .)")
+_MODEL_OPTIONS = (_RUN_DIR,
+                  _option("--config", help="model config file (default: <run>/config.json)"),
+                  _option("--stub", help="offline stub fixture name (forces offline-stub mode)"))
+_TIER = _option("--tier", choices=[t.value for t in Tier], default="reviewer",
+                help="redaction tier (default: reviewer)")
+
+# name -> (handler, help text, arguments in the order their help lists them)
+COMMANDS = {
+    "init": (cmd_init, "scaffold a run directory with defaults and demo inputs", (
+        _option("label", help="run label; normalized into the run id"),
+        _option("--run-dir", default=None, help="target directory (default: ./<run id>)"),
+        _option("--no-demo", action="store_true",
+                help="skip the sample bundle and stub fixtures"))),
+    "validate": (cmd_validate, "check the bundle and templates; exit 1 on problems", (_RUN_DIR,)),
+    "taxonomy": (partial(_run_model_stage, stage="taxonomy", template_rel=rundir.TAXONOMY_TMPL,
+                         output_rel=rundir.TAXONOMY_JSON, produce=_produce_taxonomy),
+                 "run stage 1: cluster the papers", _MODEL_OPTIONS),
+    "draft": (partial(_run_model_stage, stage="draft", template_rel=rundir.SYNTHESIS_TMPL,
+                      output_rel=rundir.DRAFT_MD, produce=_produce_draft),
+              "run stage 2: draft the section", _MODEL_OPTIONS),
+    "audit": (cmd_audit, "compute the claim audit table from the draft", (_RUN_DIR,)),
+    "resolve": (cmd_resolve, "attach a resolver note to an audit row", (
+        _RUN_DIR, _option("index", type=int, help="audit row index (0-based)"),
+        _option("note", help="resolver note text"))),
+    "card": (cmd_card, "build the inspection card (card.md)", (_RUN_DIR,)),
+    "redact": (cmd_redact, "write the redacted interaction log", (_RUN_DIR, _TIER)),
+    "pack": (cmd_pack, "package the run as an RO-Crate zip", (
+        _RUN_DIR, _TIER, _option("--output", "-o", help="crate output path"))),
+    "verify": (cmd_verify, "verify a packed crate; exit 1 on any Fail", (
+        _option("crate", help="path to the crate zip"),
+        _option("--source-log", help="private unredacted log for the escrow check"))),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for every command, or, given a name in COMMANDS, for that one only."""
     parser = argparse.ArgumentParser(
         prog="airo",
         description="Constrained drafting runs with hash-linked, verifiable provenance.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_text: str, run_dir: bool = True):
+    # a one-command parser names every choice, so its usage line reads as the full one's
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else (command,):
+        handler, help_text, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        if run_dir:
-            p.add_argument("--run-dir", default=".", help="run directory (default: .)")
-        return p
-
-    p = add("init", cmd_init, "scaffold a run directory with defaults and demo inputs",
-            run_dir=False)
-    p.add_argument("label", help="run label; normalized into the run id")
-    p.add_argument("--run-dir", default=None, help="target directory (default: ./<run id>)")
-    p.add_argument("--no-demo", action="store_true",
-                   help="skip the sample bundle and stub fixtures")
-
-    add("validate", cmd_validate, "check the bundle and templates; exit 1 on problems")
-
-    for name, template_rel, output_rel, produce, help_text in (
-            ("taxonomy", rundir.TAXONOMY_TMPL, rundir.TAXONOMY_JSON, _produce_taxonomy,
-             "run stage 1: cluster the papers"),
-            ("draft", rundir.SYNTHESIS_TMPL, rundir.DRAFT_MD, _produce_draft,
-             "run stage 2: draft the section")):
-        p = add(name, partial(_run_model_stage, stage=name, template_rel=template_rel,
-                              output_rel=output_rel, produce=produce), help_text)
-        p.add_argument("--config", help="model config file (default: <run>/config.json)")
-        p.add_argument("--stub", help="offline stub fixture name (forces offline-stub mode)")
-
-    add("audit", cmd_audit, "compute the claim audit table from the draft")
-
-    p = add("resolve", cmd_resolve, "attach a resolver note to an audit row")
-    p.add_argument("index", type=int, help="audit row index (0-based)")
-    p.add_argument("note", help="resolver note text")
-
-    add("card", cmd_card, "build the inspection card (card.md)")
-
-    for name, handler, help_text in (("redact", cmd_redact, "write the redacted interaction log"),
-                                     ("pack", cmd_pack, "package the run as an RO-Crate zip")):
-        p = add(name, handler, help_text)
-        p.add_argument("--tier", choices=[t.value for t in Tier], default="reviewer",
-                       help="redaction tier (default: reviewer)")
-        if name == "pack":
-            p.add_argument("--output", "-o", help="crate output path")
-
-    p = add("verify", cmd_verify, "verify a packed crate; exit 1 on any Fail", run_dir=False)
-    p.add_argument("crate", help="path to the crate zip")
-    p.add_argument("--source-log", help="private unredacted log for the escrow check")
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # anything but a command name first (-h, nothing, a typo) needs every subparser
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

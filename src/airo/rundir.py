@@ -161,14 +161,34 @@ class RunDirectory:
         try:
             handle = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise RunLocked(f"run directory is locked by another process "
-                            f"({lock_path} exists)") from None
+            raise RunLocked(_lock_holder(lock_path)) from None
         try:
             os.write(handle, str(os.getpid()).encode())
             os.close(handle)
             yield
         finally:
             lock_path.unlink(missing_ok=True)
+
+
+def _lock_holder(lock_path: Path) -> str:
+    """Name the PID a lock holds and, on POSIX, whether it still runs; the
+    lock itself is left alone, since only the operator can tell it is stale."""
+    try:
+        pid = int(lock_path.read_bytes())
+    except (OSError, ValueError):  # removed since, or not yet written by its holder
+        pid = 0
+    if not 0 < pid < 2**31:  # 0 and negatives name process groups; pid_t is 32-bit
+        return f"run directory is locked by another process ({lock_path} exists)"
+    if os.name != "posix":  # os.kill would terminate the process, not probe it
+        return f"run directory is locked by PID {pid} ({lock_path} exists)"
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return (f"run directory is locked by PID {pid}, which is not running; if no airo "
+                f"command is using this run, the lock is stale: delete {lock_path}")
+    except PermissionError:  # the process exists but belongs to another user
+        pass
+    return f"run directory is locked by PID {pid}, which is still running ({lock_path} exists)"
 
 
 def init_scaffold(path: Path, label: str, with_demo: bool = True) -> RunDirectory:

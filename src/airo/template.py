@@ -192,8 +192,10 @@ def validate_template(template: PromptTemplate) -> TemplateReport:
     present = _body_placeholders(template)
     checks = _structural_checks(template, present)
 
-    # Worst-case placement check: all data placeholders empty. Real renders
-    # only grow the text, which keeps an end-placed block in the last quarter.
+    # Placement on a skeleton with every data placeholder empty. Data placed
+    # after an end-placed block, or before a begin-placed one, can push it into
+    # the middle, so a pass here holds for every bundle only when no data sits
+    # on that side of the block; render() checks the real text each time.
     if template.constraint_block.strip():
         skeleton = _fill(template, dict.fromkeys(present - _SLOTS, ""))
         ok, detail = constraint_placement(skeleton, template.constraint_block)

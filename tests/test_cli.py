@@ -57,6 +57,23 @@ def test_validate_missing_template(tmp_path, capsys):
     assert "template not found" in capsys.readouterr().out
 
 
+def test_validate_renders_the_taxonomy_template_with_the_bundle(tmp_path, capsys):
+    # an empty-data skeleton passes placement; a long title pushes the begin-placed block
+    # out of the first quarter, which the taxonomy stage would then refuse
+    run_dir = tmp_path / "run"
+    cli.main(["init", "demo", "--run-dir", str(run_dir)])
+    bundle = json.loads((run_dir / rundir.BUNDLE).read_text())
+    bundle["title"] = "T" * 3240
+    (run_dir / rundir.BUNDLE).write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert cli.main(["validate", "--run-dir", str(run_dir)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL template taxonomy: constraint placement (constraint placement: block spans" in out
+    assert "ok template synthesis: constraint placement" in out
+    assert cli.main(["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run_dir)]) == 1
+    assert "TemplateInvalid: constraint placement" in capsys.readouterr().err
+
+
 def test_draft_before_taxonomy_is_stage_order(tmp_path, capsys):
     run_dir = tmp_path / "run"
     cli.main(["init", "demo", "--run-dir", str(run_dir)])
@@ -93,6 +110,7 @@ def test_failed_taxonomy_keeps_state_but_logs_interaction(tmp_path, capsys, stag
     run = _init_before(tmp_path / "run", stage)
     (run.file(rundir.FIXTURES_DIR) / "broken.txt").write_text(broken)
     assert cli.main([stage, "--stub", "broken", "--run-dir", str(run.path)]) == 1
+    assert not run.file(rundir.LOCK).exists()  # a failing stage releases its lock
     state = run.load_state()
     assert stage not in state.completed
     assert not run.file(output).exists()
@@ -213,12 +231,43 @@ def test_transport_error_exit_code(tmp_path, monkeypatch, capsys):
 def test_lock_prevents_concurrent_writers(tmp_path, capsys):
     run_dir = tmp_path / "run"
     cli.main(["init", "demo", "--run-dir", str(run_dir)])
-    (run_dir / rundir.LOCK).write_text("4242")
+    (run_dir / rundir.LOCK).write_text(str(os.getpid()))  # a holder that is surely running
+    capsys.readouterr()
     assert cli.main(["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run_dir)]) == 2
-    assert "locked" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: run directory is locked by PID {os.getpid()}")
+    if os.name == "posix":
+        assert "which is still running" in err
+    assert (run_dir / rundir.LOCK).read_text() == str(os.getpid())
     (run_dir / rundir.LOCK).unlink()
     assert cli.main(["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run_dir)]) == 0
     assert not (run_dir / rundir.LOCK).exists()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="liveness is probed with os.kill(pid, 0)")
+def test_stale_lock_names_a_pid_that_is_not_running(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    cli.main(["init", "demo", "--run-dir", str(run_dir)])
+    exited = subprocess.Popen([sys.executable, "-c", "pass"])
+    exited.wait()
+    (run_dir / rundir.LOCK).write_text(str(exited.pid))
+    capsys.readouterr()
+    assert cli.main(["audit", "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"locked by PID {exited.pid}, which is not running" in err
+    assert "stale" in err and str(run_dir / rundir.LOCK) in err
+    assert (run_dir / rundir.LOCK).read_text() == str(exited.pid)  # detected, never removed
+
+
+@pytest.mark.parametrize("content", ["", "not a pid", "-1", "0"])
+def test_lock_without_a_pid_still_refuses(tmp_path, capsys, content):
+    run_dir = tmp_path / "run"
+    cli.main(["init", "demo", "--run-dir", str(run_dir)])
+    (run_dir / rundir.LOCK).write_text(content)
+    capsys.readouterr()
+    assert cli.main(["card", "--run-dir", str(run_dir)]) == 2
+    assert "locked by another process" in capsys.readouterr().err
+    assert (run_dir / rundir.LOCK).read_text() == content
 
 
 def test_resolve_twice_keeps_history(tmp_path, capsys):
