@@ -8,6 +8,10 @@ One subcommand per stage keeps every provenance boundary explicit:
 
 Exit codes: 0 success, 1 validation/verification failure, 2 usage or
 environment error, 3 transport error.
+
+Each handler imports the stage code it runs, so ``airo verify`` loads only
+the modules verification needs: no prompt, model-invocation or run-directory
+code.
 """
 
 from __future__ import annotations
@@ -18,20 +22,18 @@ import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import rundir
-from .audit import (audit_draft, inline_findings, parse_draft, read_audit_csv,
-                    resolve_claim, write_audit_csv, write_audit_markdown)
-from .bundle import parse_bundle, parse_taxonomy, taxonomy_to_bytes
+# parse_bundle stays a module attribute: perfbench's traced-run test reads airo.cli.parse_bundle
+from .bundle import parse_bundle
 from .errors import (EmptyResponse, FixtureMissing, RunLocked, StageOrder,
                      StageOutputInvalid, TemplateInvalid, ToolkitError, Transport)
-from .invoke import (Interface, ModelConfig, config_from_file, run_synthesis_stage,
-                     run_taxonomy_stage, utc_now_rfc3339)
-from .provenance import InteractionLog, new_run, parse_log, record_invocation
-from .redact import RedactionPolicy, Tier, check_redaction, redact
-from .rocrate import build_card, pack
-from .template import Stage, load_template, render, validate_template
-from .verify import CheckResult, CheckStatus, verify_against_source, verify_crate
+from .redact import Tier
+
+if TYPE_CHECKING:
+    from . import rundir
+    from .provenance import ModelConfig
+    from .verify import CheckResult
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -39,15 +41,10 @@ EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
 
 
-def _load_config(run: rundir.RunDirectory, args) -> ModelConfig:
-    config_path = Path(args.config) if args.config else run.file(rundir.CONFIG)
-    config = config_from_file(config_path)
-    if args.stub:
-        config = replace(config, interface=Interface.OFFLINE_STUB, stub_fixture=args.stub)
-    return config
-
-
 def cmd_init(args) -> int:
+    from . import rundir
+    from .provenance import new_run
+
     run_dir = Path(args.run_dir) if args.run_dir else Path(new_run(args.label))
     run = rundir.init_scaffold(run_dir, args.label, with_demo=not args.no_demo)
     state = run.load_state()
@@ -57,6 +54,10 @@ def cmd_init(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import rundir
+    from .provenance import Stage
+    from .template import load_template, render, validate_template
+
     run = rundir.RunDirectory(Path(args.run_dir))
     run.load_state()
     failures = 0
@@ -105,7 +106,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
-def _run_model_stage(args, stage: str, template_rel: str, output_rel: str, produce) -> int:
+def _run_model_stage(args, stage: str, produce) -> int:
     """Run one model stage; every interaction is logged, a failed one included.
 
     ``produce(run, bundle, config, options)`` invokes the model with
@@ -113,11 +114,20 @@ def _run_model_stage(args, stage: str, template_rel: str, output_rel: str, produ
     """
     import platform  # for the host name; no other command pays for the import
 
+    from . import rundir
+    from .invoke import config_from_file
+    from .provenance import InteractionLog, Interface, parse_log, record_invocation
+    from .template import load_template
+
+    template_rel, output_rel = {"taxonomy": (rundir.TAXONOMY_TMPL, rundir.TAXONOMY_JSON),
+                                "draft": (rundir.SYNTHESIS_TMPL, rundir.DRAFT_MD)}[stage]
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
         state = run.require(stage)
         bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
-        config = _load_config(run, args)
+        config = config_from_file(Path(args.config) if args.config else run.file(rundir.CONFIG))
+        if args.stub:
+            config = replace(config, interface=Interface.OFFLINE_STUB, stub_fixture=args.stub)
         options = {"template": load_template(run.file(template_rel)),
                    "fixtures_dir": run.file(rundir.FIXTURES_DIR)}
         log_path = run.file(rundir.INTERACTION_LOG)
@@ -146,17 +156,28 @@ def _run_model_stage(args, stage: str, template_rel: str, output_rel: str, produ
 
 
 def _produce_taxonomy(run: rundir.RunDirectory, bundle, config: ModelConfig, options: dict):
+    from .bundle import taxonomy_to_bytes
+    from .invoke import run_taxonomy_stage
+
     taxonomy, invocation = run_taxonomy_stage(bundle, config, **options)
     return taxonomy_to_bytes(taxonomy), invocation, f" ({len(taxonomy.clusters)} cluster(s))"
 
 
 def _produce_draft(run: rundir.RunDirectory, bundle, config: ModelConfig, options: dict):
+    from . import rundir
+    from .bundle import parse_taxonomy
+    from .invoke import run_synthesis_stage
+
     taxonomy = parse_taxonomy(run.file(rundir.TAXONOMY_JSON).read_bytes(), bundle)
     text, invocation = run_synthesis_stage(bundle, taxonomy, config, **options)
     return text.encode("utf-8"), invocation, ""
 
 
 def cmd_audit(args) -> int:
+    from . import rundir
+    from .audit import (audit_draft, inline_findings, parse_draft, write_audit_csv,
+                        write_audit_markdown)
+
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
         run.require("audit")
@@ -179,6 +200,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_resolve(args) -> int:
+    from . import rundir
+    from .audit import read_audit_csv, resolve_claim, write_audit_csv
+    from .provenance import utc_now_rfc3339
+
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
         state = run.load_state()
@@ -198,6 +223,10 @@ def cmd_resolve(args) -> int:
 
 
 def cmd_redact(args) -> int:
+    from . import rundir
+    from .provenance import parse_log
+    from .redact import RedactionPolicy, check_redaction, redact
+
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
         run.require("redact")
@@ -218,6 +247,9 @@ def cmd_redact(args) -> int:
 
 
 def cmd_card(args) -> int:
+    from . import rundir
+    from .rocrate import build_card
+
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
         card = build_card(run.path)
@@ -228,6 +260,10 @@ def cmd_card(args) -> int:
 
 
 def cmd_pack(args) -> int:
+    from . import rundir
+    from .redact import RedactionPolicy
+    from .rocrate import pack
+
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
         run.require("pack")
@@ -246,6 +282,8 @@ def _print_check(check: CheckResult) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .verify import CheckStatus, verify_against_source, verify_crate
+
     report = verify_crate(Path(args.crate))
     for check in report.checks:
         _print_check(check)
@@ -275,11 +313,9 @@ COMMANDS = {
         _option("--no-demo", action="store_true",
                 help="skip the sample bundle and stub fixtures"))),
     "validate": (cmd_validate, "check the bundle and templates; exit 1 on problems", (_RUN_DIR,)),
-    "taxonomy": (partial(_run_model_stage, stage="taxonomy", template_rel=rundir.TAXONOMY_TMPL,
-                         output_rel=rundir.TAXONOMY_JSON, produce=_produce_taxonomy),
+    "taxonomy": (partial(_run_model_stage, stage="taxonomy", produce=_produce_taxonomy),
                  "run stage 1: cluster the papers", _MODEL_OPTIONS),
-    "draft": (partial(_run_model_stage, stage="draft", template_rel=rundir.SYNTHESIS_TMPL,
-                      output_rel=rundir.DRAFT_MD, produce=_produce_draft),
+    "draft": (partial(_run_model_stage, stage="draft", produce=_produce_draft),
               "run stage 2: draft the section", _MODEL_OPTIONS),
     "audit": (cmd_audit, "compute the claim audit table from the draft", (_RUN_DIR,)),
     "resolve": (cmd_resolve, "attach a resolver note to an audit row", (

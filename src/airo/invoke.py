@@ -12,15 +12,14 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping
 
 from .bundle import InputBundle, Taxonomy, parse_taxonomy
 from .errors import (ConfigInvalid, DoubleAssigned, EmptyResponse, FixtureMissing,
                      MalformedSyntax, StageOutputInvalid, Transport, Uncovered, UnknownMember)
-from .template import (RenderedPrompt, Stage, PromptTemplate,
+from .provenance import Interface, ModelConfig, Stage, utc_now_rfc3339
+from .template import (RenderedPrompt, PromptTemplate,
                        render_synthesis_prompt, render_taxonomy_prompt)
 
 ENV_API_KEY = "AIRO_API_KEY"
@@ -28,61 +27,6 @@ ENV_ENDPOINT = "AIRO_ENDPOINT"
 
 DEFAULT_MAX_RETRIES = 2  # retries after the first attempt, Transport errors only
 DEFAULT_BACKOFF_S = 0.5
-
-
-def utc_now_rfc3339() -> str:
-    """Current UTC time, RFC-3339 with second precision (the log timestamp format)."""
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-class Interface(Enum):
-    OPENAI_COMPATIBLE = "openai-compatible"
-    OFFLINE_STUB = "offline-stub"
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    interface: Interface
-    model_name: str
-    temperature: float
-    top_p: float
-    max_tokens: int
-    endpoint: str = ""
-    seed: int | None = None
-    stub_fixture: str | None = None
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if not (0 < self.top_p <= 1):
-            raise ValueError("top_p must be in (0, 1]")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be a positive integer")
-        if self.interface is Interface.OPENAI_COMPATIBLE and not self.endpoint:
-            raise ValueError("endpoint must be nonempty for the openai-compatible interface")
-
-    def to_dict(self) -> dict:
-        return {
-            "interface": self.interface.value,
-            "model_name": self.model_name,
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_tokens": self.max_tokens,
-            "endpoint": self.endpoint,
-            "seed": self.seed,
-            "stub_fixture": self.stub_fixture,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ModelConfig":
-        return cls(interface=Interface(data["interface"]),
-                   model_name=data["model_name"],
-                   temperature=data["temperature"],
-                   top_p=data["top_p"],
-                   max_tokens=data["max_tokens"],
-                   endpoint=data.get("endpoint", ""),
-                   seed=data.get("seed"),
-                   stub_fixture=data.get("stub_fixture"))
 
 
 def config_from_file(path: Path) -> ModelConfig:

@@ -3,6 +3,10 @@
 Text is hashed as UTF-8 bytes with no newline normalization; timestamps are
 RFC-3339 UTC at second precision. Logs are append-only: records are added in
 started_at order and never mutated.
+
+The types a log record names (``Stage``, ``Interface``, ``ModelConfig``) live
+here rather than beside the code that renders prompts or calls the model, so
+reading and verifying a log loads neither.
 """
 
 from __future__ import annotations
@@ -11,12 +15,12 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from datetime import datetime, timezone
+from enum import Enum
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .bundle import InputBundle, canonical_bytes
 from .errors import InvalidLabel, MalformedSyntax
-from .invoke import ModelConfig, utc_now_rfc3339
-from .template import Stage
 
 if TYPE_CHECKING:
     from .invoke import Invocation
@@ -26,6 +30,66 @@ if TYPE_CHECKING:
 RUN_ID_RE = re.compile(r"ro-[a-z0-9-]+")
 _LABEL_RE = re.compile(r"[a-z0-9-]+")
 _HEX_RE = re.compile(r"[0-9a-f]{64}")
+
+
+def utc_now_rfc3339() -> str:
+    """Current UTC time, RFC-3339 with second precision (the log timestamp format)."""
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+class Stage(Enum):
+    TAXONOMY = "taxonomy"
+    SYNTHESIS = "synthesis"
+
+
+class Interface(Enum):
+    OPENAI_COMPATIBLE = "openai-compatible"
+    OFFLINE_STUB = "offline-stub"
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    interface: Interface
+    model_name: str
+    temperature: float
+    top_p: float
+    max_tokens: int
+    endpoint: str = ""
+    seed: int | None = None
+    stub_fixture: str | None = None
+
+    def __post_init__(self):
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+        if not (0 < self.top_p <= 1):
+            raise ValueError("top_p must be in (0, 1]")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be a positive integer")
+        if self.interface is Interface.OPENAI_COMPATIBLE and not self.endpoint:
+            raise ValueError("endpoint must be nonempty for the openai-compatible interface")
+
+    def to_dict(self) -> dict:
+        return {
+            "interface": self.interface.value,
+            "model_name": self.model_name,
+            "temperature": self.temperature,
+            "top_p": self.top_p,
+            "max_tokens": self.max_tokens,
+            "endpoint": self.endpoint,
+            "seed": self.seed,
+            "stub_fixture": self.stub_fixture,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "ModelConfig":
+        return cls(interface=Interface(data["interface"]),
+                   model_name=data["model_name"],
+                   temperature=data["temperature"],
+                   top_p=data["top_p"],
+                   max_tokens=data["max_tokens"],
+                   endpoint=data.get("endpoint", ""),
+                   seed=data.get("seed"),
+                   stub_fixture=data.get("stub_fixture"))
 
 
 @dataclass(frozen=True)

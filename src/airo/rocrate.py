@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from . import rundir
 from .bundle import canonical_bytes, parse_bundle
 from .errors import (CrateUnreadable, DanglingEntity, ManifestMalformed, ManifestMissing,
                      MissingSection, UnredactedLeak)
@@ -127,6 +126,8 @@ RELEASED_ARTIFACTS = (
 def build_card(run_path: Path) -> InspectionCard:
     """Assemble the card from run state, the log's configuration, and the
     operator-authored narrative sections; every section must be nonempty."""
+    from . import rundir  # only build_card and pack read a run directory; verify never does
+
     run = rundir.RunDirectory(Path(run_path))
     state = run.require("card")
 
@@ -236,6 +237,8 @@ def write_zip_deterministic(path: Path, members: dict[str, bytes]) -> None:
 
 def pack(run_path: Path, policy: RedactionPolicy, out_path: Path | None = None) -> Path:
     """Package the run at the given redaction tier; deterministic by construction."""
+    from . import rundir
+
     run = rundir.RunDirectory(Path(run_path))
     state = run.load_state()
 

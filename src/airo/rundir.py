@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import MalformedSyntax, PathExists, RunLocked, StageOrder
-from .invoke import utc_now_rfc3339
-from .provenance import RUN_ID_RE, new_run
+from .provenance import RUN_ID_RE, new_run, utc_now_rfc3339
 
 BUNDLE = "bundle.json"
 CONFIG = "config.json"
@@ -47,6 +46,13 @@ _PREREQUISITES = {
     "card": ("audit",),
     "pack": ("redact", "card"),
 }
+
+
+def _dependents(stage: str) -> set[str]:
+    """Every stage that requires ``stage``, directly or through other stages."""
+    direct = {other for other, prerequisites in _PREREQUISITES.items() if stage in prerequisites}
+    return direct.union(*map(_dependents, direct))
+
 
 # Editable operator narratives for the inspection card; rewrite before release.
 DEFAULT_CARD_SECTIONS = {
@@ -150,7 +156,11 @@ class RunDirectory:
         return state
 
     def mark_complete(self, stage: str) -> None:
+        """Record ``stage`` as complete and every stage downstream of it as not,
+        since their outputs were derived from what this run of ``stage`` replaced."""
         state = self.load_state()
+        stale = _dependents(stage)
+        state.completed = [done for done in state.completed if done not in stale]
         if stage not in state.completed:
             state.completed.append(stage)
         self.save_state(state)

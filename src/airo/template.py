@@ -23,17 +23,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from .bundle import InputBundle, Taxonomy
 from .errors import TemplateInvalid
-
-
-class Stage(Enum):
-    TAXONOMY = "taxonomy"
-    SYNTHESIS = "synthesis"
-
+from .provenance import Stage
 
 PLACEHOLDER_RE = re.compile(r"\{\{([A-Z][A-Z0-9_]*)\}\}")
 _SECTION_RE = re.compile(r"^===\s*([A-Z_]+)\s*===$")

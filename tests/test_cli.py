@@ -159,6 +159,39 @@ def test_run_state_with_stage_configs_still_resumes(tmp_path):
     assert "stage_configs" not in json.loads(run.state_path.read_text())
 
 
+def test_rerun_taxonomy_makes_audit_wait_for_a_new_draft(tmp_path, capsys):
+    run = _init_before(tmp_path / "run", "draft")
+    args = ["--run-dir", str(run.path)]
+    for step in (["draft", "--stub", "synthesis_demo"], ["taxonomy", "--stub", "taxonomy_demo"]):
+        assert cli.main(step + args) == 0
+    # the draft was written against the taxonomy the re-run replaced
+    assert run.load_state().completed == ["taxonomy"]
+    capsys.readouterr()
+    assert cli.main(["audit"] + args) == 1
+    assert "StageOrder" in capsys.readouterr().err
+    assert cli.main(["draft", "--stub", "synthesis_demo"] + args) == 0
+    assert cli.main(["audit"] + args) == 0
+
+
+@pytest.mark.parametrize("step, completed", [
+    (["taxonomy", "--stub", "taxonomy_demo"], ["taxonomy"]),
+    (["draft", "--stub", "synthesis_demo"], ["taxonomy", "draft"]),
+    (["audit"], ["taxonomy", "draft", "audit", "redact"]),
+    (["redact", "--tier", "reviewer"], ["taxonomy", "draft", "audit", "redact", "card"]),
+    (["card"], ["taxonomy", "draft", "audit", "redact", "card"]),
+], ids=["taxonomy", "draft", "audit", "redact", "card"])
+def test_rerun_stage_clears_every_stage_downstream_of_it(demo_copy, capsys, step, completed):
+    run_dir, _ = demo_copy
+    run = rundir.RunDirectory(run_dir)
+    assert cli.main(step + ["--run-dir", str(run_dir)]) == 0
+    assert run.load_state().completed == completed
+    capsys.readouterr()
+    packable = {"redact", "card"} <= set(completed)
+    assert cli.main(["pack", "--tier", "reviewer", "--run-dir", str(run_dir)]) == (
+        0 if packable else 1)
+    assert ("StageOrder" in capsys.readouterr().err) is not packable
+
+
 def test_missing_stub_fixture_is_usage_error(tmp_path, capsys):
     run_dir = tmp_path / "run"
     cli.main(["init", "demo", "--run-dir", str(run_dir)])
@@ -354,7 +387,8 @@ def test_redact_does_not_scan_the_auditor_tier(tmp_path, monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("check_redaction called at auditor tier")
 
-    monkeypatch.setattr(cli, "check_redaction", refuse)
+    # patched where it is defined: the command imports it from there when it runs
+    monkeypatch.setattr("airo.redact.check_redaction", refuse)
     assert cli.main(redact) == 0
     assert "redact" in run.load_state().completed
     unscanned = run.file(rundir.REDACTED_LOG).read_bytes()
@@ -430,13 +464,44 @@ def test_unredacted_log_never_in_crate(demo_run):
         assert "interaction_log.json" != name.rsplit("/", 1)[-1]
 
 
+def _src_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this checkout's airo."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_import_leaves_the_http_stack_unloaded():
     # offline commands (verify above all) must not pay for urllib.request at start
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     loaded = subprocess.run(
         [sys.executable, "-c", "import airo.cli, sys; "
                                "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True, check=True).stdout.strip()
+        env=_src_env(), capture_output=True, text=True, check=True).stdout.strip()
     assert loaded == "[]"
+
+
+# What a reader's verifying process runs, and so has to trust; prompt rendering,
+# model invocation and run-directory code stay out of it.
+VERIFY_PATH = {"airo", "airo.cli", "airo.errors", "airo.bundle", "airo.provenance",
+               "airo.redact", "airo.audit", "airo.rocrate", "airo.verify"}
+_REPORT_AIRO_MODULES = """
+import json, sys
+from airo import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exit_:
+    code = exit_.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "airo")]))
+"""
+
+
+@pytest.mark.parametrize("help_only", [False, True], ids=["verify", "verify-help"])
+def test_verify_process_loads_only_the_verify_path(demo_run, help_only):
+    _, crate = demo_run
+    argv = ["verify", "-h"] if help_only else ["verify", str(crate)]
+    out = subprocess.run([sys.executable, "-c", _REPORT_AIRO_MODULES, *argv], env=_src_env(),
+                         capture_output=True, text=True, check=True).stdout
+    code, loaded = json.loads(out.splitlines()[-1])
+    assert code == 0
+    assert not {"airo.invoke", "airo.template", "airo.rundir"} & set(loaded)
+    assert set(loaded) <= VERIFY_PATH

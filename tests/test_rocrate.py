@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-import airo.invoke
+import airo.provenance
 from airo import cli, rundir
 from airo.bundle import canonical_bytes, parse_bundle
 from airo.errors import (DanglingEntity, ManifestMalformed, ManifestMissing, MissingSection,
@@ -238,10 +238,10 @@ class _FrozenDatetime(datetime):
 @pytest.mark.parametrize("tier", sorted(DEMO_CRATE_SHA256))
 def test_demo_crate_bytes_are_pinned(tmp_path, monkeypatch, tier):
     # a refactor must leave the released bytes alone; any format drift must be deliberate.
-    # Every timestamp comes from airo.invoke's clock (InteractionLog's default_factory
+    # Every timestamp comes from airo.provenance's clock (InteractionLog's default_factory
     # binds utc_now_rfc3339, which reads the module's datetime). The host and the
     # run-relative paths reach the crate through the private log's digest.
-    monkeypatch.setattr(airo.invoke, "datetime", _FrozenDatetime)
+    monkeypatch.setattr(airo.provenance, "datetime", _FrozenDatetime)
     monkeypatch.setattr(platform, "node", lambda: "golden-host")
     monkeypatch.chdir(tmp_path)
     crate = run_pipeline(Path("run"), label="demo", tier=tier)
