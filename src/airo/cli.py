@@ -6,8 +6,8 @@ One subcommand per stage keeps every provenance boundary explicit:
     airo validate | taxonomy | draft | audit | resolve | redact | card | pack
     airo verify <crate> [--source-log FILE]
 
-Exit codes: 0 success, 1 validation/verification failure, 2 usage or
-environment error, 3 transport error.
+Exit codes: 0 success, 1 validation/verification failure or an unreadable
+path, 2 usage or environment error, 3 transport error.
 
 Each handler imports the stage code it runs, so ``airo verify`` loads only
 the modules verification needs: no prompt, model-invocation or run-directory
@@ -367,6 +367,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAILURE
     except FileNotFoundError as err:
         print(f"error: missing file: {err.filename}", file=sys.stderr)
+        return EXIT_FAILURE
+    except OSError as err:  # a directory where a file belongs, a file it may not read, ...
+        print(f"error: {err.filename}: {err.strerror}" if err.filename else f"error: {err}",
+              file=sys.stderr)
         return EXIT_FAILURE
 
 

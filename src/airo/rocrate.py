@@ -51,10 +51,8 @@ class Role(Enum):
 @dataclass(frozen=True)
 class FileEntity:
     id: str
-    types: tuple[str, ...]
     role: Role
     sha256: Digest | None
-    description: str
 
 
 @dataclass(frozen=True)
@@ -174,14 +172,6 @@ def card_bundle_digest(card_markdown: str) -> str | None:
     return match.group(1) if match else None
 
 
-def _file_entity_json(entity: FileEntity) -> dict:
-    data: dict = {"@id": entity.id, "@type": list(entity.types),
-                  "additionalType": entity.role.value, "description": entity.description}
-    if entity.sha256 is not None:
-        data["sha256"] = entity.sha256.hex
-    return data
-
-
 def _action_entity_json(action: ActionEntity) -> dict:
     data: dict = {
         "@id": action.id,
@@ -215,11 +205,10 @@ def _build_manifest_json(run_id: str, members: dict[str, bytes],
     }
     for name in sorted(members):
         role = roles[name]
-        types: tuple[str, ...] = ("File", "SoftwareSourceCode") if role is Role.CODE else ("File",)
-        entity = FileEntity(id=name, types=types, role=role,
-                            sha256=sha256_hex(members[name]),
-                            description=descriptions[role])
-        graph.append(_file_entity_json(entity))
+        graph.append({"@id": name,
+                      "@type": ["File", "SoftwareSourceCode"] if role is Role.CODE else ["File"],
+                      "additionalType": role.value, "description": descriptions[role],
+                      "sha256": sha256_hex(members[name]).hex})
     graph.extend(_action_entity_json(action) for action in actions)
     return {"@context": ROCRATE_CONTEXT, "@graph": graph}
 
@@ -335,9 +324,7 @@ def _parse_manifest_graph(data: dict) -> tuple[tuple[FileEntity, ...], tuple[Act
                     digest = Digest(hex=node["sha256"])
                 except ValueError as err:
                     raise ManifestMalformed(f"entity {node['@id']}: {err}") from None
-            entities.append(FileEntity(id=node["@id"], types=tuple(node_types), role=role,
-                                       sha256=digest,
-                                       description=node.get("description", "")))
+            entities.append(FileEntity(id=node["@id"], role=role, sha256=digest))
     if not root_seen:
         raise ManifestMalformed("manifest has no root dataset entity './'")
     return tuple(entities), tuple(actions)

@@ -13,12 +13,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .audit import audit_draft, inline_findings, parse_draft, read_audit_csv, AuditStatus
-from .bundle import canonical_bytes, parse_bundle, parse_taxonomy
+from .audit import (AuditStatus, DraftArtifact, audit_draft, inline_findings, parse_draft,
+                    read_audit_csv)
+from .bundle import InputBundle, canonical_bytes, parse_bundle, parse_taxonomy
 from .errors import SourceMismatch, ToolkitError
-from .provenance import parse_log, sha256_hex
+from .provenance import InteractionLog, parse_log, sha256_hex
 from .redact import parse_redacted_log
 from .rocrate import card_bundle_digest, manifest_from_members, read_crate_members
+
+_REDACTED_LOG = "provenance/interaction_log.redacted.json"
 
 
 class CheckName(Enum):
@@ -69,93 +72,80 @@ def _result(name: CheckName, findings: list[str]) -> CheckResult:
     return CheckResult(name, status, findings)
 
 
-def verify_crate(archive: Path) -> VerificationReport:
-    """Run the five-step inspection over a packed crate."""
-    members = read_crate_members(archive)  # CrateUnreadable is the only exception
+def _load(members: dict[str, bytes], name: str, parse, label: str | None, findings: list[str]):
+    """The parsed member, or None after a finding: ``<name> missing``, or ``<label>: <error>``."""
+    if name not in members:
+        findings.append(f"{name} missing from crate")
+        return None
+    try:
+        return parse(members[name])
+    except (ToolkitError, UnicodeDecodeError) as err:
+        findings.append(f"{label}: {err}" if label else str(err))
+        return None
 
-    bundle = None
-    taxonomy = None
-    draft = None
 
-    # 1. NotesInspectable: the structured notes parse and validate.
+def _notes_inspectable(members: dict[str, bytes]) -> tuple[CheckResult, InputBundle | None]:
+    """1. The structured notes parse and validate."""
     findings: list[str] = []
-    if "inputs/bundle.json" not in members:
-        findings.append("inputs/bundle.json missing from crate")
-    else:
-        try:
-            bundle = parse_bundle(members["inputs/bundle.json"])
-        except ToolkitError as err:
-            findings.append(f"bundle invalid: {err}")
-    notes_check = _result(CheckName.NOTES_INSPECTABLE, findings)
+    bundle = _load(members, "inputs/bundle.json", parse_bundle, "bundle invalid", findings)
+    return _result(CheckName.NOTES_INSPECTABLE, findings), bundle
 
-    # 2. StructureConforms: taxonomy valid against the bundle, draft well-formed.
-    findings = []
-    if "outputs/taxonomy.json" not in members:
-        findings.append("outputs/taxonomy.json missing from crate")
-    elif bundle is None:
+
+def _structure_conforms(members: dict[str, bytes], bundle: InputBundle | None
+                        ) -> tuple[CheckResult, DraftArtifact | None]:
+    """2. The taxonomy is valid against the bundle, and the draft is well-formed."""
+    findings: list[str] = []
+    if bundle is None and "outputs/taxonomy.json" in members:
         findings.append("cannot validate taxonomy: bundle unavailable")
     else:
-        try:
-            taxonomy = parse_taxonomy(members["outputs/taxonomy.json"], bundle)
-        except ToolkitError as err:
-            findings.append(f"taxonomy invalid: {err}")
-    if "outputs/draft.md" not in members:
-        findings.append("outputs/draft.md missing from crate")
-    else:
-        try:
-            draft = parse_draft(members["outputs/draft.md"].decode("utf-8"))
-        except (ToolkitError, UnicodeDecodeError) as err:
-            findings.append(f"draft invalid: {err}")
-    structure_check = _result(CheckName.STRUCTURE_CONFORMS, findings)
+        _load(members, "outputs/taxonomy.json", lambda data: parse_taxonomy(data, bundle),
+              "taxonomy invalid", findings)
+    draft = _load(members, "outputs/draft.md", lambda data: parse_draft(data.decode("utf-8")),
+                  "draft invalid", findings)
+    return _result(CheckName.STRUCTURE_CONFORMS, findings), draft
 
-    # 3. ClaimMapping: recomputed audit matches the packed CSV and citation
-    #    closure holds (no invented ids in checklist or body).
-    findings = []
+
+def _claim_mapping(members: dict[str, bytes], bundle: InputBundle | None,
+                   draft: DraftArtifact | None) -> CheckResult:
+    """3. The recomputed audit matches the packed CSV; no invented ids in checklist or body."""
     if draft is None or bundle is None:
-        findings.append("cannot recompute audit: draft or bundle unavailable")
-    else:
-        recomputed = audit_draft(draft, bundle)
-        known = bundle.known_ids
-        for index, row in enumerate(recomputed):
-            if row.status is AuditStatus.INVENTED_CITATION:
-                unknown = [i for i in row.supporting_ids if i not in known]
-                findings.append(f"InventedCitation: claim {index} cites unknown id(s) "
-                                f"{', '.join(unknown)}")
-        closure_errors, _ = inline_findings(draft, bundle)
-        findings.extend(f"InventedCitation: {error}" for error in closure_errors)
-        if "outputs/audit.csv" not in members:
-            findings.append("outputs/audit.csv missing from crate")
-        else:
-            try:
-                packed = read_audit_csv(members["outputs/audit.csv"])
-            except ToolkitError as err:
-                findings.append(f"audit CSV unreadable: {err}")
-            else:
-                if len(packed) != len(recomputed):
-                    findings.append(f"audit row count mismatch: packed {len(packed)}, "
-                                    f"recomputed {len(recomputed)}")
-                else:
-                    for index, (old, new) in enumerate(zip(packed, recomputed)):
-                        # resolver notes are human annotations; not recomputable
-                        if (old.claim, old.supporting_ids, old.status) != \
-                                (new.claim, new.supporting_ids, new.status):
-                            findings.append(f"audit row {index} differs from recomputation: "
-                                            f"packed ({old.claim!r}, {old.supporting_ids}, "
-                                            f"{old.status.value}) vs recomputed "
-                                            f"({new.claim!r}, {new.supporting_ids}, "
-                                            f"{new.status.value})")
-    claim_check = _result(CheckName.CLAIM_MAPPING, findings)
+        return _result(CheckName.CLAIM_MAPPING,
+                       ["cannot recompute audit: draft or bundle unavailable"])
+    findings: list[str] = []
+    recomputed = audit_draft(draft, bundle)
+    known = bundle.known_ids
+    for index, row in enumerate(recomputed):
+        if row.status is AuditStatus.INVENTED_CITATION:
+            unknown = [i for i in row.supporting_ids if i not in known]
+            findings.append(f"InventedCitation: claim {index} cites unknown id(s) "
+                            f"{', '.join(unknown)}")
+    closure_errors, _ = inline_findings(draft, bundle)
+    findings.extend(f"InventedCitation: {error}" for error in closure_errors)
+    packed = _load(members, "outputs/audit.csv", read_audit_csv, "audit CSV unreadable", findings)
+    if packed is not None and len(packed) != len(recomputed):
+        findings.append(f"audit row count mismatch: packed {len(packed)}, "
+                        f"recomputed {len(recomputed)}")
+    elif packed is not None:
+        for index, (old, new) in enumerate(zip(packed, recomputed)):
+            # resolver notes are human annotations; not recomputable
+            if (old.claim, old.supporting_ids, old.status) != \
+                    (new.claim, new.supporting_ids, new.status):
+                findings.append(f"audit row {index} differs from recomputation: packed "
+                                f"({old.claim!r}, {old.supporting_ids}, {old.status.value}) "
+                                f"vs recomputed ({new.claim!r}, {new.supporting_ids}, "
+                                f"{new.status.value})")
+    return _result(CheckName.CLAIM_MAPPING, findings)
 
-    # 4. HashIntegrity: manifest digests match member bytes; retained raw texts
-    #    re-hash to the log's digest triple.
-    findings = []
-    redacted = None
+
+def _hash_integrity(members: dict[str, bytes]) -> tuple[CheckResult, InteractionLog | None]:
+    """4. Manifest digests match member bytes, every action names members of the crate, and
+    retained raw texts re-hash to the log's digest triple."""
+    findings: list[str] = []
     try:
         manifest = manifest_from_members(members)
     except ToolkitError as err:
         findings.append(f"manifest unusable: {err}")
-        manifest = None
-    if manifest is not None:
+    else:
         for entity in manifest.entities:
             if entity.sha256 is None:
                 findings.append(f"{entity.id}: no digest recorded")
@@ -164,47 +154,59 @@ def verify_crate(archive: Path) -> VerificationReport:
             if actual != entity.sha256:
                 findings.append(f"{entity.id}: digest mismatch (manifest {entity.sha256.hex}, "
                                 f"file {actual.hex})")
-    if "provenance/interaction_log.redacted.json" not in members:
-        findings.append("provenance/interaction_log.redacted.json missing from crate")
-    else:
-        try:
-            redacted = parse_redacted_log(members["provenance/interaction_log.redacted.json"])
-        except ToolkitError as err:
-            findings.append(f"redacted log unreadable: {err}")
+        findings.extend(f"{action.id}: {ref} is not a member of the crate"
+                        for action in manifest.actions
+                        for ref in action.objects + action.results if ref not in members)
+    # parse_redacted_log's message already says the log is unreadable
+    redacted = _load(members, _REDACTED_LOG, parse_redacted_log, None, findings)
     if redacted is not None:
         for index, record in enumerate(redacted.records):
             findings.extend(f"log record {index}: {finding}"
                             for finding in record.linkage_findings())
-    hash_check = _result(CheckName.HASH_INTEGRITY, findings)
+    result = _result(CheckName.HASH_INTEGRITY, findings)
     # the tier-skip is reported as a finding but does not decide the status
     if redacted is not None and all(r.prompt_text is None and r.response_text is None
                                     for r in redacted.records):
-        hash_check.findings.append(f"skipped: raw-text re-hash not possible at tier "
-                                   f"'{redacted.policy.tier.value}' (texts redacted)")
+        result.findings.append(f"skipped: raw-text re-hash not possible at tier "
+                               f"'{redacted.policy.tier.value}' (texts redacted)")
+    return result, redacted
 
-    # 5. InputDerivation: every log record binds to the packed bundle's canonical hash.
-    findings = []
+
+def _input_derivation(members: dict[str, bytes], bundle: InputBundle | None,
+                      redacted: InteractionLog | None) -> CheckResult:
+    """5. Every log record, and the card, binds to the packed bundle's canonical hash."""
     if bundle is None:
-        findings.append("cannot derive bundle hash: bundle unavailable")
-    elif redacted is None:
-        findings.append("cannot check derivation: redacted log unavailable")
-    else:
-        expected = sha256_hex(canonical_bytes(bundle))
-        for index, record in enumerate(redacted.records):
-            if record.bundle_sha256 != expected:
-                findings.append(f"log record {index}: bundle_sha256 {record.bundle_sha256.hex} "
-                                f"does not match packed bundle {expected.hex}")
-        if "card.md" in members:
-            card_digest = card_bundle_digest(members["card.md"].decode("utf-8", "replace"))
-            if card_digest is None:
-                findings.append("card.md does not state an input bundle SHA-256")
-            elif card_digest != expected.hex:
-                findings.append(f"card.md bundle digest {card_digest} does not match packed "
-                                f"bundle {expected.hex}")
-    derivation_check = _result(CheckName.INPUT_DERIVATION, findings)
+        return _result(CheckName.INPUT_DERIVATION,
+                       ["cannot derive bundle hash: bundle unavailable"])
+    if redacted is None:
+        return _result(CheckName.INPUT_DERIVATION,
+                       ["cannot check derivation: redacted log unavailable"])
+    findings: list[str] = []
+    expected = sha256_hex(canonical_bytes(bundle))
+    for index, record in enumerate(redacted.records):
+        if record.bundle_sha256 != expected:
+            findings.append(f"log record {index}: bundle_sha256 {record.bundle_sha256.hex} "
+                            f"does not match packed bundle {expected.hex}")
+    card = _load(members, "card.md", lambda data: data.decode(errors="replace"), None, findings)
+    if card is not None:
+        card_digest = card_bundle_digest(card)
+        if card_digest is None:
+            findings.append("card.md does not state an input bundle SHA-256")
+        elif card_digest != expected.hex:
+            findings.append(f"card.md bundle digest {card_digest} does not match packed "
+                            f"bundle {expected.hex}")
+    return _result(CheckName.INPUT_DERIVATION, findings)
 
-    return VerificationReport(checks=[notes_check, structure_check, claim_check,
-                                      hash_check, derivation_check])
+
+def verify_crate(archive: Path) -> VerificationReport:
+    """Run the five-step inspection over a packed crate, read once."""
+    members = read_crate_members(archive)  # CrateUnreadable is the only exception
+    notes, bundle = _notes_inspectable(members)
+    structure, draft = _structure_conforms(members, bundle)
+    claims = _claim_mapping(members, bundle, draft)
+    hashes, redacted = _hash_integrity(members)
+    derivation = _input_derivation(members, bundle, redacted)
+    return VerificationReport(checks=[notes, structure, claims, hashes, derivation])
 
 
 def verify_against_source(archive: Path, source_log_path: Path) -> CheckResult:
@@ -214,9 +216,9 @@ def verify_against_source(archive: Path, source_log_path: Path) -> CheckResult:
     (run id or record count differ); finer disagreements are Fail findings.
     """
     members = read_crate_members(archive)
-    if "provenance/interaction_log.redacted.json" not in members:
+    if _REDACTED_LOG not in members:
         raise SourceMismatch("crate has no redacted interaction log")
-    redacted = parse_redacted_log(members["provenance/interaction_log.redacted.json"])
+    redacted = parse_redacted_log(members[_REDACTED_LOG])
     source = parse_log(Path(source_log_path).read_bytes())
 
     if source.run_id != redacted.run_id:

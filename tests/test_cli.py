@@ -443,6 +443,35 @@ def test_verify_with_source_log(tmp_path, capsys, demo_run):
     assert "SourceDerivation" in out
 
 
+# commands given a directory where they read or write one file
+DIRECTORY_FOR_A_FILE = {
+    "verify --source-log": lambda run_dir, crate, directory: [
+        "verify", str(crate), "--source-log", str(directory)],
+    "pack -o": lambda run_dir, crate, directory: [
+        "pack", "-o", str(directory), "--run-dir", str(run_dir)],
+    "taxonomy --config": lambda run_dir, crate, directory: [
+        "taxonomy", "--config", str(directory), "--stub", "taxonomy_demo", "--run-dir",
+        str(run_dir)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DIRECTORY_FOR_A_FILE))
+def test_directory_for_a_file_is_an_error_not_a_traceback(demo_copy, tmp_path, capsys, command):
+    run_dir, crate = demo_copy
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    capsys.readouterr()
+    assert cli.main(DIRECTORY_FOR_A_FILE[command](run_dir, crate, directory)) == 1
+    assert capsys.readouterr().err == f"error: {directory}: Is a directory\n"
+
+
+def test_missing_source_log_names_the_file(tmp_path, capsys, demo_run):
+    _, crate = demo_run
+    missing = tmp_path / "no-such-log.json"
+    assert cli.main(["verify", str(crate), "--source-log", str(missing)]) == 1
+    assert capsys.readouterr().err == f"error: missing file: {missing}\n"
+
+
 @pytest.mark.parametrize("field", sorted(PRIVATE_ONLY_FIELDS))
 def test_pack_refuses_a_redacted_log_with_private_fields(demo_copy, capsys, field):
     run_dir, _ = demo_copy

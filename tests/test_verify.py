@@ -183,6 +183,74 @@ def test_bundle_tamper_breaks_derivation(tmp_path, demo_run):
     assert result[CheckName.INPUT_DERIVATION] is CheckStatus.FAIL
 
 
+def test_public_tier_crate_verifies(tmp_path):
+    crate = run_pipeline(tmp_path / "run", label="public-demo", tier="public")
+    assert verify_crate(crate).overall is CheckStatus.PASS
+
+
+def test_unreadable_log_finding_names_the_log_once(tmp_path, demo_run):
+    _, crate = demo_run
+    members = read_crate_members(crate)
+    members["provenance/interaction_log.redacted.json"] = b""
+    tampered = tmp_path / "tampered.zip"
+    write_zip_deterministic(tampered, members)
+
+    hash_check = verify_crate(tampered).check(CheckName.HASH_INTEGRITY)
+    assert hash_check.findings[-1] == ("redacted log unreadable: "
+                                       "Expecting value: line 1 column 1 (char 0)")
+
+
+def _crate_without(tmp_path, crate, names, edit=None):
+    """A copy of ``crate`` without the members ``names`` or their manifest entries, so the
+    manifest still agrees with the archive; ``edit`` may change the manifest further."""
+    members = {name: data for name, data in read_crate_members(crate).items()
+               if name not in names}
+    manifest = json.loads(members[MANIFEST_NAME])
+    manifest["@graph"] = [node for node in manifest["@graph"] if node["@id"] not in names]
+    root = _node(manifest, "./")
+    root["hasPart"] = [ref for ref in root["hasPart"] if ref["@id"] not in names]
+    if edit is not None:
+        edit(manifest)
+    members[MANIFEST_NAME] = json.dumps(manifest).encode()
+    tampered = tmp_path / "tampered.zip"
+    write_zip_deterministic(tampered, members)
+    return tampered
+
+
+def test_card_removed_with_its_manifest_entry_fails_derivation(tmp_path, demo_run):
+    _, crate = demo_run
+    report = verify_crate(_crate_without(tmp_path, crate, ["card.md"]))
+    derivation = report.check(CheckName.INPUT_DERIVATION)
+    assert derivation.status is CheckStatus.FAIL
+    assert derivation.findings == ["card.md missing from crate"]
+    assert report.check(CheckName.HASH_INTEGRITY).status is CheckStatus.PASS
+    assert report.overall is CheckStatus.FAIL
+
+
+def _rename_audit_result(manifest):
+    _node(manifest, "#claim-audit")["result"] = [{"@id": "outputs/elsewhere.csv"}]
+
+
+ABSENT_ACTION_MEMBERS = {
+    "templates-removed": (["code/taxonomy.tmpl", "code/synthesis.tmpl"], None, [
+        "#taxonomy-invocation: code/taxonomy.tmpl is not a member of the crate",
+        "#synthesis-invocation: code/synthesis.tmpl is not a member of the crate"]),
+    "result-renamed": ([], _rename_audit_result, [
+        "#claim-audit: outputs/elsewhere.csv is not a member of the crate"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ABSENT_ACTION_MEMBERS))
+def test_action_naming_a_non_member_fails_hash_integrity(tmp_path, demo_run, case):
+    _, crate = demo_run
+    names, edit, expected = ABSENT_ACTION_MEMBERS[case]
+    report = verify_crate(_crate_without(tmp_path, crate, names, edit))
+    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    assert hash_check.status is CheckStatus.FAIL
+    assert [f for f in hash_check.findings if not f.startswith("skipped:")] == expected
+    assert report.overall is CheckStatus.FAIL
+
+
 def test_unreadable_archive(tmp_path):
     bogus = tmp_path / "not-a-zip.zip"
     bogus.write_bytes(b"this is not an archive")
