@@ -23,9 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, replace
-
-from .bundle import ID_PATTERN, InputBundle, restore
+from .bundle import ID_PATTERN, FrozenRecord, InputBundle, replace, restore
 from .errors import (AlreadySupported, IndexOutOfRange, MalformedChecklistEntry,
                      MalformedSyntax, MissingChecklist, MissingHeader)
 from enum import Enum
@@ -50,23 +48,20 @@ class AuditStatus(Enum):
 _STATUS_BY_VALUE = {status.value: status for status in AuditStatus}
 
 
-@dataclass(frozen=True)
-class ClaimEntry:
+class ClaimEntry(FrozenRecord):
     claim: str
     supporting_ids: tuple[str, ...]
     needs_human_check: bool
 
 
-@dataclass(frozen=True)
-class InlineCitation:
+class InlineCitation(FrozenRecord):
     citation: str
     note_id: str
     paragraph: int
     offset: int
 
 
-@dataclass(frozen=True)
-class DraftArtifact:
+class DraftArtifact(FrozenRecord):
     header: str
     body: tuple[str, ...]
     checklist: tuple[ClaimEntry, ...]
@@ -74,8 +69,7 @@ class DraftArtifact:
     body_markers: tuple[tuple[int, int], ...] = ()  # (paragraph index, char offset)
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(FrozenRecord):
     claim: str
     supporting_ids: tuple[str, ...]
     cited: tuple[tuple[str, str], ...]  # (citation text, pid) for ids known to the bundle

@@ -6,7 +6,7 @@ format is a single UTF-8 JSON object with exactly the top-level keys
 carries exactly the seven fields of NoteRecord. A taxonomy file is a JSON
 object with the single key ``clusters``.
 
-All types are immutable after construction and safe to share across tasks.
+All types are immutable records (``FrozenRecord``) and safe to share across tasks.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import KeysView
-from dataclasses import dataclass, field
+from functools import partial
 from json.encoder import encode_basestring
 
 from .errors import DoubleAssigned, MalformedSyntax, SchemaViolation, Uncovered, UnknownMember
@@ -31,12 +31,87 @@ _CLUSTER_FIELDS = ("name", "rationale", "member_ids")
 MIN_TARGET_WORDS = 50
 
 
+class FrozenInstanceError(AttributeError):
+    """A field of a frozen record was set or deleted."""
+
+
+class Record:
+    """A class whose annotated names are its fields. ``__init__`` takes them by position or
+    name, fills in defaults (calling a ``functools.partial`` one anew for each instance), then
+    calls ``__post_init__``. Equality and repr read the fields only, so an attribute that
+    ``__post_init__`` derives stays out of them."""
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        own = tuple(vars(cls).get("__annotations__", ()))
+        cls._fields += own
+        cls._defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls)}}
+
+    def __init__(self, *args, **kwargs):
+        # keywords naming every field in order are the state as they are: a fresh dict
+        state = kwargs if not args and tuple(kwargs) == self._fields else self._bind(args, kwargs)
+        object.__setattr__(self, "__dict__", state)
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> dict:
+        state = dict(zip(self._fields, args))
+        for field in self._fields[len(args):]:
+            if field not in kwargs and field not in self._defaults:
+                raise TypeError(f"{type(self).__name__}() missing argument {field!r}")
+            value = kwargs.pop(field, self._defaults.get(field))
+            state[field] = value() if isinstance(value, partial) else value
+        if kwargs or len(args) > len(self._fields):
+            raise TypeError(f"{type(self).__name__}() got too many, unexpected or repeated "
+                            f"arguments: {len(args)} positional, {sorted(kwargs)}")
+        return state
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, field) for field in self._fields])
+
+    def __eq__(self, other):  # with no __hash__ beside it, a mutable record is unhashable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({items})"
+
+
+class FrozenRecord(Record):
+    """A hashable record whose attributes cannot be set or deleted after ``__init__``."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+def fields(record) -> tuple[str, ...]:
+    """The field names of a record or record class, in order."""
+    return record._fields
+
+
+def replace(record, **changes):
+    """A new record with ``changes`` over ``record``'s fields; ``__post_init__`` runs again."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
+
+
 def restore(cls, state: dict):
-    """An instance of the frozen dataclass ``cls`` whose fields are ``state``.
+    """An instance of the record class ``cls`` whose fields are ``state``.
 
     Like ``copy`` and ``pickle``, it sets the instance's state without
-    ``__init__`` or ``__post_init__``, so ``state`` must hold every field,
-    already checked by the caller. ``state`` becomes the instance's
+    ``__init__`` or ``__post_init__``, so ``state`` must hold every field in
+    order, already checked by the caller. ``state`` becomes the instance's
     ``__dict__``: pass a fresh dict and keep no reference to it.
     """
     record = object.__new__(cls)
@@ -44,8 +119,7 @@ def restore(cls, state: dict):
     return record
 
 
-@dataclass(frozen=True)
-class NoteRecord:
+class NoteRecord(FrozenRecord):
     """One human-authored reading note; strengths/limitations/relation may be empty."""
 
     id: str
@@ -64,19 +138,17 @@ class NoteRecord:
                 raise SchemaViolation(f"note {self.id}: field '{field}' must be nonempty")
 
 
-@dataclass(frozen=True)
-class InputBundle:
+class InputBundle(FrozenRecord):
     """Validated bundle; ``note()`` is an O(1) lookup through an id -> note index.
 
-    The index is built once from ``notes`` and is left out of equality,
-    hashing and repr, so two bundles with equal fields stay equal.
+    The index ``_by_id`` is built once from ``notes`` and is not a field, so two
+    bundles with equal fields stay equal, hash alike and print alike.
     """
 
     title: str
     contribution: str
     target_words: int
     notes: tuple[NoteRecord, ...]
-    _by_id: dict[str, NoteRecord] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.notes:
@@ -105,15 +177,13 @@ class InputBundle:
         return self._by_id[note_id]
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(FrozenRecord):
     name: str
     rationale: str
     member_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Taxonomy:
+class Taxonomy(FrozenRecord):
     clusters: tuple[Cluster, ...]
 
 
@@ -239,7 +309,8 @@ def parse_taxonomy(raw: bytes, bundle: InputBundle) -> Taxonomy:
             raise MalformedSyntax(f"{where}: rationale must be a string")
         if not isinstance(member_ids, list) or not all(isinstance(m, str) for m in member_ids):
             raise MalformedSyntax(f"{where}: member_ids must be a list of strings")
-        clusters.append(Cluster(name=name, rationale=rationale, member_ids=tuple(member_ids)))
+        clusters.append(restore(Cluster, {"name": name, "rationale": rationale,
+                                          "member_ids": tuple(member_ids)}))
 
     known = bundle.known_ids
     assigned: set[str] = set()

@@ -19,13 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 # parse_bundle stays a module attribute: perfbench's traced-run test reads airo.cli.parse_bundle
-from .bundle import parse_bundle
+from .bundle import parse_bundle, replace
 from .errors import (EmptyResponse, FixtureMissing, RunLocked, StageOrder,
                      StageOutputInvalid, TemplateInvalid, ToolkitError, Transport)
 from .redact import Tier

@@ -11,11 +11,10 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .bundle import InputBundle, Taxonomy, parse_taxonomy
+from .bundle import FrozenRecord, InputBundle, Taxonomy, parse_taxonomy
 from .errors import (ConfigInvalid, DoubleAssigned, EmptyResponse, FixtureMissing,
                      MalformedSyntax, StageOutputInvalid, Transport, Uncovered, UnknownMember)
 from .provenance import Interface, ModelConfig, Stage, utc_now_rfc3339
@@ -39,8 +38,7 @@ def config_from_file(path: Path) -> ModelConfig:
         raise ConfigInvalid(f"{path}: {type(err).__name__}: {err}") from err
 
 
-@dataclass(frozen=True)
-class Invocation:
+class Invocation(FrozenRecord):
     stage: Stage
     prompt: RenderedPrompt
     response_text: str

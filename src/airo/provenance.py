@@ -14,12 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .bundle import InputBundle, canonical_bytes
+from .bundle import FrozenRecord, InputBundle, Record, canonical_bytes, restore
 from .errors import InvalidLabel, MalformedSyntax
 
 if TYPE_CHECKING:
@@ -47,8 +47,7 @@ class Interface(Enum):
     OFFLINE_STUB = "offline-stub"
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(FrozenRecord):
     interface: Interface
     model_name: str
     temperature: float
@@ -69,16 +68,7 @@ class ModelConfig:
             raise ValueError("endpoint must be nonempty for the openai-compatible interface")
 
     def to_dict(self) -> dict:
-        return {
-            "interface": self.interface.value,
-            "model_name": self.model_name,
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_tokens": self.max_tokens,
-            "endpoint": self.endpoint,
-            "seed": self.seed,
-            "stub_fixture": self.stub_fixture,
-        }
+        return {**vars(self), "interface": self.interface.value}  # keys in field order
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelConfig":
@@ -92,16 +82,16 @@ class ModelConfig:
                    stub_fixture=data.get("stub_fixture"))
 
 
-@dataclass(frozen=True)
-class Digest:
+class Digest(FrozenRecord):
     hex: str
     algorithm: str = "sha256"
 
-    def __post_init__(self):
-        if self.algorithm != "sha256":
-            raise ValueError(f"unsupported digest algorithm: {self.algorithm}")
-        if not _HEX_RE.fullmatch(self.hex):
+    def __init__(self, hex: str, algorithm: str = "sha256"):  # cheaper than Record's
+        if algorithm != "sha256":
+            raise ValueError(f"unsupported digest algorithm: {algorithm}")
+        if not _HEX_RE.fullmatch(hex):
             raise ValueError("digest hex must be 64 lowercase hexadecimal characters")
+        object.__setattr__(self, "__dict__", {"hex": hex, "algorithm": algorithm})
 
     def to_dict(self) -> dict:
         return {"algorithm": self.algorithm, "hex": self.hex}
@@ -112,15 +102,15 @@ class Digest:
 
 
 def sha256_hex(data: bytes) -> Digest:
-    return Digest(hex=hashlib.sha256(data).hexdigest())
+    # one per hashed member or text: hexdigest() is always valid, so skip __init__
+    return restore(Digest, {"hex": hashlib.sha256(data).hexdigest(), "algorithm": "sha256"})
 
 
 def sha256_of_text(text: str) -> Digest:
     return sha256_hex(text.encode("utf-8"))
 
 
-@dataclass(frozen=True)
-class InvocationRecord:
+class InvocationRecord(FrozenRecord):
     """One logged model interaction; digests are always present, the rest optional.
 
     A redacted record has no timestamps, source paths or host, and keeps raw
@@ -157,20 +147,11 @@ class InvocationRecord:
         return findings
 
     def to_dict(self) -> dict:
-        data = {
-            "stage": self.stage.value,
-            "config": self.config.to_dict(),
-            "prompt_sha256": self.prompt_sha256.to_dict(),
-            "response_sha256": self.response_sha256.to_dict(),
-            "bundle_sha256": self.bundle_sha256.to_dict(),
-            "started_at": self.started_at,
-            "ended_at": self.ended_at,
-            "attempt": self.attempt,
-            "prompt_text": self.prompt_text,
-            "response_text": self.response_text,
-            "source_paths": list(self.source_paths) if self.source_paths is not None else None,
-            "host_id": self.host_id,
-        }
+        data = {**vars(self), "stage": self.stage.value, "config": self.config.to_dict(),
+                "prompt_sha256": self.prompt_sha256.to_dict(),
+                "response_sha256": self.response_sha256.to_dict(),
+                "bundle_sha256": self.bundle_sha256.to_dict(),
+                "source_paths": list(self.source_paths) if self.source_paths is not None else None}
         return {key: value for key, value in data.items() if value is not None}
 
     @classmethod
@@ -205,14 +186,13 @@ class InvocationRecord:
         return record
 
 
-@dataclass
-class InteractionLog:
+class InteractionLog(Record):
     """A private log (``created_at`` set, records ordered by ``started_at``) or a
     redacted one (``policy`` and ``redacted_from_sha256`` set, ``created_at`` None)."""
 
     run_id: str
-    records: list[InvocationRecord] = field(default_factory=list)
-    created_at: str | None = field(default_factory=utc_now_rfc3339)
+    records: list[InvocationRecord] = partial(list)
+    created_at: str | None = partial(utc_now_rfc3339)
     policy: RedactionPolicy | None = None
     redacted_from_sha256: Digest | None = None
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
 from urllib.parse import urlsplit
 
+from .bundle import FrozenRecord, replace
 from .errors import MalformedSyntax
 from .provenance import Digest, InteractionLog, InvocationRecord, sha256_hex
 
@@ -26,8 +26,7 @@ class Tier(Enum):
     AUDITOR = "auditor"
 
 
-@dataclass(frozen=True)
-class RedactionPolicy:
+class RedactionPolicy(FrozenRecord):
     """The tier alone sets the policy: every tier drops timestamps, paths and host and
     generalizes the endpoint; only the auditor tier keeps raw text."""
 
@@ -115,8 +114,7 @@ def redact(log: InteractionLog, policy: RedactionPolicy) -> InteractionLog:
                           redacted_from_sha256=source_digest)
 
 
-@dataclass(frozen=True)
-class RedactionFinding:
+class RedactionFinding(FrozenRecord):
     field_path: str
     pattern: str
     excerpt: str

@@ -14,11 +14,10 @@ from __future__ import annotations
 import json
 import re
 import zipfile
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .bundle import canonical_bytes, parse_bundle
+from .bundle import FrozenRecord, canonical_bytes, parse_bundle
 from .errors import (CrateUnreadable, DanglingEntity, ManifestMalformed, ManifestMissing,
                      MissingSection, UnredactedLeak)
 from .provenance import Digest, parse_log, sha256_hex
@@ -30,6 +29,11 @@ MANIFEST_NAME = "ro-crate-metadata.json"
 
 # Fixed ZIP member metadata; zeroed within the format's limits (DOS epoch).
 _ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)
+
+# Every member pack writes besides the manifest; verify requires each of them.
+PACKED_MEMBERS = ("code/taxonomy.tmpl", "code/synthesis.tmpl", "inputs/bundle.json",
+                  "outputs/taxonomy.json", "outputs/draft.md", "outputs/audit.csv",
+                  "provenance/interaction_log.redacted.json", "card.md")
 
 CARD_SECTION_KEYS = ("intended_use", "human_oversight", "disclosure",
                      "limitations", "reproducibility_note")
@@ -48,15 +52,13 @@ class Role(Enum):
     PROVENANCE = "provenance"
 
 
-@dataclass(frozen=True)
-class FileEntity:
+class FileEntity(FrozenRecord):
     id: str
     role: Role
     sha256: Digest | None
 
 
-@dataclass(frozen=True)
-class ActionEntity:
+class ActionEntity(FrozenRecord):
     id: str
     name: str
     objects: tuple[str, ...]
@@ -64,14 +66,12 @@ class ActionEntity:
     log_record: int | None = None  # index into the packed redacted log
 
 
-@dataclass(frozen=True)
-class CrateManifest:
+class CrateManifest(FrozenRecord):
     entities: tuple[FileEntity, ...]
     actions: tuple[ActionEntity, ...]
 
 
-@dataclass(frozen=True)
-class InspectionCard:
+class InspectionCard(FrozenRecord):
     run_id: str
     research_topic: str
     model_configuration: dict
@@ -231,16 +231,12 @@ def pack(run_path: Path, policy: RedactionPolicy, out_path: Path | None = None) 
     run = rundir.RunDirectory(Path(run_path))
     state = run.load_state()
 
-    payload = {
-        "code/taxonomy.tmpl": (rundir.TAXONOMY_TMPL, Role.CODE),
-        "code/synthesis.tmpl": (rundir.SYNTHESIS_TMPL, Role.CODE),
-        "inputs/bundle.json": (rundir.BUNDLE, Role.DATA),
-        "outputs/taxonomy.json": (rundir.TAXONOMY_JSON, Role.DATA),
-        "outputs/draft.md": (rundir.DRAFT_MD, Role.DATA),
-        "outputs/audit.csv": (rundir.AUDIT_CSV, Role.DATA),
-        "provenance/interaction_log.redacted.json": (rundir.REDACTED_LOG, Role.PROVENANCE),
-        "card.md": (rundir.CARD_MD, Role.PROVENANCE),
-    }
+    # the run-directory source and role of each member, in PACKED_MEMBERS order
+    payload = dict(zip(PACKED_MEMBERS, (
+        (rundir.TAXONOMY_TMPL, Role.CODE), (rundir.SYNTHESIS_TMPL, Role.CODE),
+        (rundir.BUNDLE, Role.DATA), (rundir.TAXONOMY_JSON, Role.DATA),
+        (rundir.DRAFT_MD, Role.DATA), (rundir.AUDIT_CSV, Role.DATA),
+        (rundir.REDACTED_LOG, Role.PROVENANCE), (rundir.CARD_MD, Role.PROVENANCE)), strict=True))
 
     missing = [rel for rel, (src, _) in payload.items() if not run.file(src).is_file()]
     if missing:
@@ -333,7 +329,8 @@ def _parse_manifest_graph(data: dict) -> tuple[tuple[FileEntity, ...], tuple[Act
 def read_crate_members(archive: Path) -> dict[str, bytes]:
     """``{name: bytes}`` of every file member.
 
-    A name stored twice, or a member stored compressed, is CrateUnreadable.
+    A name stored twice, a member stored compressed or encrypted, and any archive
+    zipfile cannot read are CrateUnreadable.
     """
     try:
         with zipfile.ZipFile(archive) as zf:
@@ -351,9 +348,17 @@ def read_crate_members(archive: Path) -> dict[str, bytes]:
                     raise CrateUnreadable(f"archive {archive} stores member "
                                           f"{info.filename} compressed; crates are "
                                           f"stored uncompressed")
+                if info.flag_bits & 0x1:  # general purpose flag bit 0: encrypted
+                    raise CrateUnreadable(f"archive {archive} stores member "
+                                          f"{info.filename} encrypted; crates are not encrypted")
                 members[info.filename] = zf.read(info)
             return members
-    except (OSError, zipfile.BadZipFile) as err:
+    except EOFError as err:
+        raise CrateUnreadable(f"cannot read archive {archive}: a member's recorded size "
+                              f"runs past the end of the archive") from err
+    # UnicodeDecodeError: a member name flagged as UTF-8 that is not; NotImplementedError:
+    # a ZIP version or feature (strong encryption, patched data) zipfile does not support
+    except (OSError, UnicodeDecodeError, NotImplementedError, zipfile.BadZipFile) as err:
         raise CrateUnreadable(f"cannot read archive {archive}: {err}") from err
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
+from .bundle import Record
 from .errors import MalformedSyntax, PathExists, RunLocked, StageOrder
 from .provenance import RUN_ID_RE, new_run, utc_now_rfc3339
 
@@ -88,16 +89,14 @@ DEFAULT_DEMO_CONFIG = {
 }
 
 
-@dataclass
-class RunState:
+class RunState(Record):
     run_id: str
     label: str
     created_at: str
-    completed: list[str] = field(default_factory=list)
+    completed: list[str] = partial(list)
 
     def to_dict(self) -> dict:
-        return {"run_id": self.run_id, "label": self.label, "created_at": self.created_at,
-                "completed": self.completed}
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunState":

@@ -22,10 +22,9 @@ the literal text ``{{TITLE}}`` passes through as data.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
-from .bundle import InputBundle, Taxonomy
+from .bundle import FrozenRecord, InputBundle, Taxonomy
 from .errors import TemplateInvalid
 from .provenance import Stage
 
@@ -52,29 +51,25 @@ REQUIRED_PLACEHOLDERS = {
 PLACEMENT_FRACTION = 0.25
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(FrozenRecord):
     stage: Stage
     body: str
     constraint_block: str
     output_spec: str
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
+class RenderedPrompt(FrozenRecord):
     stage: Stage
     text: str
 
 
-@dataclass(frozen=True)
-class TemplateCheck:
+class TemplateCheck(FrozenRecord):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class TemplateReport:
+class TemplateReport(FrozenRecord):
     checks: tuple[TemplateCheck, ...]
 
     @property

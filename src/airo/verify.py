@@ -9,17 +9,17 @@ check. Verification never touches the network and never re-invokes a model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 from .audit import (AuditStatus, DraftArtifact, audit_draft, inline_findings, parse_draft,
                     read_audit_csv)
-from .bundle import InputBundle, canonical_bytes, parse_bundle, parse_taxonomy
+from .bundle import InputBundle, Record, canonical_bytes, parse_bundle, parse_taxonomy
 from .errors import SourceMismatch, ToolkitError
 from .provenance import InteractionLog, parse_log, sha256_hex
 from .redact import parse_redacted_log
-from .rocrate import card_bundle_digest, manifest_from_members, read_crate_members
+from .rocrate import PACKED_MEMBERS, card_bundle_digest, manifest_from_members, read_crate_members
 
 _REDACTED_LOG = "provenance/interaction_log.redacted.json"
 
@@ -38,15 +38,13 @@ class CheckStatus(Enum):
     FAIL = "Fail"
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     name: CheckName
     status: CheckStatus
-    findings: list[str] = field(default_factory=list)
+    findings: list[str] = partial(list)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     checks: list[CheckResult]
 
     @property
@@ -138,9 +136,10 @@ def _claim_mapping(members: dict[str, bytes], bundle: InputBundle | None,
 
 
 def _hash_integrity(members: dict[str, bytes]) -> tuple[CheckResult, InteractionLog | None]:
-    """4. Manifest digests match member bytes, every action names members of the crate, and
-    retained raw texts re-hash to the log's digest triple."""
-    findings: list[str] = []
+    """4. The crate holds every member pack writes, manifest digests match member bytes,
+    every action names members of the crate, and retained raw texts re-hash to the log."""
+    findings = [f"{name} missing from crate" for name in PACKED_MEMBERS
+                if name not in members and name != _REDACTED_LOG]  # _load names the log
     try:
         manifest = manifest_from_members(members)
     except ToolkitError as err:

@@ -1,18 +1,26 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airo.bundle import (InputBundle, NoteRecord, canonical_bytes, parse_bundle,
-                         parse_taxonomy)
+from airo.audit import AuditRow, AuditStatus, ClaimEntry, DraftArtifact, InlineCitation
+from airo.bundle import (Cluster, FrozenInstanceError, FrozenRecord, InputBundle, NoteRecord,
+                         Taxonomy, canonical_bytes, fields, parse_bundle, parse_taxonomy, replace)
 from airo.errors import (DoubleAssigned, MalformedSyntax, SchemaViolation, ToolkitError,
                          Uncovered, UnknownMember)
+from airo.invoke import Invocation
+from airo.provenance import Digest, InteractionLog, Interface, InvocationRecord, ModelConfig, Stage
+from airo.redact import RedactionFinding, RedactionPolicy, Tier
+from airo.rocrate import ActionEntity, CrateManifest, FileEntity, InspectionCard, Role
+from airo.rundir import RunState
+from airo.template import PromptTemplate, RenderedPrompt, TemplateCheck, TemplateReport
+from airo.verify import CheckName, CheckResult, CheckStatus
 from strategies import bundles, note_ids
 
 NOTE = {"id": "P1", "pid": "10.1/x", "citation": "Smith 2020", "summary": "s",
@@ -193,23 +201,35 @@ def test_parse_bundle_matches_the_field_by_field_reference(notes):
             assert vars(note) == vars(reference)
 
 
-def assert_same_record(parsed, constructed) -> None:
-    """``parsed`` cannot be told apart from ``constructed``, built by its constructor."""
+def _unhashable(record) -> None:
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+
+
+def assert_same_record(parsed, constructed, change=None, hashable=True) -> None:
+    """``parsed`` cannot be told apart from ``constructed``, built by its constructor.
+
+    ``change`` is a new value for the first field, its double by default. A record
+    with a dict field is unhashable; ``hashable=False`` checks that it is.
+    """
+    digest = hash if hashable else _unhashable
     assert type(parsed) is type(constructed)
     assert parsed == constructed and constructed == parsed
-    assert hash(parsed) == hash(constructed)
+    assert digest(parsed) == digest(constructed)
     assert repr(parsed) == repr(constructed)
     assert list(vars(parsed).items()) == list(vars(constructed).items())
     for twin in (copy.copy(parsed), copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed)),
-                 dataclasses.replace(parsed)):
+                 replace(parsed)):
         assert type(twin) is type(constructed)
-        assert twin == constructed and hash(twin) == hash(constructed)
-    first = dataclasses.fields(parsed)[0].name
-    changed = dataclasses.replace(parsed, **{first: getattr(parsed, first) * 2})
-    assert changed == dataclasses.replace(constructed, **{first: getattr(parsed, first) * 2})
-    with pytest.raises(dataclasses.FrozenInstanceError):
+        assert twin == constructed and digest(twin) == digest(constructed)
+    first = fields(parsed)[0]
+    change = getattr(parsed, first) * 2 if change is None else change
+    changed = replace(parsed, **{first: change})
+    assert changed == replace(constructed, **{first: change})
+    assert changed != constructed and getattr(changed, first) == change
+    with pytest.raises(FrozenInstanceError):
         setattr(parsed, first, getattr(parsed, first))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         delattr(parsed, first)
     assert parsed == constructed
 
@@ -220,6 +240,90 @@ def test_parsed_note_is_a_constructed_note():
     bundle = parse_bundle(make_raw(notes))
     for parsed, item in zip(bundle.notes, notes, strict=True):
         assert_same_record(parsed, NoteRecord(**item))
+
+
+_DIGEST = Digest("0" * 64)
+_CONFIG = ModelConfig(Interface.OFFLINE_STUB, "model", 0.2, 1.0, 100, "https://llm.example.org/v1",
+                      7, "taxonomy_demo")
+_CLAIM = ClaimEntry("claim", ("P1",), False)
+_CITATION = InlineCitation("Smith 2020", "P1", 0, 4)
+_FILE = FileEntity("inputs/bundle.json", Role.DATA, _DIGEST)
+_ACTION = ActionEntity("#audit", "audit", ("inputs/bundle.json",), ("outputs/audit.csv",), 1)
+_STARTED, _ENDED = "2026-01-01T00:00:00Z", "2026-01-01T00:00:01Z"
+
+# One instance of every frozen record class, as its field values in order, with a new
+# value for the first field where doubling that field's value is impossible or invalid.
+RECORD_SAMPLES = {
+    NoteRecord: (tuple(NOTE.values()), None),
+    InputBundle: (("t", "c", 300, (NoteRecord(**NOTE),)), None),
+    Cluster: (("methods", "why", ("P1",)), None),
+    Taxonomy: (((Cluster("methods", "why", ("P1",)),),), None),
+    ModelConfig: ((Interface.OFFLINE_STUB, "model", 0.2, 1.0, 100, "https://llm.example.org/v1",
+                   7, "taxonomy_demo"), Interface.OPENAI_COMPATIBLE),
+    Digest: (("0" * 64, "sha256"), "f" * 64),
+    InvocationRecord: ((Stage.TAXONOMY, _CONFIG, _DIGEST, _DIGEST, _DIGEST, _STARTED, _ENDED, 1,
+                        "prompt", "response", ("bundle.json",), "host"), Stage.SYNTHESIS),
+    ClaimEntry: (("claim", ("P1",), False), None),
+    InlineCitation: (("Smith 2020", "P1", 0, 4), None),
+    DraftArtifact: (("RELATED WORK (DRAFT)", ("body",), (_CLAIM,), (_CITATION,), ((0, 3),)), None),
+    AuditRow: (("claim", ("P1",), (("Smith 2020", "10.1/x"),), AuditStatus.SUPPORTED, "ok"), None),
+    RedactionPolicy: ((Tier.REVIEWER,), Tier.PUBLIC),
+    RedactionFinding: (("records[0].host_id", "local path", "/home/x"), None),
+    FileEntity: (("inputs/bundle.json", Role.DATA, _DIGEST), None),
+    ActionEntity: (("#audit", "audit", ("inputs/bundle.json",), ("outputs/audit.csv",), 1), None),
+    CrateManifest: (((_FILE,), (_ACTION,)), None),
+    InspectionCard: (("ro-demo", "topic", {"model_name": "model"}, ("card.md",), "use",
+                      "oversight", "disclosure", "limitations", "note"), None),
+    PromptTemplate: ((Stage.TAXONOMY, "body", "constraints", "spec"), Stage.SYNTHESIS),
+    RenderedPrompt: ((Stage.TAXONOMY, "prompt"), Stage.SYNTHESIS),
+    TemplateCheck: (("placeholders", True, "detail"), None),
+    TemplateReport: (((TemplateCheck("placeholders", True),),), None),
+    Invocation: ((Stage.TAXONOMY, RenderedPrompt(Stage.TAXONOMY, "prompt"), "response", _CONFIG,
+                  _STARTED, _ENDED, 1, False), Stage.SYNTHESIS),
+}
+
+
+def test_every_frozen_record_class_has_a_sample():
+    assert set(FrozenRecord.__subclasses__()) == set(RECORD_SAMPLES)
+
+
+@pytest.mark.parametrize("cls", sorted(RECORD_SAMPLES, key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_positional_record_is_a_keyword_record(cls):
+    values, change = RECORD_SAMPLES[cls]
+    assert len(values) == len(fields(cls))
+    assert_same_record(cls(*values), cls(**dict(zip(fields(cls), values))), change,
+                       hashable=cls is not InspectionCard)  # its model_configuration is a dict
+
+
+def test_mutable_records_take_fresh_defaults_and_stay_unhashable():
+    first = CheckResult(CheckName.HASH_INTEGRITY, CheckStatus.PASS)
+    second = CheckResult(name=CheckName.HASH_INTEGRITY, status=CheckStatus.PASS)
+    assert first == second and first.findings == [] and first.findings is not second.findings
+    first.findings.append("finding")
+    first.status = CheckStatus.FAIL
+    assert first != second and first == replace(second, status=CheckStatus.FAIL,
+                                                findings=["finding"])
+    assert repr(second) == ("CheckResult(name=<CheckName.HASH_INTEGRITY: 'HashIntegrity'>, "
+                            "status=<CheckStatus.PASS: 'Pass'>, findings=[])")
+    _unhashable(first)
+    assert RunState("ro-a", "a", _STARTED).completed == []
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", InteractionLog("ro-a").created_at)
+    assert InteractionLog("ro-a", created_at=None).created_at is None
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("P1",), {}, "missing argument 'pid'"),
+    ((*NOTE.values(), "extra"), {},
+     "got too many, unexpected or repeated arguments: 8 positional, []"),
+    ((), dict(NOTE, extra="x"),
+     "got too many, unexpected or repeated arguments: 0 positional, ['extra']"),
+    (("P1",), NOTE, "got too many, unexpected or repeated arguments: 1 positional, ['id']"),
+], ids=["missing", "too-many", "unexpected", "repeated"])
+def test_record_arguments_are_checked(args, kwargs, message):
+    with pytest.raises(TypeError) as raised:
+        NoteRecord(*args, **kwargs)
+    assert str(raised.value) == f"NoteRecord() {message}"
 
 
 def test_target_words_minimum():
@@ -258,7 +362,8 @@ def reference_canonical_bytes(bundle: InputBundle) -> bytes:
     """The json.dumps form that canonical_bytes writes by hand."""
     data = {"title": bundle.title, "contribution": bundle.contribution,
             "target_words": bundle.target_words,
-            "notes": [dataclasses.asdict(note) for note in bundle.notes]}
+            "notes": [{name: getattr(note, name) for name in fields(note)}
+                      for note in bundle.notes]}
     return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
                       allow_nan=False).encode("utf-8")
 
@@ -300,13 +405,13 @@ def test_note_index(bundle: InputBundle, other: InputBundle):
         bundle.note("Absent0")  # strategy ids are at most six characters
 
     # the index is invisible to equality, hashing, repr and the canonical form
-    twin = dataclasses.replace(bundle)
+    twin = replace(bundle)
     assert twin == bundle and hash(twin) == hash(bundle)
     assert repr(twin) == repr(bundle)
     assert "_by_id" not in repr(bundle)
     assert canonical_bytes(twin) == canonical_bytes(bundle)
 
-    rebuilt = dataclasses.replace(bundle, notes=other.notes)
+    rebuilt = replace(bundle, notes=other.notes)
     for note in other.notes:
         assert rebuilt.note(note.id) is note
     for note in bundle.notes:
@@ -315,7 +420,7 @@ def test_note_index(bundle: InputBundle, other: InputBundle):
                 rebuilt.note(note.id)
 
     with pytest.raises(SchemaViolation, match=f"duplicate id {bundle.notes[0].id}"):
-        dataclasses.replace(bundle, notes=bundle.notes + bundle.notes[:1])
+        replace(bundle, notes=bundle.notes + bundle.notes[:1])
 
 
 @given(st.binary(max_size=200))

@@ -520,7 +520,8 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exit_:
     code = exit_.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "airo")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "airo"),
+                  sorted({"dataclasses", "inspect"} & set(sys.modules))]))
 """
 
 
@@ -530,7 +531,8 @@ def test_verify_process_loads_only_the_verify_path(demo_run, help_only):
     argv = ["verify", "-h"] if help_only else ["verify", str(crate)]
     out = subprocess.run([sys.executable, "-c", _REPORT_AIRO_MODULES, *argv], env=_src_env(),
                          capture_output=True, text=True, check=True).stdout
-    code, loaded = json.loads(out.splitlines()[-1])
+    code, loaded, code_generation = json.loads(out.splitlines()[-1])
     assert code == 0
     assert not {"airo.invoke", "airo.template", "airo.rundir"} & set(loaded)
     assert set(loaded) <= VERIFY_PATH
+    assert code_generation == []  # records are built without dataclasses or inspect

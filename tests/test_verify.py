@@ -10,7 +10,8 @@ import pytest
 from airo import cli, rundir
 from airo.errors import CrateUnreadable, MalformedSyntax, SourceMismatch, ToolkitError
 from airo.provenance import parse_log, sha256_hex
-from airo.rocrate import MANIFEST_NAME, read_crate_members, write_zip_deterministic
+from airo.rocrate import (MANIFEST_NAME, PACKED_MEMBERS, read_crate_members,
+                          write_zip_deterministic)
 from airo.verify import (CheckName, CheckStatus, verify_against_source, verify_crate)
 
 from conftest import PRIVATE_ONLY_FIELDS, run_pipeline
@@ -183,6 +184,59 @@ def test_bundle_tamper_breaks_derivation(tmp_path, demo_run):
     assert result[CheckName.INPUT_DERIVATION] is CheckStatus.FAIL
 
 
+def _central_entry(data: bytes, name: str) -> int:
+    """The offset of member ``name``'s central directory header in the archive ``data``."""
+    end = data.rindex(b"PK\x05\x06")
+    offset, = struct.unpack_from("<I", data, end + 16)
+    while True:
+        name_length, extra_length, comment_length = struct.unpack_from("<HHH", data, offset + 28)
+        if data[offset + 46:offset + 46 + name_length] == name.encode():
+            return offset
+        offset += 46 + name_length + extra_length + comment_length
+
+
+def _set_flag(data: bytearray, entry: int, bit: int) -> None:
+    flags, = struct.unpack_from("<H", data, entry + 8)
+    struct.pack_into("<H", data, entry + 8, flags | bit)
+
+
+def _encrypted(data: bytearray, entry: int) -> None:
+    _set_flag(data, entry, 0x1)  # general purpose flag bit 0: encrypted
+
+
+def _name_not_utf8(data: bytearray, entry: int) -> None:
+    _set_flag(data, entry, 0x800)  # bit 11: the name is UTF-8, which 0xff never is
+    data[entry + 46] = 0xFF
+
+
+def _size_past_end(data: bytearray, entry: int) -> None:
+    struct.pack_into("<II", data, entry + 20, len(data), len(data))  # stored size, size
+
+
+def _version_unsupported(data: bytearray, entry: int) -> None:
+    data[entry + 6] = 0xFF  # version needed to extract: 25.5
+
+
+@pytest.mark.parametrize("hostile_edit",
+                         [_encrypted, _name_not_utf8, _size_past_end, _version_unsupported],
+                         ids=["encrypted", "name-not-utf-8", "size-past-end",
+                              "version-unsupported"])
+def test_hostile_archive_is_unreadable_not_a_crash(tmp_path, demo_run, capsys, hostile_edit):
+    run_dir, crate = demo_run
+    data = bytearray(crate.read_bytes())
+    hostile_edit(data, _central_entry(data, "outputs/draft.md"))
+    hostile = tmp_path / "hostile.zip"
+    hostile.write_bytes(bytes(data))
+
+    with pytest.raises(CrateUnreadable):
+        verify_crate(hostile)
+    with pytest.raises(CrateUnreadable):
+        verify_against_source(hostile, run_dir / rundir.INTERACTION_LOG)
+    capsys.readouterr()
+    assert cli.main(["verify", str(hostile)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_public_tier_crate_verifies(tmp_path):
     crate = run_pipeline(tmp_path / "run", label="public-demo", tier="public")
     assert verify_crate(crate).overall is CheckStatus.PASS
@@ -223,7 +277,34 @@ def test_card_removed_with_its_manifest_entry_fails_derivation(tmp_path, demo_ru
     derivation = report.check(CheckName.INPUT_DERIVATION)
     assert derivation.status is CheckStatus.FAIL
     assert derivation.findings == ["card.md missing from crate"]
-    assert report.check(CheckName.HASH_INTEGRITY).status is CheckStatus.PASS
+    hash_check = report.check(CheckName.HASH_INTEGRITY)  # pack always writes a card
+    assert hash_check.status is CheckStatus.FAIL
+    assert [f for f in hash_check.findings if not f.startswith("skipped:")] == [
+        "card.md missing from crate"]
+    assert report.overall is CheckStatus.FAIL
+
+
+def _drop_refs(names):
+    """A manifest edit that drops every action's references to ``names``."""
+    def edit(manifest):
+        for node in manifest["@graph"]:
+            for key in ("object", "result"):
+                if key in node:
+                    node[key] = [ref for ref in node[key] if ref["@id"] not in names]
+    return edit
+
+
+@pytest.mark.parametrize("names", [[name] for name in PACKED_MEMBERS]
+                         + [["code/taxonomy.tmpl", "code/synthesis.tmpl"]], ids="+".join)
+def test_crate_without_a_packed_member_fails_hash_integrity(tmp_path, demo_run, names):
+    # the member, its manifest entry and every reference to it are gone, so only the
+    # list of what pack writes can tell that it is missing
+    _, crate = demo_run
+    report = verify_crate(_crate_without(tmp_path, crate, names, _drop_refs(names)))
+    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    assert hash_check.status is CheckStatus.FAIL
+    assert [f for f in hash_check.findings if not f.startswith("skipped:")] == [
+        f"{name} missing from crate" for name in names]
     assert report.overall is CheckStatus.FAIL
 
 
@@ -233,6 +314,7 @@ def _rename_audit_result(manifest):
 
 ABSENT_ACTION_MEMBERS = {
     "templates-removed": (["code/taxonomy.tmpl", "code/synthesis.tmpl"], None, [
+        "code/taxonomy.tmpl missing from crate", "code/synthesis.tmpl missing from crate",
         "#taxonomy-invocation: code/taxonomy.tmpl is not a member of the crate",
         "#synthesis-invocation: code/synthesis.tmpl is not a member of the crate"]),
     "result-renamed": ([], _rename_audit_result, [
