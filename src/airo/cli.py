@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 # parse_bundle stays a module attribute: perfbench's traced-run test reads airo.cli.parse_bundle
 from .bundle import parse_bundle, replace
 from .errors import (EmptyResponse, FixtureMissing, RunLocked, StageOrder,
-                     StageOutputInvalid, TemplateInvalid, ToolkitError, Transport)
+                     StageOutputInvalid, TemplateInvalid, ToolkitError, Transport, read_utf8)
 from .redact import Tier
 
 if TYPE_CHECKING:
@@ -181,7 +181,7 @@ def cmd_audit(args) -> int:
     with run.lock():
         run.require("audit")
         bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
-        draft = parse_draft(run.file(rundir.DRAFT_MD).read_text(encoding="utf-8"))
+        draft = parse_draft(read_utf8(run.file(rundir.DRAFT_MD)))
         rows = audit_draft(draft, bundle)
         errors, info = inline_findings(draft, bundle)
         run.file(rundir.AUDIT_CSV).write_bytes(write_audit_csv(rows))
@@ -224,24 +224,21 @@ def cmd_resolve(args) -> int:
 def cmd_redact(args) -> int:
     from . import rundir
     from .provenance import parse_log
-    from .redact import RedactionPolicy, check_redaction, redact
+    from .redact import check_redaction, redact
 
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
         run.require("redact")
-        policy = RedactionPolicy.for_tier(args.tier)
-        log = parse_log(run.file(rundir.INTERACTION_LOG).read_bytes())
-        redacted = redact(log, policy)
-        # the auditor tier keeps raw text by design, so only a text-dropping tier is scanned
-        findings = check_redaction(redacted) if policy.drop_raw_text else []
+        tier = Tier(args.tier)
+        redacted = redact(parse_log(run.file(rundir.INTERACTION_LOG).read_bytes()), tier)
+        findings = check_redaction(redacted, tier)
         if findings:
             for finding in findings:
-                print(f"redaction finding: {finding.field_path}: {finding.pattern} "
-                      f"({finding.excerpt})", file=sys.stderr)
+                print(f"redaction finding: {finding}", file=sys.stderr)
             return EXIT_FAILURE
         run.file(rundir.REDACTED_LOG).write_bytes(redacted.to_bytes())
         run.mark_complete("redact")
-        print(f"wrote {rundir.REDACTED_LOG} (tier {policy.tier.value})")
+        print(f"wrote {rundir.REDACTED_LOG} (tier {tier.value})")
     return EXIT_OK
 
 
@@ -260,15 +257,13 @@ def cmd_card(args) -> int:
 
 def cmd_pack(args) -> int:
     from . import rundir
-    from .redact import RedactionPolicy
     from .rocrate import pack
 
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
         run.require("pack")
-        policy = RedactionPolicy.for_tier(args.tier)
         out = Path(args.output) if args.output else None
-        crate_path = pack(run.path, policy, out_path=out)
+        crate_path = pack(run.path, Tier(args.tier), out_path=out)
         run.mark_complete("pack")
         print(f"packed crate: {crate_path}")
     return EXIT_OK

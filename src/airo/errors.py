@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the file reader that raises one.
 
 Every failure a caller is expected to handle has a named class here; CLI
 exit codes are derived from these (see cli.py).
@@ -15,6 +15,15 @@ class ToolkitError(Exception):
 
 class MalformedSyntax(ToolkitError):
     """Input is not parseable at all (bad encoding, bad structure)."""
+
+
+def read_utf8(path) -> str:
+    """The file's text; bytes that are not UTF-8 are a MalformedSyntax naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as err:
+        raise MalformedSyntax(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
 
 
 class SchemaViolation(ToolkitError):

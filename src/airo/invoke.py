@@ -16,7 +16,8 @@ from typing import Callable, Mapping
 
 from .bundle import FrozenRecord, InputBundle, Taxonomy, parse_taxonomy
 from .errors import (ConfigInvalid, DoubleAssigned, EmptyResponse, FixtureMissing,
-                     MalformedSyntax, StageOutputInvalid, Transport, Uncovered, UnknownMember)
+                     MalformedSyntax, StageOutputInvalid, Transport, Uncovered, UnknownMember,
+                     read_utf8)
 from .provenance import Interface, ModelConfig, Stage, utc_now_rfc3339
 from .template import (RenderedPrompt, PromptTemplate,
                        render_synthesis_prompt, render_taxonomy_prompt)
@@ -79,7 +80,7 @@ def _read_stub_fixture(config: ModelConfig, fixtures: Mapping[str, str] | None,
     if fixtures_dir is not None:
         path = Path(fixtures_dir) / f"{name}.txt"
         if path.is_file():
-            return path.read_text(encoding="utf-8")
+            return read_utf8(path)
     raise FixtureMissing(f"stub fixture not found: {name}")
 
 

@@ -24,7 +24,7 @@ from .errors import InvalidLabel, MalformedSyntax
 
 if TYPE_CHECKING:
     from .invoke import Invocation
-    from .redact import RedactionPolicy
+    from .redact import Tier
 
 # Matched with fullmatch: a trailing newline is not part of a run id or digest.
 RUN_ID_RE = re.compile(r"ro-[a-z0-9-]+")
@@ -188,19 +188,19 @@ class InvocationRecord(FrozenRecord):
 
 class InteractionLog(Record):
     """A private log (``created_at`` set, records ordered by ``started_at``) or a
-    redacted one (``policy`` and ``redacted_from_sha256`` set, ``created_at`` None)."""
+    redacted one (``tier`` and ``redacted_from_sha256`` set, ``created_at`` None)."""
 
     run_id: str
     records: list[InvocationRecord] = partial(list)
     created_at: str | None = partial(utc_now_rfc3339)
-    policy: RedactionPolicy | None = None
+    tier: Tier | None = None
     redacted_from_sha256: Digest | None = None
 
     def __post_init__(self):
         if not RUN_ID_RE.fullmatch(self.run_id):
             raise ValueError(f"run_id must match 'ro-' + lowercase alphanumerics/hyphens, "
                              f"got {self.run_id!r}")
-        if self.policy is not None:
+        if self.tier is not None:
             if any(value is not None for r in self.records
                    for value in (r.started_at, r.ended_at, r.source_paths, r.host_id)):
                 raise ValueError("redacted log records carry no timestamps, paths or host")
@@ -217,10 +217,10 @@ class InteractionLog(Record):
         self.records.append(record)
 
     def to_dict(self) -> dict:
-        if self.policy is None:
+        if self.tier is None:
             head = {"run_id": self.run_id, "created_at": self.created_at}
         else:
-            head = {"run_id": self.run_id, "policy": self.policy.to_dict(),
+            head = {"run_id": self.run_id, "policy": self.tier.policy_dict(),
                     "redacted_from_sha256": self.redacted_from_sha256.to_dict()}
         return {**head, "records": [record.to_dict() for record in self.records]}
 

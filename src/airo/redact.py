@@ -13,7 +13,7 @@ import re
 from enum import Enum
 from urllib.parse import urlsplit
 
-from .bundle import FrozenRecord, replace
+from .bundle import replace
 from .errors import MalformedSyntax
 from .provenance import Digest, InteractionLog, InvocationRecord, sha256_hex
 
@@ -21,48 +21,37 @@ GENERALIZED_ENDPOINT = "generalized-endpoint"
 
 
 class Tier(Enum):
+    """A disclosure tier, which is the whole redaction policy: every tier drops
+    timestamps, paths and host and generalizes the endpoint; only the auditor
+    tier keeps raw text."""
+
     PUBLIC = "public"
     REVIEWER = "reviewer"
     AUDITOR = "auditor"
 
-
-class RedactionPolicy(FrozenRecord):
-    """The tier alone sets the policy: every tier drops timestamps, paths and host and
-    generalizes the endpoint; only the auditor tier keeps raw text."""
-
-    tier: Tier
-    drop_timestamps = True
-    drop_paths_and_host = True
-    generalize_endpoint = True
-
     @property
     def drop_raw_text(self) -> bool:
-        return self.tier is not Tier.AUDITOR
+        return self is not Tier.AUDITOR
+
+    def policy_dict(self) -> dict:
+        """The ``policy`` object of a log redacted at this tier, all five flags spelled out."""
+        return {"tier": self.value, "drop_timestamps": True, "drop_raw_text": self.drop_raw_text,
+                "drop_paths_and_host": True, "generalize_endpoint": True}
 
     @classmethod
-    def for_tier(cls, tier: Tier | str) -> "RedactionPolicy":
-        return cls(tier=Tier(tier))
-
-    def to_dict(self) -> dict:
-        return {"tier": self.tier.value, "drop_timestamps": self.drop_timestamps,
-                "drop_raw_text": self.drop_raw_text,
-                "drop_paths_and_host": self.drop_paths_and_host,
-                "generalize_endpoint": self.generalize_endpoint}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RedactionPolicy":
-        """The policy of ``data["tier"]``; flags that contradict the tier are a ValueError."""
-        policy = cls.for_tier(data["tier"])
-        if data != policy.to_dict():
-            raise ValueError(f"redaction flags do not match tier {policy.tier.value!r}")
-        return policy
+    def from_policy_dict(cls, data: dict) -> "Tier":
+        """The tier of a stored ``policy`` object; flags that contradict it are a ValueError."""
+        tier = cls(data["tier"])
+        if data != tier.policy_dict():
+            raise ValueError(f"redaction flags do not match tier {tier.value!r}")
+        return tier
 
 
 def parse_redacted_log(raw: bytes) -> InteractionLog:
     try:
         data = json.loads(raw.decode("utf-8"))
         return InteractionLog(run_id=data["run_id"], created_at=None,
-                              policy=RedactionPolicy.from_dict(data["policy"]),
+                              tier=Tier.from_policy_dict(data["policy"]),
                               redacted_from_sha256=Digest.from_dict(data["redacted_from_sha256"]),
                               records=[InvocationRecord.from_dict(r) for r in data["records"]])
     except (ValueError, KeyError, TypeError) as err:
@@ -97,49 +86,59 @@ def generalize_endpoint(endpoint: str, tier: Tier) -> str:
     return f"{split.scheme}://{registrable}"
 
 
-def redact(log: InteractionLog, policy: RedactionPolicy) -> InteractionLog:
-    """Apply a policy; idempotent when re-applied to an already-redacted log."""
-    keep_text = not policy.drop_raw_text
+def redact(log: InteractionLog, tier: Tier) -> InteractionLog:
+    """Redact for release at ``tier``; idempotent when re-applied to an already-redacted log."""
+    keep_text = not tier.drop_raw_text
     records = []
     for record in log.records:
-        endpoint = generalize_endpoint(record.config.endpoint, policy.tier)
+        endpoint = generalize_endpoint(record.config.endpoint, tier)
         records.append(replace(
             record, config=replace(record.config, endpoint=endpoint),
             started_at=None, ended_at=None, source_paths=None, host_id=None,
             prompt_text=record.prompt_text if keep_text else None,
             response_text=record.response_text if keep_text else None))
-    source_digest = (sha256_hex(log.canonical_bytes()) if log.policy is None
+    source_digest = (sha256_hex(log.canonical_bytes()) if log.tier is None
                      else log.redacted_from_sha256)
-    return InteractionLog(run_id=log.run_id, records=records, created_at=None, policy=policy,
+    return InteractionLog(run_id=log.run_id, records=records, created_at=None, tier=tier,
                           redacted_from_sha256=source_digest)
 
 
-class RedactionFinding(FrozenRecord):
-    field_path: str
-    pattern: str
-    excerpt: str
-
-
-# Shapes that should never survive redaction in machine-written fields.
+# Shapes that should never survive redaction in machine-written fields. Each one holds a
+# ':' or a '/', so the scan searches only the fields that hold either.
 BUILTIN_SHAPES = {
     "timestamp": r"\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}:\d{2}",
     "local path": r"(?:/home/|/Users/|/tmp/|/var/|[A-Za-z]:\\Users\\)\S*",
 }
 
 
-def check_redaction(redacted: InteractionLog) -> list[RedactionFinding]:
-    """Scan every retained text field for the built-in shapes; empty result = pass."""
+def check_redaction(redacted: InteractionLog, tier: Tier) -> list[str]:
+    """What a redacted log released at ``tier`` may not hold; an empty list passes.
+
+    In order: raw text at a text-dropping tier, a log redacted at another tier,
+    an endpoint ``generalize_endpoint`` would still change, and, at text-dropping
+    tiers only, a timestamp or local-path shape in any retained field. The auditor
+    tier keeps raw texts by design, so a shape scan there would be thrown away.
+    """
+    records = list(enumerate(redacted.records))
+    findings = [f"redacted log record {index} retains raw text under a text-dropping policy "
+                f"(tier {tier.value})" for index, record in records
+                if tier.drop_raw_text and (record.prompt_text is not None
+                                           or record.response_text is not None)]
+    if redacted.tier is not tier:
+        findings.append(f"redacted log is at tier {redacted.tier.value}, not the requested "
+                        f"{tier.value}")
+    # generalize_endpoint is idempotent, so a redacted endpoint maps to itself
+    findings += [f"redacted log record {index} carries a non-generalized endpoint"
+                 for index, record in records if record.config.endpoint
+                 and record.config.endpoint != generalize_endpoint(record.config.endpoint, tier)]
+    if not tier.drop_raw_text:
+        return findings
     patterns = [(name, re.compile(expr)) for name, expr in BUILTIN_SHAPES.items()]
 
-    findings: list[RedactionFinding] = []
-
     def walk(value, path: str) -> None:
-        if isinstance(value, str):
-            for name, pattern in patterns:
-                match = pattern.search(value)
-                if match:
-                    findings.append(RedactionFinding(field_path=path, pattern=name,
-                                                     excerpt=match.group(0)[:80]))
+        if isinstance(value, str) and (":" in value or "/" in value):
+            findings.extend(f"{path}: {name} ({match.group(0)[:80]})" for name, pattern in patterns
+                            if (match := pattern.search(value)))
         elif isinstance(value, dict):
             for key, item in value.items():
                 walk(item, f"{path}.{key}" if path else key)

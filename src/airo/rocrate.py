@@ -18,10 +18,10 @@ from enum import Enum
 from pathlib import Path
 
 from .bundle import FrozenRecord, canonical_bytes, parse_bundle
-from .errors import (CrateUnreadable, DanglingEntity, ManifestMalformed, ManifestMissing,
-                     MissingSection, UnredactedLeak)
+from .errors import (CrateUnreadable, DanglingEntity, MalformedSyntax, ManifestMalformed,
+                     ManifestMissing, MissingSection, UnredactedLeak, read_utf8)
 from .provenance import Digest, parse_log, sha256_hex
-from .redact import RedactionPolicy, Tier, generalize_endpoint, parse_redacted_log
+from .redact import Tier, check_redaction, generalize_endpoint, parse_redacted_log
 
 ROCRATE_CONTEXT = "https://w3id.org/ro/crate/1.1/context"
 ROCRATE_CONFORMS_TO = "https://w3id.org/ro/crate/1.1"
@@ -137,13 +137,15 @@ def build_card(run_path: Path) -> InspectionCard:
     config = log.records[-1].config
 
     sections_path = run.file(rundir.CARD_SECTIONS)
-    sections = json.loads(sections_path.read_text(encoding="utf-8")) if sections_path.is_file() else {}
-    narrative = {}
-    for key in CARD_SECTION_KEYS:
-        value = str(sections.get(key, "")).strip()
+    try:
+        sections = json.loads(read_utf8(sections_path)) if sections_path.is_file() else {}
+        narrative = {key: str(sections.get(key, "")).strip() for key in CARD_SECTION_KEYS}
+    except (ValueError, AttributeError) as err:  # not JSON, or JSON but not an object
+        raise MalformedSyntax(f"{sections_path}: not a JSON object of card sections ({err})"
+                              ) from err
+    for key, value in narrative.items():
         if not value:
             raise MissingSection(_CARD_SECTION_TITLES[key])
-        narrative[key] = value
     if not bundle.title.strip():
         raise MissingSection("Research Topic")
 
@@ -224,8 +226,9 @@ def write_zip_deterministic(path: Path, members: dict[str, bytes]) -> None:
             archive.writestr(info, members[name])
 
 
-def pack(run_path: Path, policy: RedactionPolicy, out_path: Path | None = None) -> Path:
-    """Package the run at the given redaction tier; deterministic by construction."""
+def pack(run_path: Path, tier: Tier, out_path: Path | None = None) -> Path:
+    """Package the run at ``tier``; deterministic by construction. A redacted log that
+    ``check_redaction`` faults for ``tier`` is an UnredactedLeak."""
     from . import rundir
 
     run = rundir.RunDirectory(Path(run_path))
@@ -248,23 +251,10 @@ def pack(run_path: Path, policy: RedactionPolicy, out_path: Path | None = None) 
         members[member_name] = run.file(source).read_bytes()
         roles[member_name] = role
 
-    # leak gate: no raw texts under a dropping policy, no log of another tier
     redacted = parse_redacted_log(members["provenance/interaction_log.redacted.json"])
-    if policy.drop_raw_text:
-        for index, record in enumerate(redacted.records):
-            if record.prompt_text is not None or record.response_text is not None:
-                raise UnredactedLeak(f"redacted log record {index} retains raw text under a "
-                                     f"text-dropping policy (tier {policy.tier.value}); "
-                                     f"re-run redact at the requested tier")
-    if redacted.policy.tier is not policy.tier:
-        raise UnredactedLeak(f"redacted log is at tier {redacted.policy.tier.value}, not the "
-                             f"requested {policy.tier.value}; re-run redact at the requested tier")
-    for index, record in enumerate(redacted.records):
-        endpoint = record.config.endpoint
-        # generalize_endpoint is idempotent, so a redacted endpoint maps to itself
-        if endpoint and endpoint != generalize_endpoint(endpoint, redacted.policy.tier):
-            raise UnredactedLeak(f"redacted log record {index} carries a non-generalized "
-                                 f"endpoint")
+    leaks = check_redaction(redacted, tier)
+    if leaks:
+        raise UnredactedLeak(f"{leaks[0]}; re-run redact at the requested tier")
 
     actions = [
         ActionEntity(id="#taxonomy-invocation", name="taxonomy stage model invocation",
@@ -336,6 +326,8 @@ def read_crate_members(archive: Path) -> dict[str, bytes]:
         with zipfile.ZipFile(archive) as zf:
             members: dict[str, bytes] = {}
             for info in zf.infolist():
+                if not info.filename:  # ZipInfo.is_dir would raise IndexError on it
+                    raise CrateUnreadable(f"archive {archive} stores a member with no name")
                 if info.is_dir():
                     continue
                 if info.filename in members:

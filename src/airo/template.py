@@ -25,7 +25,7 @@ import re
 from pathlib import Path
 
 from .bundle import FrozenRecord, InputBundle, Taxonomy
-from .errors import TemplateInvalid
+from .errors import TemplateInvalid, read_utf8
 from .provenance import Stage
 
 PLACEHOLDER_RE = re.compile(r"\{\{([A-Z][A-Z0-9_]*)\}\}")
@@ -123,7 +123,7 @@ def parse_template(text: str) -> PromptTemplate:
 
 
 def load_template(path: Path) -> PromptTemplate:
-    return parse_template(Path(path).read_text(encoding="utf-8"))
+    return parse_template(read_utf8(path))
 
 
 def default_template_text(stage: Stage) -> str:

@@ -18,7 +18,7 @@ from .audit import (AuditStatus, DraftArtifact, audit_draft, inline_findings, pa
 from .bundle import InputBundle, Record, canonical_bytes, parse_bundle, parse_taxonomy
 from .errors import SourceMismatch, ToolkitError
 from .provenance import InteractionLog, parse_log, sha256_hex
-from .redact import parse_redacted_log
+from .redact import check_redaction, parse_redacted_log
 from .rocrate import PACKED_MEMBERS, card_bundle_digest, manifest_from_members, read_crate_members
 
 _REDACTED_LOG = "provenance/interaction_log.redacted.json"
@@ -137,7 +137,8 @@ def _claim_mapping(members: dict[str, bytes], bundle: InputBundle | None,
 
 def _hash_integrity(members: dict[str, bytes]) -> tuple[CheckResult, InteractionLog | None]:
     """4. The crate holds every member pack writes, manifest digests match member bytes,
-    every action names members of the crate, and retained raw texts re-hash to the log."""
+    every action names members of the crate, retained raw texts re-hash to the log, and
+    the log holds nothing its own tier may not release."""
     findings = [f"{name} missing from crate" for name in PACKED_MEMBERS
                 if name not in members and name != _REDACTED_LOG]  # _load names the log
     try:
@@ -162,12 +163,13 @@ def _hash_integrity(members: dict[str, bytes]) -> tuple[CheckResult, Interaction
         for index, record in enumerate(redacted.records):
             findings.extend(f"log record {index}: {finding}"
                             for finding in record.linkage_findings())
+        findings.extend(check_redaction(redacted, redacted.tier))
     result = _result(CheckName.HASH_INTEGRITY, findings)
     # the tier-skip is reported as a finding but does not decide the status
     if redacted is not None and all(r.prompt_text is None and r.response_text is None
                                     for r in redacted.records):
         result.findings.append(f"skipped: raw-text re-hash not possible at tier "
-                               f"'{redacted.policy.tier.value}' (texts redacted)")
+                               f"'{redacted.tier.value}' (texts redacted)")
     return result, redacted
 
 

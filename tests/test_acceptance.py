@@ -20,7 +20,7 @@ from airo.bundle import canonical_bytes, parse_bundle
 from airo.errors import DanglingEntity
 from airo.invoke import Interface, ModelConfig
 from airo.provenance import (InteractionLog, InvocationRecord, sha256_hex, sha256_of_text)
-from airo.redact import RedactionPolicy, Tier, redact
+from airo.redact import Tier, redact
 from airo.rocrate import (MANIFEST_NAME, Role, build_card, pack, read_crate_members,
                           read_manifest, write_zip_deterministic)
 from airo.template import Stage
@@ -169,10 +169,9 @@ TIMESTAMP_SHAPE = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}")
 
 @criterion(5, "reviewer-tier redaction removes all raw text, timestamps, paths, hosts")
 def test_c5_redaction_completeness():
-    policy = RedactionPolicy.for_tier(Tier.REVIEWER)
     for seed in range(25):
         log, secrets = _random_log(seed)
-        redacted = redact(log, policy)
+        redacted = redact(log, Tier.REVIEWER)
         serialized = redacted.to_bytes().decode("utf-8")
         assert not TIMESTAMP_SHAPE.search(serialized)
         for secret in secrets:
@@ -187,11 +186,10 @@ def test_c5_redaction_completeness():
 @criterion(6, "packing identical run directories is byte-identical (5 repetitions)")
 def test_c6_packing_determinism(demo_copy):
     run_dir, _ = demo_copy
-    policy = RedactionPolicy.for_tier(Tier.REVIEWER)
     digests = set()
     for repetition in range(5):
         out = run_dir / f"repack-{repetition}.zip"
-        digests.add(sha256_hex(pack(run_dir, policy, out_path=out).read_bytes()).hex)
+        digests.add(sha256_hex(pack(run_dir, Tier.REVIEWER, out_path=out).read_bytes()).hex)
     assert len(digests) == 1
 
 

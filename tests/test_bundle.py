@@ -16,7 +16,6 @@ from airo.errors import (DoubleAssigned, MalformedSyntax, SchemaViolation, Toolk
                          Uncovered, UnknownMember)
 from airo.invoke import Invocation
 from airo.provenance import Digest, InteractionLog, Interface, InvocationRecord, ModelConfig, Stage
-from airo.redact import RedactionFinding, RedactionPolicy, Tier
 from airo.rocrate import ActionEntity, CrateManifest, FileEntity, InspectionCard, Role
 from airo.rundir import RunState
 from airo.template import PromptTemplate, RenderedPrompt, TemplateCheck, TemplateReport
@@ -267,8 +266,6 @@ RECORD_SAMPLES = {
     InlineCitation: (("Smith 2020", "P1", 0, 4), None),
     DraftArtifact: (("RELATED WORK (DRAFT)", ("body",), (_CLAIM,), (_CITATION,), ((0, 3),)), None),
     AuditRow: (("claim", ("P1",), (("Smith 2020", "10.1/x"),), AuditStatus.SUPPORTED, "ok"), None),
-    RedactionPolicy: ((Tier.REVIEWER,), Tier.PUBLIC),
-    RedactionFinding: (("records[0].host_id", "local path", "/home/x"), None),
     FileEntity: (("inputs/bundle.json", Role.DATA, _DIGEST), None),
     ActionEntity: (("#audit", "audit", ("inputs/bundle.json",), ("outputs/audit.csv",), 1), None),
     CrateManifest: (((_FILE,), (_ACTION,)), None),

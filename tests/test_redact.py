@@ -7,8 +7,8 @@ import pytest
 
 from airo.invoke import Interface, ModelConfig
 from airo.provenance import InteractionLog, InvocationRecord, sha256_of_text
-from airo.redact import (GENERALIZED_ENDPOINT, RedactionPolicy, Tier, check_redaction,
-                         generalize_endpoint, parse_redacted_log, redact)
+from airo.redact import (GENERALIZED_ENDPOINT, Tier, check_redaction, generalize_endpoint,
+                         parse_redacted_log, redact)
 from airo.template import Stage
 
 
@@ -51,26 +51,27 @@ def test_serialized_log_bytes_are_pinned():
     assert digest(make_log().to_bytes()) == GOLDEN_SHA256["private"]
     assert digest(make_log().canonical_bytes()) == GOLDEN_SHA256["canonical"]
     for tier in Tier:
-        redacted = redact(make_log(), RedactionPolicy.for_tier(tier))
+        redacted = redact(make_log(), tier)
         assert digest(redacted.to_bytes()) == GOLDEN_SHA256[tier], tier
 
 
 def test_tier_flag_invariants():
     # the tier sets every flag; stored flags that contradict it are rejected on load
     for tier in Tier:
-        stored = RedactionPolicy.for_tier(tier).to_dict()
-        assert RedactionPolicy.from_dict(stored) == RedactionPolicy.for_tier(tier)
+        stored = tier.policy_dict()
+        assert Tier.from_policy_dict(stored) is tier
         for flag in ("drop_timestamps", "drop_raw_text", "drop_paths_and_host",
                      "generalize_endpoint"):
             with pytest.raises(ValueError):
-                RedactionPolicy.from_dict({**stored, flag: not stored[flag]})
-    auditor = RedactionPolicy.for_tier("auditor")
+                Tier.from_policy_dict({**stored, flag: not stored[flag]})
+    auditor = Tier("auditor")
     assert not auditor.drop_raw_text
-    assert auditor.drop_timestamps and auditor.drop_paths_and_host
+    stored = auditor.policy_dict()
+    assert stored["drop_timestamps"] and stored["drop_paths_and_host"]
 
 
 def test_reviewer_redaction_drops_texts_timestamps_paths():
-    redacted = redact(make_log(), RedactionPolicy.for_tier(Tier.REVIEWER))
+    redacted = redact(make_log(), Tier.REVIEWER)
     assert len(redacted.records) == 2
     data = redacted.to_dict()
     for record in data["records"]:
@@ -86,7 +87,7 @@ def test_reviewer_redaction_drops_texts_timestamps_paths():
 
 def test_digest_triples_preserved_bitwise():
     log = make_log()
-    redacted = redact(log, RedactionPolicy.for_tier(Tier.REVIEWER))
+    redacted = redact(log, Tier.REVIEWER)
     for source, red in zip(log.records, redacted.records):
         assert source.prompt_sha256 == red.prompt_sha256
         assert source.response_sha256 == red.response_sha256
@@ -128,12 +129,12 @@ def test_endpoint_generalization_per_host(endpoint, tier):
 
 
 def test_public_tier_collapses_endpoint_to_constant():
-    redacted = redact(make_log(), RedactionPolicy.for_tier(Tier.PUBLIC))
+    redacted = redact(make_log(), Tier.PUBLIC)
     assert all(r.config.endpoint == GENERALIZED_ENDPOINT for r in redacted.records)
 
 
 def test_auditor_keeps_raw_text_drops_timestamps():
-    redacted = redact(make_log(), RedactionPolicy.for_tier(Tier.AUDITOR))
+    redacted = redact(make_log(), Tier.AUDITOR)
     record = redacted.records[0]
     assert record.prompt_text is not None and record.response_text is not None
     assert "started_at" not in record.to_dict()
@@ -142,43 +143,78 @@ def test_auditor_keeps_raw_text_drops_timestamps():
 
 def test_redaction_idempotent():
     for tier in Tier:
-        policy = RedactionPolicy.for_tier(tier)
-        once = redact(make_log(), policy)
-        twice = redact(once, policy)
+        once = redact(make_log(), tier)
+        twice = redact(once, tier)
         assert twice == once
 
 
 def test_redacted_from_links_to_source_log():
     from airo.provenance import sha256_hex
     log = make_log()
-    redacted = redact(log, RedactionPolicy.for_tier(Tier.REVIEWER))
+    redacted = redact(log, Tier.REVIEWER)
     assert redacted.redacted_from_sha256 == sha256_hex(log.canonical_bytes())
 
 
 def test_redacted_log_serialization_round_trip():
-    redacted = redact(make_log(), RedactionPolicy.for_tier(Tier.REVIEWER))
+    redacted = redact(make_log(), Tier.REVIEWER)
     parsed = parse_redacted_log(redacted.to_bytes())
     assert parsed == redacted
 
 
 def test_check_redaction_flags_paths_and_timestamps():
-    redacted = redact(make_log(), RedactionPolicy.for_tier(Tier.REVIEWER))
-    assert check_redaction(redacted) == []
+    redacted = redact(make_log(), Tier.REVIEWER)
+    assert check_redaction(redacted, Tier.REVIEWER) == []
 
     # sneak a path and a timestamp into retained fields via raw json surgery
     data = json.loads(redacted.to_bytes())
     data["records"][0]["config"]["model_name"] = "/home/alice/secret-model"
     data["records"][1]["config"]["model_name"] = "built 2025-01-02T03:04:05Z"
     doctored = parse_redacted_log(json.dumps(data).encode())
-    findings = check_redaction(doctored)
-    patterns = {finding.pattern for finding in findings}
+    findings = check_redaction(doctored, Tier.REVIEWER)
+    patterns = {finding.partition(": ")[2].partition(" (")[0] for finding in findings}
     assert "local path" in patterns and "timestamp" in patterns
-    assert any("records[0]" in finding.field_path for finding in findings)
+    assert any("records[0]" in finding.partition(": ")[0] for finding in findings)
+
+
+OTHER_TIER = {Tier.PUBLIC: Tier.REVIEWER, Tier.REVIEWER: Tier.AUDITOR, Tier.AUDITOR: Tier.PUBLIC}
+
+# case -> (edit of a redacted log's JSON, findings at a text-dropping tier, at auditor tier)
+LEAK_CASES = {
+    "clean": (lambda data: None, [], []),
+    "raw text": (lambda data: data["records"][0].update(prompt_text="the raw prompt"),
+                 ["redacted log record 0 retains raw text under a text-dropping policy "
+                  "(tier {tier})"], []),
+    "other tier": (lambda data: data.update(
+                       policy=OTHER_TIER[Tier(data["policy"]["tier"])].policy_dict()),
+                   ["redacted log is at tier {other}, not the requested {tier}"],
+                   ["redacted log is at tier {other}, not the requested {tier}"]),
+    "raw endpoint": (lambda data: data["records"][0]["config"].update(
+                         endpoint="https://inference.internal.lab:8443/v1"),
+                     ["redacted log record 0 carries a non-generalized endpoint"],
+                     ["redacted log record 0 carries a non-generalized endpoint"]),
+    "path shape": (lambda data: data["records"][0]["config"].update(
+                       model_name="/home/alice/secret-model"),
+                   ["records[0].config.model_name: local path (/home/alice/secret-model)"], []),
+    "timestamp shape": (lambda data: data["records"][1]["config"].update(
+                            model_name="built 2025-01-02T03:04:05Z"),
+                        ["records[1].config.model_name: timestamp (2025-01-02T03:04:05)"], []),
+}
+
+
+@pytest.mark.parametrize("case", list(LEAK_CASES))
+@pytest.mark.parametrize("tier", list(Tier), ids=lambda tier: tier.value)
+def test_check_redaction_per_tier_and_leak(tier, case):
+    edit, dropping, auditor = LEAK_CASES[case]
+    data = json.loads(redact(make_log(), tier).to_bytes())
+    edit(data)
+    expected = dropping if tier.drop_raw_text else auditor
+    assert check_redaction(parse_redacted_log(json.dumps(data).encode()), tier) == [
+        finding.format(tier=tier.value, other=OTHER_TIER[tier].value) for finding in expected]
 
 
 def test_reviewer_completeness_on_fixture():
     log = make_log()
-    serialized = redact(log, RedactionPolicy.for_tier(Tier.REVIEWER)).to_bytes().decode()
+    serialized = redact(log, Tier.REVIEWER).to_bytes().decode()
     for record in log.records:
         assert record.prompt_text not in serialized
         assert record.response_text not in serialized

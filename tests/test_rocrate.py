@@ -15,7 +15,7 @@ from airo.bundle import canonical_bytes, parse_bundle
 from airo.errors import (DanglingEntity, ManifestMalformed, ManifestMissing, MissingSection,
                          UnredactedLeak)
 from airo.provenance import sha256_hex
-from airo.redact import GENERALIZED_ENDPOINT, RedactionPolicy, Tier
+from airo.redact import GENERALIZED_ENDPOINT, Tier
 from airo.rocrate import (MANIFEST_NAME, Role, build_card, card_bundle_digest, pack,
                           read_crate_members, read_manifest, write_zip_deterministic)
 
@@ -75,9 +75,8 @@ def test_pack_contents_and_membership(demo_run):
 
 def test_pack_deterministic(demo_copy):
     run_dir, _ = demo_copy
-    policy = RedactionPolicy.for_tier(Tier.REVIEWER)
-    first = pack(run_dir, policy, out_path=run_dir / "a.zip").read_bytes()
-    second = pack(run_dir, policy, out_path=run_dir / "b.zip").read_bytes()
+    first = pack(run_dir, Tier.REVIEWER, out_path=run_dir / "a.zip").read_bytes()
+    second = pack(run_dir, Tier.REVIEWER, out_path=run_dir / "b.zip").read_bytes()
     assert sha256_hex(first) == sha256_hex(second)
 
 
@@ -86,7 +85,7 @@ def test_pack_never_ships_the_unredacted_log(demo_copy):
     private = (run_dir / rundir.INTERACTION_LOG).read_bytes()
     for tier in Tier:
         assert cli.main(["redact", "--tier", tier.value, "--run-dir", str(run_dir)]) == 0
-        crate = pack(run_dir, RedactionPolicy.for_tier(tier),
+        crate = pack(run_dir, tier,
                      out_path=run_dir / f"{tier.value}.zip")
         members = read_crate_members(crate)
         assert "interaction_log.json" not in {name.rsplit("/", 1)[-1] for name in members}
@@ -99,7 +98,7 @@ def test_pack_refuses_raw_text_under_dropping_policy(demo_copy, auditor_run, tmp
     # simulate a stale auditor-tier redaction left in the run directory
     shutil.copy(auditor_dir / rundir.REDACTED_LOG, run_dir / rundir.REDACTED_LOG)
     with pytest.raises(UnredactedLeak, match="raw text"):
-        pack(run_dir, RedactionPolicy.for_tier(Tier.REVIEWER))
+        pack(run_dir, Tier.REVIEWER)
 
 
 @pytest.mark.parametrize("endpoint, leaks", [
@@ -116,9 +115,9 @@ def test_pack_refuses_a_non_generalized_endpoint(demo_copy, endpoint, leaks):
     log_path.write_text(json.dumps(data))
     if leaks:
         with pytest.raises(UnredactedLeak, match="endpoint"):
-            pack(run_dir, RedactionPolicy.for_tier(Tier.REVIEWER))
+            pack(run_dir, Tier.REVIEWER)
     else:
-        assert pack(run_dir, RedactionPolicy.for_tier(Tier.REVIEWER)).is_file()
+        assert pack(run_dir, Tier.REVIEWER).is_file()
 
 
 @pytest.mark.parametrize("requested", [Tier.PUBLIC, Tier.AUDITOR])
@@ -130,14 +129,14 @@ def test_pack_refuses_a_redacted_log_at_another_tier(demo_copy, requested):
     data["records"][0]["config"]["endpoint"] = "https://internal.lab"
     log_path.write_text(json.dumps(data))
     with pytest.raises(UnredactedLeak, match="at tier reviewer, not the requested"):
-        pack(run_dir, RedactionPolicy.for_tier(requested))
+        pack(run_dir, requested)
 
 
 def test_pack_missing_artifact_is_dangling(demo_copy):
     run_dir, _ = demo_copy
     (run_dir / rundir.DRAFT_MD).unlink()
     with pytest.raises(DanglingEntity, match="draft.md"):
-        pack(run_dir, RedactionPolicy.for_tier(Tier.REVIEWER))
+        pack(run_dir, Tier.REVIEWER)
 
 
 def test_read_manifest_bijection_and_roles(demo_run):

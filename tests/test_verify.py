@@ -6,13 +6,16 @@ import warnings
 import zipfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from airo import cli, rundir
 from airo.errors import CrateUnreadable, MalformedSyntax, SourceMismatch, ToolkitError
 from airo.provenance import parse_log, sha256_hex
 from airo.rocrate import (MANIFEST_NAME, PACKED_MEMBERS, read_crate_members,
                           write_zip_deterministic)
-from airo.verify import (CheckName, CheckStatus, verify_against_source, verify_crate)
+from airo.verify import (CheckName, CheckStatus, VerificationReport, verify_against_source,
+                         verify_crate)
 
 from conftest import PRIVATE_ONLY_FIELDS, run_pipeline
 
@@ -217,10 +220,17 @@ def _version_unsupported(data: bytearray, entry: int) -> None:
     data[entry + 6] = 0xFF  # version needed to extract: 25.5
 
 
+def _name_empty(data: bytearray, entry: int) -> None:
+    # pack writes no extra field and no comment, so the name's bytes become the comment
+    name_length, = struct.unpack_from("<H", data, entry + 28)
+    struct.pack_into("<HHH", data, entry + 28, 0, 0, name_length)
+
+
 @pytest.mark.parametrize("hostile_edit",
-                         [_encrypted, _name_not_utf8, _size_past_end, _version_unsupported],
+                         [_encrypted, _name_not_utf8, _size_past_end, _version_unsupported,
+                          _name_empty],
                          ids=["encrypted", "name-not-utf-8", "size-past-end",
-                              "version-unsupported"])
+                              "version-unsupported", "name-empty"])
 def test_hostile_archive_is_unreadable_not_a_crash(tmp_path, demo_run, capsys, hostile_edit):
     run_dir, crate = demo_run
     data = bytearray(crate.read_bytes())
@@ -235,6 +245,27 @@ def test_hostile_archive_is_unreadable_not_a_crash(tmp_path, demo_run, capsys, h
     capsys.readouterr()
     assert cli.main(["verify", str(hostile)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_crate_gives_a_report_or_crate_unreadable(tmp_path, demo_run, data):
+    # one to three bytes set anywhere; a negative offset counts from the end, where the
+    # central directory that zipfile trusts lies
+    _, crate = demo_run
+    raw = bytearray(crate.read_bytes())
+    edits = data.draw(st.lists(st.tuples(st.integers(-len(raw), len(raw) - 1),
+                                         st.integers(0, 255)), min_size=1, max_size=3))
+    for offset, value in edits:
+        raw[offset] = value
+    mutated = tmp_path / "mutated.zip"
+    mutated.write_bytes(raw)
+    try:
+        report = verify_crate(mutated)
+    except CrateUnreadable:
+        return
+    assert isinstance(report, VerificationReport) and len(report.checks) == 5
 
 
 def test_public_tier_crate_verifies(tmp_path):
@@ -418,13 +449,13 @@ def test_non_string_raw_text_in_crate_log_is_a_finding(tmp_path, demo_run):
     assert any("redacted log unreadable" in finding for finding in hash_check.findings)
 
 
-def _crate_with_record_field(tmp_path, crate, field, value):
-    """A copy of ``crate`` whose first log record has ``field`` set to ``value``, with a
-    manifest consistent with the edit, so only the log's content can fail the crate."""
+def _crate_with_log(tmp_path, crate, edit):
+    """A copy of ``crate`` whose redacted log's JSON ``edit`` changed, with a manifest
+    consistent with the edit, so only the log's content can fail the crate."""
     members = read_crate_members(crate)
     name = "provenance/interaction_log.redacted.json"
     data = json.loads(members[name])
-    data["records"][0][field] = value
+    edit(data)
     members[name] = json.dumps(data).encode()
     manifest = json.loads(members[MANIFEST_NAME])
     _node(manifest, name)["sha256"] = sha256_hex(members[name]).hex
@@ -432,6 +463,35 @@ def _crate_with_record_field(tmp_path, crate, field, value):
     tampered = tmp_path / "tampered.zip"
     write_zip_deterministic(tampered, members)
     return tampered
+
+
+def _crate_with_record_field(tmp_path, crate, field, value):
+    """A copy of ``crate`` whose first log record has ``field`` set to ``value``."""
+    return _crate_with_log(tmp_path, crate, lambda data: data["records"][0].update({field: value}))
+
+
+def test_public_crate_whose_log_leaks_fails_hash_integrity(tmp_path):
+    # every raw prompt and response and an internal endpoint put back into a public crate's
+    # log, its manifest digest recomputed: the crate agrees with itself, but not with its tier
+    run_dir = tmp_path / "run"
+    crate = run_pipeline(run_dir, label="public-demo", tier="public")
+    private = parse_log((run_dir / rundir.INTERACTION_LOG).read_bytes())
+
+    def leak(data):
+        for record, source in zip(data["records"], private.records, strict=True):
+            record.update(prompt_text=source.prompt_text, response_text=source.response_text)
+            record["config"]["endpoint"] = "https://gpu.internal.lab:8443/v1"
+
+    report = verify_crate(_crate_with_log(tmp_path, crate, leak))
+    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    assert hash_check.status is CheckStatus.FAIL
+    assert hash_check.findings == [
+        "redacted log record 0 retains raw text under a text-dropping policy (tier public)",
+        "redacted log record 1 retains raw text under a text-dropping policy (tier public)",
+        "redacted log record 0 carries a non-generalized endpoint",
+        "redacted log record 1 carries a non-generalized endpoint"]
+    assert [check.name for check in report.checks if check.status is CheckStatus.FAIL] == [
+        CheckName.HASH_INTEGRITY]
 
 
 @pytest.mark.parametrize("field", sorted(PRIVATE_ONLY_FIELDS))
