@@ -62,17 +62,14 @@ class InlineCitation(FrozenRecord):
 
 
 class DraftArtifact(FrozenRecord):
-    header: str
     body: tuple[str, ...]
     checklist: tuple[ClaimEntry, ...]
     inline_citations: tuple[InlineCitation, ...] = ()
-    body_markers: tuple[tuple[int, int], ...] = ()  # (paragraph index, char offset)
 
 
 class AuditRow(FrozenRecord):
     claim: str
     supporting_ids: tuple[str, ...]
-    cited: tuple[tuple[str, str], ...]  # (citation text, pid) for ids known to the bundle
     status: AuditStatus
     resolver_note: str | None = None
 
@@ -102,7 +99,7 @@ def _parse_bullet(content: str, line_number: int) -> ClaimEntry:
 
 
 def parse_draft(raw: str) -> DraftArtifact:
-    """Split a draft into header, body paragraphs, and checklist entries."""
+    """Split a draft into body paragraphs and checklist entries, checking its header."""
     lines = raw.splitlines()
 
     header_index = None
@@ -148,20 +145,14 @@ def parse_draft(raw: str) -> DraftArtifact:
         raise MissingChecklist("claim checklist has no entries")
 
     citations = []
-    markers = []
     for p_index, paragraph in enumerate(paragraphs):
         for match in _INLINE_CITATION_RE.finditer(paragraph):
             citations.append(restore(InlineCitation, {
                 "citation": match.group(1).strip(), "note_id": match.group(2),
                 "paragraph": p_index, "offset": match.start()}))
-        start = 0
-        while (found := paragraph.find(HUMAN_CHECK_MARKER, start)) != -1:
-            markers.append((p_index, found))
-            start = found + len(HUMAN_CHECK_MARKER)
 
-    return DraftArtifact(header=DRAFT_HEADER, body=tuple(paragraphs),
-                         checklist=tuple(entries),
-                         inline_citations=tuple(citations), body_markers=tuple(markers))
+    return DraftArtifact(body=tuple(paragraphs), checklist=tuple(entries),
+                         inline_citations=tuple(citations))
 
 
 def audit_draft(draft: DraftArtifact, bundle: InputBundle) -> list[AuditRow]:
@@ -173,11 +164,9 @@ def audit_draft(draft: DraftArtifact, bundle: InputBundle) -> list[AuditRow]:
     known = bundle.known_ids
     rows: list[AuditRow] = []
     for entry in draft.checklist:
-        notes = [bundle.note(i) for i in entry.supporting_ids if i in known]
-        cited = tuple((note.citation, note.pid) for note in notes)
         if entry.needs_human_check:
             status = AuditStatus.NEEDS_HUMAN_CHECK
-        elif len(notes) < len(entry.supporting_ids):
+        elif not all(i in known for i in entry.supporting_ids):
             status = AuditStatus.INVENTED_CITATION
         elif not entry.supporting_ids:
             status = AuditStatus.UNSUPPORTED
@@ -185,8 +174,7 @@ def audit_draft(draft: DraftArtifact, bundle: InputBundle) -> list[AuditRow]:
             status = AuditStatus.SUPPORTED
         rows.append(restore(AuditRow, {"claim": entry.claim,
                                        "supporting_ids": entry.supporting_ids,
-                                       "cited": cited, "status": status,
-                                       "resolver_note": None}))
+                                       "status": status, "resolver_note": None}))
     return rows
 
 
@@ -225,20 +213,19 @@ def write_audit_csv(rows: list[AuditRow]) -> bytes:
 
 
 def read_audit_csv(data: bytes) -> list[AuditRow]:
-    """Parse an audit CSV back into rows; cited pairs are not stored in the CSV."""
+    """Parse an audit CSV back into rows."""
     try:
-        text = data.decode("utf-8")
+        records = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
     except UnicodeDecodeError as err:
         raise MalformedSyntax(f"audit CSV is not UTF-8: {err}") from err
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedSyntax("audit CSV is empty") from None
-    if tuple(header) != CSV_HEADER:
+    except csv.Error as err:  # e.g. a field longer than csv.field_size_limit()
+        raise MalformedSyntax(f"audit CSV is not readable CSV: {err}") from err
+    if not records:
+        raise MalformedSyntax("audit CSV is empty")
+    if tuple(records[0]) != CSV_HEADER:
         raise MalformedSyntax(f"audit CSV header must be {','.join(CSV_HEADER)}")
     rows = []
-    for fields in reader:
+    for fields in records[1:]:
         if not fields:
             continue
         if len(fields) != 4:
@@ -249,7 +236,7 @@ def read_audit_csv(data: bytes) -> list[AuditRow]:
             raise MalformedSyntax(f"unknown audit status {status!r}")
         rows.append(restore(AuditRow, {"claim": claim,
                                        "supporting_ids": tuple(filter(None, ids.split(";"))),
-                                       "cited": (), "status": parsed_status,
+                                       "status": parsed_status,
                                        "resolver_note": note or None}))
     return rows
 

@@ -96,11 +96,6 @@ class FrozenRecord(Record):
         return hash(self._values())
 
 
-def fields(record) -> tuple[str, ...]:
-    """The field names of a record or record class, in order."""
-    return record._fields
-
-
 def replace(record, **changes):
     """A new record with ``changes`` over ``record``'s fields; ``__post_init__`` runs again."""
     return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
@@ -218,6 +213,9 @@ def _load_json(raw: bytes, what: str):
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise MalformedSyntax(f"{what} is not valid JSON at offset {err.pos}: {err.msg}") from err
+    # an integer past the int digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as err:
+        raise MalformedSyntax(f"{what} is not decodable JSON: {err}") from err
 
 
 _is_str = str.__instancecheck__  # JSON strings are never str subclasses

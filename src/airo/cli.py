@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 
 # parse_bundle stays a module attribute: perfbench's traced-run test reads airo.cli.parse_bundle
 from .bundle import parse_bundle, replace
-from .errors import (EmptyResponse, FixtureMissing, RunLocked, StageOrder,
-                     StageOutputInvalid, TemplateInvalid, ToolkitError, Transport, read_utf8)
+from .errors import (EmptyResponse, FixtureMissing, RunLocked, StageOutputInvalid,
+                     TemplateInvalid, ToolkitError, Transport, read_utf8)
 from .redact import Tier
 
 if TYPE_CHECKING:
@@ -55,7 +55,7 @@ def cmd_init(args) -> int:
 def cmd_validate(args) -> int:
     from . import rundir
     from .provenance import Stage
-    from .template import load_template, render, validate_template
+    from .template import expect_stage, load_template, render, validate_template
 
     run = rundir.RunDirectory(Path(args.run_dir))
     run.load_state()
@@ -82,14 +82,13 @@ def cmd_validate(args) -> int:
             failures += 1
             continue
         try:
-            template = load_template(path)
+            template = expect_stage(load_template(path), stage)
         except ToolkitError as err:
             print(f"FAIL template {stage.value}: {err}")
             failures += 1
             continue
-        report = validate_template(template)
-        checks = report.checks
-        if report.passed and bundle is not None and stage is template.stage is Stage.TAXONOMY:
+        checks = validate_template(template)
+        if all(c.passed for c in checks) and bundle is not None and stage is Stage.TAXONOMY:
             try:  # data can move the block where the empty skeleton cannot show it
                 render(template, bundle)
             except TemplateInvalid as err:
@@ -205,9 +204,7 @@ def cmd_resolve(args) -> int:
 
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
-        state = run.load_state()
-        if "audit" not in state.completed:
-            raise StageOrder("resolve requires a completed audit stage")
+        run.require("resolve")
         rows = read_audit_csv(run.file(rundir.AUDIT_CSV).read_bytes())
         previous = rows[args.index].resolver_note if 0 <= args.index < len(rows) else None
         updated = resolve_claim(rows, args.index, args.note)
@@ -248,8 +245,8 @@ def cmd_card(args) -> int:
 
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
-        card = build_card(run.path)
-        run.file(rundir.CARD_MD).write_text(card.to_markdown(), encoding="utf-8")
+        run.require("card")
+        run.file(rundir.CARD_MD).write_text(build_card(run.path), encoding="utf-8")
         run.mark_complete("card")
         print(f"wrote {rundir.CARD_MD}")
     return EXIT_OK

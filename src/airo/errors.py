@@ -117,11 +117,7 @@ class AlreadySupported(ToolkitError):
 # --- inspection card / crate packaging ---
 
 class MissingSection(ToolkitError):
-    """An operator-authored card section is empty."""
-
-    def __init__(self, section: str):
-        super().__init__(f"card section left empty: {section}")
-        self.section = section
+    """A card section is empty; the message names it."""
 
 
 class UnredactedLeak(ToolkitError):

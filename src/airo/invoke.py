@@ -19,8 +19,7 @@ from .errors import (ConfigInvalid, DoubleAssigned, EmptyResponse, FixtureMissin
                      MalformedSyntax, StageOutputInvalid, Transport, Uncovered, UnknownMember,
                      read_utf8)
 from .provenance import Interface, ModelConfig, Stage, utc_now_rfc3339
-from .template import (RenderedPrompt, PromptTemplate,
-                       render_synthesis_prompt, render_taxonomy_prompt)
+from .template import PromptTemplate, RenderedPrompt, render
 
 ENV_API_KEY = "AIRO_API_KEY"
 ENV_ENDPOINT = "AIRO_ENDPOINT"
@@ -35,7 +34,8 @@ def config_from_file(path: Path) -> ModelConfig:
         if data.get("interface") == Interface.OPENAI_COMPATIBLE.value and not data.get("endpoint"):
             data["endpoint"] = os.environ.get(ENV_ENDPOINT, "")
         return ModelConfig.from_dict(data)
-    except (ValueError, KeyError, TypeError) as err:
+    # RecursionError: JSON nested deeper than the decoder's recursion limit
+    except (ValueError, KeyError, TypeError, RecursionError) as err:
         raise ConfigInvalid(f"{path}: {type(err).__name__}: {err}") from err
 
 
@@ -172,12 +172,10 @@ def strip_code_fence(text: str) -> str:
     return match.group(1) if match else stripped
 
 
-def run_taxonomy_stage(bundle: InputBundle, config: ModelConfig, *,
-                       template: PromptTemplate | None = None,
+def run_taxonomy_stage(bundle: InputBundle, config: ModelConfig, *, template: PromptTemplate,
                        **client_options) -> tuple[Taxonomy, Invocation]:
     """Stage 1: cluster the bundle's papers. The invocation survives parse failures."""
-    prompt = render_taxonomy_prompt(bundle, template=template)
-    invocation = complete(prompt, config, **client_options)
+    invocation = complete(render(template, bundle), config, **client_options)
     try:
         taxonomy = parse_taxonomy(strip_code_fence(invocation.response_text).encode("utf-8"),
                                   bundle)
@@ -187,9 +185,8 @@ def run_taxonomy_stage(bundle: InputBundle, config: ModelConfig, *,
 
 
 def run_synthesis_stage(bundle: InputBundle, taxonomy: Taxonomy, config: ModelConfig, *,
-                        template: PromptTemplate | None = None,
+                        template: PromptTemplate,
                         **client_options) -> tuple[str, Invocation]:
     """Stage 2: draft the section. Returns raw text; interpretation is the audit's job."""
-    prompt = render_synthesis_prompt(bundle, taxonomy, template=template)
-    invocation = complete(prompt, config, **client_options)
+    invocation = complete(render(template, bundle, taxonomy), config, **client_options)
     return invocation.response_text, invocation

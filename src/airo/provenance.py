@@ -238,7 +238,8 @@ def parse_log(raw: bytes) -> InteractionLog:
         data = json.loads(raw.decode("utf-8"))
         return InteractionLog(run_id=data["run_id"], created_at=data["created_at"],
                               records=[InvocationRecord.from_dict(r) for r in data["records"]])
-    except (ValueError, KeyError, TypeError) as err:
+    # RecursionError: JSON nested deeper than the decoder's recursion limit
+    except (ValueError, KeyError, TypeError, RecursionError) as err:
         raise MalformedSyntax(f"interaction log unreadable: {err}") from err
 
 

@@ -54,7 +54,8 @@ def parse_redacted_log(raw: bytes) -> InteractionLog:
                               tier=Tier.from_policy_dict(data["policy"]),
                               redacted_from_sha256=Digest.from_dict(data["redacted_from_sha256"]),
                               records=[InvocationRecord.from_dict(r) for r in data["records"]])
-    except (ValueError, KeyError, TypeError) as err:
+    # RecursionError: JSON nested deeper than the decoder's recursion limit
+    except (ValueError, KeyError, TypeError, RecursionError) as err:
         raise MalformedSyntax(f"redacted log unreadable: {err}") from err
 
 

@@ -35,8 +35,7 @@ PACKED_MEMBERS = ("code/taxonomy.tmpl", "code/synthesis.tmpl", "inputs/bundle.js
                   "outputs/taxonomy.json", "outputs/draft.md", "outputs/audit.csv",
                   "provenance/interaction_log.redacted.json", "card.md")
 
-CARD_SECTION_KEYS = ("intended_use", "human_oversight", "disclosure",
-                     "limitations", "reproducibility_note")
+# card_sections.json key -> the title of its section in the card, in card order
 _CARD_SECTION_TITLES = {
     "intended_use": "Intended Use",
     "human_oversight": "Human Oversight",
@@ -71,45 +70,6 @@ class CrateManifest(FrozenRecord):
     actions: tuple[ActionEntity, ...]
 
 
-class InspectionCard(FrozenRecord):
-    run_id: str
-    research_topic: str
-    model_configuration: dict
-    artifacts_released: tuple[str, ...]
-    intended_use: str
-    human_oversight: str
-    disclosure: str
-    limitations: str
-    reproducibility_note: str
-
-    def to_markdown(self) -> str:
-        config = self.model_configuration
-        lines = [
-            "# AI Research Object Inspection Card",
-            "",
-            f"Run ID: {self.run_id}",
-            "",
-            f"Research Topic: {self.research_topic}",
-            "",
-            "## Model Configuration",
-            "",
-            f"- Interface: {config['interface']}",
-            f"- Model: {config['model_name']}",
-            f"- Temperature: {config['temperature']}",
-            f"- Top-p: {config['top_p']}",
-            f"- Max tokens: {config['max_tokens']}",
-            f"- Endpoint: {config['endpoint'] or '(none)'}",
-            f"- Input bundle SHA-256: `{config['input_bundle_sha256']}`",
-            "",
-            "## Artifacts Released",
-            "",
-        ]
-        lines += [f"- {artifact}" for artifact in self.artifacts_released]
-        for key in CARD_SECTION_KEYS:
-            lines += ["", f"## {_CARD_SECTION_TITLES[key]}", "", getattr(self, key)]
-        return "\n".join(lines) + "\n"
-
-
 # Crate-relative paths of the artifacts a standard run releases.
 RELEASED_ARTIFACTS = (
     "inputs/bundle.json: human-authored input bundle",
@@ -121,49 +81,62 @@ RELEASED_ARTIFACTS = (
 )
 
 
-def build_card(run_path: Path) -> InspectionCard:
-    """Assemble the card from run state, the log's configuration, and the
+def build_card(run_path: Path) -> str:
+    """The card's Markdown, from run state, the log's configuration, and the
     operator-authored narrative sections; every section must be nonempty."""
     from . import rundir  # only build_card and pack read a run directory; verify never does
 
     run = rundir.RunDirectory(Path(run_path))
-    state = run.require("card")
+    state = run.load_state()
 
     bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
-    bundle_digest = sha256_hex(canonical_bytes(bundle))
     log = parse_log(run.file(rundir.INTERACTION_LOG).read_bytes())
     if not log.records:
-        raise MissingSection("Model Configuration")
+        raise MissingSection("card section left empty: Model Configuration")
     config = log.records[-1].config
 
     sections_path = run.file(rundir.CARD_SECTIONS)
     try:
         sections = json.loads(read_utf8(sections_path)) if sections_path.is_file() else {}
-        narrative = {key: str(sections.get(key, "")).strip() for key in CARD_SECTION_KEYS}
-    except (ValueError, AttributeError) as err:  # not JSON, or JSON but not an object
+        narrative = {title: str(sections.get(key, "")).strip()
+                     for key, title in _CARD_SECTION_TITLES.items()}
+    # not JSON, nested past the decoder's recursion limit, or JSON but not an object
+    except (ValueError, RecursionError, AttributeError) as err:
         raise MalformedSyntax(f"{sections_path}: not a JSON object of card sections ({err})"
                               ) from err
-    for key, value in narrative.items():
-        if not value:
-            raise MissingSection(_CARD_SECTION_TITLES[key])
+    for title, text in narrative.items():
+        if not text:
+            raise MissingSection(f"card section left empty: {title}")
     if not bundle.title.strip():
-        raise MissingSection("Research Topic")
+        raise MissingSection("card section left empty: Research Topic")
 
-    model_configuration = {
-        "interface": config.interface.value,
-        "model_name": config.model_name,
-        "temperature": config.temperature,
-        "top_p": config.top_p,
-        "max_tokens": config.max_tokens,
-        # the card is built once and may be packed at any tier, so it says
-        # what the most restrictive tier says: the constant, never a host
-        "endpoint": (generalize_endpoint(config.endpoint, Tier.PUBLIC)
-                     if config.endpoint else ""),
-        "input_bundle_sha256": bundle_digest.hex,
-    }
-    return InspectionCard(run_id=state.run_id, research_topic=bundle.title,
-                          model_configuration=model_configuration,
-                          artifacts_released=RELEASED_ARTIFACTS, **narrative)
+    # the card is built once and may be packed at any tier, so it says what the
+    # most restrictive tier says: the constant, never a host
+    endpoint = generalize_endpoint(config.endpoint, Tier.PUBLIC) if config.endpoint else ""
+    lines = [
+        "# AI Research Object Inspection Card",
+        "",
+        f"Run ID: {state.run_id}",
+        "",
+        f"Research Topic: {bundle.title}",
+        "",
+        "## Model Configuration",
+        "",
+        f"- Interface: {config.interface.value}",
+        f"- Model: {config.model_name}",
+        f"- Temperature: {config.temperature}",
+        f"- Top-p: {config.top_p}",
+        f"- Max tokens: {config.max_tokens}",
+        f"- Endpoint: {endpoint or '(none)'}",
+        f"- Input bundle SHA-256: `{sha256_hex(canonical_bytes(bundle)).hex}`",
+        "",
+        "## Artifacts Released",
+        "",
+    ]
+    lines += [f"- {artifact}" for artifact in RELEASED_ARTIFACTS]
+    for title, text in narrative.items():
+        lines += ["", f"## {title}", "", text]
+    return "\n".join(lines) + "\n"
 
 
 _CARD_DIGEST_RE = re.compile(r"Input bundle SHA-256: `([0-9a-f]{64})`")
@@ -174,23 +147,8 @@ def card_bundle_digest(card_markdown: str) -> str | None:
     return match.group(1) if match else None
 
 
-def _action_entity_json(action: ActionEntity) -> dict:
-    data: dict = {
-        "@id": action.id,
-        "@type": "CreateAction",
-        "name": action.name,
-        "object": [{"@id": obj} for obj in action.objects],
-        "result": [{"@id": res} for res in action.results],
-    }
-    if action.log_record is not None:
-        # which record in the packed redacted log captured this invocation
-        data["subjectOf"] = {"@id": "provenance/interaction_log.redacted.json"}
-        data["position"] = action.log_record
-    return data
-
-
 def _build_manifest_json(run_id: str, members: dict[str, bytes],
-                         roles: dict[str, Role], actions: list[ActionEntity]) -> dict:
+                         roles: dict[str, Role], actions: list[dict]) -> dict:
     graph: list[dict] = [
         {"@id": MANIFEST_NAME, "@type": "CreativeWork",
          "conformsTo": {"@id": ROCRATE_CONFORMS_TO}, "about": {"@id": "./"}},
@@ -211,7 +169,7 @@ def _build_manifest_json(run_id: str, members: dict[str, bytes],
                       "@type": ["File", "SoftwareSourceCode"] if role is Role.CODE else ["File"],
                       "additionalType": role.value, "description": descriptions[role],
                       "sha256": sha256_hex(members[name]).hex})
-    graph.extend(_action_entity_json(action) for action in actions)
+    graph.extend(actions)
     return {"@context": ROCRATE_CONTEXT, "@graph": graph}
 
 
@@ -256,17 +214,22 @@ def pack(run_path: Path, tier: Tier, out_path: Path | None = None) -> Path:
     if leaks:
         raise UnredactedLeak(f"{leaks[0]}; re-run redact at the requested tier")
 
+    # "position" is the record of the packed redacted log that captured the invocation
+    log_ref = {"@id": "provenance/interaction_log.redacted.json"}
     actions = [
-        ActionEntity(id="#taxonomy-invocation", name="taxonomy stage model invocation",
-                     objects=("inputs/bundle.json", "code/taxonomy.tmpl"),
-                     results=("outputs/taxonomy.json",), log_record=0),
-        ActionEntity(id="#synthesis-invocation", name="synthesis stage model invocation",
-                     objects=("inputs/bundle.json", "code/synthesis.tmpl",
-                              "outputs/taxonomy.json"),
-                     results=("outputs/draft.md",), log_record=1),
-        ActionEntity(id="#claim-audit", name="claim audit over draft and bundle",
-                     objects=("outputs/draft.md", "inputs/bundle.json"),
-                     results=("outputs/audit.csv",)),
+        {"@id": "#taxonomy-invocation", "@type": "CreateAction",
+         "name": "taxonomy stage model invocation",
+         "object": [{"@id": "inputs/bundle.json"}, {"@id": "code/taxonomy.tmpl"}],
+         "result": [{"@id": "outputs/taxonomy.json"}], "subjectOf": log_ref, "position": 0},
+        {"@id": "#synthesis-invocation", "@type": "CreateAction",
+         "name": "synthesis stage model invocation",
+         "object": [{"@id": "inputs/bundle.json"}, {"@id": "code/synthesis.tmpl"},
+                    {"@id": "outputs/taxonomy.json"}],
+         "result": [{"@id": "outputs/draft.md"}], "subjectOf": log_ref, "position": 1},
+        {"@id": "#claim-audit", "@type": "CreateAction",
+         "name": "claim audit over draft and bundle",
+         "object": [{"@id": "outputs/draft.md"}, {"@id": "inputs/bundle.json"}],
+         "result": [{"@id": "outputs/audit.csv"}]},
     ]
     manifest = _build_manifest_json(state.run_id, members, roles, actions)
     members[MANIFEST_NAME] = (json.dumps(manifest, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
@@ -365,7 +328,8 @@ def manifest_from_members(members: dict[str, bytes]) -> CrateManifest:
         raise ManifestMissing(f"archive has no {MANIFEST_NAME}")
     try:
         data = json.loads(members[MANIFEST_NAME].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as err:
+    # RecursionError: JSON nested deeper than the decoder's recursion limit
+    except (ValueError, UnicodeDecodeError, RecursionError) as err:
         raise ManifestMalformed(f"{MANIFEST_NAME} is not valid JSON: {err}") from err
     try:
         entities, actions = _parse_manifest_graph(data)

@@ -45,6 +45,7 @@ _PREREQUISITES = {
     "audit": ("draft",),
     "redact": ("draft",),
     "card": ("audit",),
+    "resolve": ("audit",),
     "pack": ("redact", "card"),
 }
 
@@ -135,9 +136,10 @@ class RunDirectory:
                              f"(missing {STATE}); run 'airo init' first")
         try:
             return RunState.from_dict(json.loads(self.state_path.read_text(encoding="utf-8")))
-        except (ValueError, KeyError, TypeError) as err:
-            # ValueError covers JSONDecodeError and UnicodeDecodeError, which
-            # is what a kill in the middle of save_state leaves behind
+        except (ValueError, KeyError, TypeError, RecursionError) as err:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError, which is what
+            # a kill in the middle of save_state leaves behind; RecursionError is
+            # JSON nested deeper than the decoder's recursion limit
             raise MalformedSyntax(f"{STATE} in {self.path} is not a readable run state: "
                                   f"{err!r}") from err
 

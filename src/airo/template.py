@@ -69,14 +69,6 @@ class TemplateCheck(FrozenRecord):
     detail: str = ""
 
 
-class TemplateReport(FrozenRecord):
-    checks: tuple[TemplateCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-
 def parse_template(text: str) -> PromptTemplate:
     """Parse a template file; raises TemplateInvalid on any structural problem."""
     sections: dict[str, list[str]] = {}
@@ -126,14 +118,12 @@ def load_template(path: Path) -> PromptTemplate:
     return parse_template(read_utf8(path))
 
 
-def default_template_text(stage: Stage) -> str:
-    from importlib import resources
-
-    return resources.files("airo").joinpath(f"templates/{stage.value}.tmpl").read_text("utf-8")
-
-
-def default_template(stage: Stage) -> PromptTemplate:
-    return parse_template(default_template_text(stage))
+def expect_stage(template: PromptTemplate, stage: Stage) -> PromptTemplate:
+    """``template``, if it declares ``stage``; else TemplateInvalid."""
+    if template.stage is not stage:
+        raise TemplateInvalid(f"expected a {stage.value} template, got stage "
+                              f"{template.stage.value}")
+    return template
 
 
 def _body_placeholders(template: PromptTemplate) -> set[str]:
@@ -176,8 +166,8 @@ def _structural_checks(template: PromptTemplate, present: set[str]) -> list[Temp
     ]
 
 
-def validate_template(template: PromptTemplate) -> TemplateReport:
-    """Check every template invariant; returns a pass/fail report, never raises."""
+def validate_template(template: PromptTemplate) -> tuple[TemplateCheck, ...]:
+    """Check every template invariant; returns one pass/fail check each, never raises."""
     present = _body_placeholders(template)
     checks = _structural_checks(template, present)
 
@@ -192,7 +182,7 @@ def validate_template(template: PromptTemplate) -> TemplateReport:
     else:
         checks.append(TemplateCheck("constraint placement", False, "no constraint block to place"))
 
-    return TemplateReport(checks=tuple(checks))
+    return tuple(checks)
 
 
 def format_notes(bundle: InputBundle, stage: Stage) -> str:
@@ -219,13 +209,14 @@ def format_taxonomy(taxonomy: Taxonomy) -> str:
 
 def render(template: PromptTemplate, bundle: InputBundle,
            taxonomy: Taxonomy | None = None) -> RenderedPrompt:
-    """Substitute bundle data into the template and enforce render-time invariants."""
+    """Substitute bundle data into the template and enforce render-time invariants.
+
+    A taxonomy is given to a synthesis template only, and never to a taxonomy one."""
+    expect_stage(template, Stage.TAXONOMY if taxonomy is None else Stage.SYNTHESIS)
     present = _body_placeholders(template)
     failures = [c for c in _structural_checks(template, present) if not c.passed]
     if failures:
         raise TemplateInvalid("; ".join(f"{c.name}: {c.detail}" for c in failures))
-    if template.stage is Stage.SYNTHESIS and taxonomy is None:
-        raise TemplateInvalid("synthesis template requires a taxonomy")
 
     bindings: dict[str, str] = {}
     for name in present - _SLOTS:
@@ -245,19 +236,3 @@ def render(template: PromptTemplate, bundle: InputBundle,
     if not ok:
         raise TemplateInvalid(detail)
     return RenderedPrompt(stage=template.stage, text=text)
-
-
-def render_taxonomy_prompt(bundle: InputBundle,
-                           template: PromptTemplate | None = None) -> RenderedPrompt:
-    template = template or default_template(Stage.TAXONOMY)
-    if template.stage is not Stage.TAXONOMY:
-        raise TemplateInvalid(f"expected a taxonomy template, got stage {template.stage.value}")
-    return render(template, bundle)
-
-
-def render_synthesis_prompt(bundle: InputBundle, taxonomy: Taxonomy,
-                            template: PromptTemplate | None = None) -> RenderedPrompt:
-    template = template or default_template(Stage.SYNTHESIS)
-    if template.stage is not Stage.SYNTHESIS:
-        raise TemplateInvalid(f"expected a synthesis template, got stage {template.stage.value}")
-    return render(template, bundle, taxonomy)

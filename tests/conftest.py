@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import shutil
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from airo import cli, rundir
+from airo.provenance import Stage
+from airo.template import PromptTemplate, parse_template
 
 PIPELINE = (
     ["validate"],
@@ -24,6 +27,16 @@ PRIVATE_ONLY_FIELDS = {
     "source_paths": ["/home/alice/run/bundle.json"],
     "host_id": "workstation-7.internal",
 }
+
+# JSON that json.loads cannot decode: nesting past the recursion limit (RecursionError),
+# and an integer past the default 4,300-digit limit for int conversion (ValueError)
+UNDECODABLE_JSON = {"nested": b"[" * 200_000 + b"]" * 200_000, "long-int": b"1" * 5_000}
+
+
+def packaged_template(stage: Stage) -> PromptTemplate:
+    """The template airo ships for ``stage``, which ``airo init`` copies into a run."""
+    return parse_template(resources.files("airo").joinpath(f"templates/{stage.value}.tmpl")
+                          .read_text("utf-8"))
 
 
 def run_pipeline(run_dir: Path, label: str = "demo", tier: str = "reviewer",

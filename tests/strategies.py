@@ -69,10 +69,9 @@ def draft_to_text(draft: DraftArtifact) -> str:
 @st.composite
 def drafts(draw) -> DraftArtifact:
     artifact = DraftArtifact(
-        header=DRAFT_HEADER,
         body=tuple(draw(st.lists(_prose(120), max_size=4))),
         checklist=tuple(draw(st.lists(claim_entries(), min_size=1, max_size=5))))
-    # normalize derived fields (inline citations, markers) the same way the
+    # normalize the derived field (inline citations) the same way the
     # parser computes them, so equality compares like with like
     return parse_draft(draft_to_text(artifact))
 
@@ -86,6 +85,5 @@ _csv_text = st.text(max_size=60).filter(lambda s: "\r" not in s and "\x00" not i
 def audit_rows(draw) -> AuditRow:
     return AuditRow(claim=draw(_csv_text),
                     supporting_ids=tuple(draw(st.lists(note_ids, max_size=3, unique=True))),
-                    cited=(),
                     status=draw(st.sampled_from(AuditStatus)),
                     resolver_note=draw(st.none() | _csv_text.filter(bool)))

@@ -32,7 +32,6 @@ CLAIM CHECKLIST
 
 def test_parse_fixture_draft():
     draft = parse_draft(FIXTURE)
-    assert draft.header == "RELATED WORK (DRAFT)"
     assert len(draft.body) == 2
     assert len(draft.checklist) == 3
     assert draft.checklist[0].supporting_ids == ("P1",)
@@ -52,19 +51,11 @@ def test_inline_citation_extraction():
     assert draft.body[0][cite.offset] == "("
 
 
-def test_marker_positions_recorded():
-    draft = parse_draft(FIXTURE)
-    assert len(draft.body_markers) == 1
-    paragraph, offset = draft.body_markers[0]
-    assert paragraph == 1
-    assert draft.body[1][offset:offset + len(HUMAN_CHECK_MARKER)] == HUMAN_CHECK_MARKER
-
-
 def test_marker_conservation_on_fixture():
     draft = parse_draft(FIXTURE)
     raw_count = FIXTURE.count(HUMAN_CHECK_MARKER)
     flagged = sum(1 for entry in draft.checklist if entry.needs_human_check)
-    assert raw_count == flagged + len(draft.body_markers)
+    assert raw_count == flagged + sum(p.count(HUMAN_CHECK_MARKER) for p in draft.body)
 
 
 def test_missing_header():
@@ -113,8 +104,6 @@ def test_audit_statuses():
         AuditStatus.SUPPORTED, AuditStatus.INVENTED_CITATION,
         AuditStatus.NEEDS_HUMAN_CHECK, AuditStatus.UNSUPPORTED,
         AuditStatus.NEEDS_HUMAN_CHECK]  # explicit flag wins regardless of ids
-    assert rows[0].cited == (("Author1 2021", "pid1"),)
-    assert rows[1].cited == ()  # P7 resolves to nothing
 
 
 def test_citation_closure_of_supported_rows():
@@ -151,26 +140,25 @@ def test_parsed_records_are_constructed_records():
         assert_same_record(parsed, constructed)
 
     rows = audit_draft(draft, bundle_with(2))
-    cite1, cite2 = ("Author1 2021", "pid1"), ("Author2 2022", "pid2")
     for parsed, constructed in zip(rows, [
-            AuditRow("First claim about methods", ("P1",), (cite1,), AuditStatus.SUPPORTED),
-            AuditRow("Comparative claim", ("P1", "P2"), (cite1, cite2), AuditStatus.SUPPORTED),
-            AuditRow("Open claim with no support", (), (), AuditStatus.NEEDS_HUMAN_CHECK)],
+            AuditRow("First claim about methods", ("P1",), AuditStatus.SUPPORTED),
+            AuditRow("Comparative claim", ("P1", "P2"), AuditStatus.SUPPORTED),
+            AuditRow("Open claim with no support", (), AuditStatus.NEEDS_HUMAN_CHECK)],
             strict=True):
         assert_same_record(parsed, constructed)
 
     rows = resolve_claim(rows, 2, "checked by hand")
     for parsed, constructed in zip(read_audit_csv(write_audit_csv(rows)), [
-            AuditRow("First claim about methods", ("P1",), (), AuditStatus.SUPPORTED),
-            AuditRow("Comparative claim", ("P1", "P2"), (), AuditStatus.SUPPORTED),
-            AuditRow("Open claim with no support", (), (), AuditStatus.NEEDS_HUMAN_CHECK,
+            AuditRow("First claim about methods", ("P1",), AuditStatus.SUPPORTED),
+            AuditRow("Comparative claim", ("P1", "P2"), AuditStatus.SUPPORTED),
+            AuditRow("Open claim with no support", (), AuditStatus.NEEDS_HUMAN_CHECK,
                      "checked by hand")], strict=True):
         assert_same_record(parsed, constructed)
 
 
 @pytest.mark.parametrize("status", ["bogus", "Supported", "SUPPORTED", "supported ", ""])
 def test_unknown_audit_status_is_malformed(status):
-    data = write_audit_csv([AuditRow("claim", ("P1",), (), AuditStatus.SUPPORTED)])
+    data = write_audit_csv([AuditRow("claim", ("P1",), AuditStatus.SUPPORTED)])
     with pytest.raises(MalformedSyntax) as raised:
         read_audit_csv(data.replace(b",supported,", f",{status},".encode()))
     assert str(raised.value) == f"unknown audit status {status!r}"
@@ -182,13 +170,13 @@ def test_csv_header_only_for_empty_rows():
 
 
 def test_csv_three_rows_four_lines():
-    rows = [AuditRow("a", ("P1",), (), AuditStatus.SUPPORTED)] * 3
+    rows = [AuditRow("a", ("P1",), AuditStatus.SUPPORTED)] * 3
     lines = write_audit_csv(rows).decode().strip().splitlines()
     assert len(lines) == 4
 
 
 def test_csv_quotes_commas():
-    rows = [AuditRow("claim, with comma", ("P1",), (), AuditStatus.SUPPORTED)]
+    rows = [AuditRow("claim, with comma", ("P1",), AuditStatus.SUPPORTED)]
     data = write_audit_csv(rows)
     parsed = next(iter(csv.reader(io.StringIO(data.decode()))))
     assert parsed == ["claim", "cited_ids", "status", "resolver_note"]
@@ -198,7 +186,7 @@ def test_csv_quotes_commas():
 
 
 def test_resolve_claim_records_note_without_status_change():
-    rows = [AuditRow("a", (), (), AuditStatus.NEEDS_HUMAN_CHECK)]
+    rows = [AuditRow("a", (), AuditStatus.NEEDS_HUMAN_CHECK)]
     updated = resolve_claim(rows, 0, "verified against DOI landing page")
     assert updated[0].resolver_note == "verified against DOI landing page"
     assert updated[0].status is AuditStatus.NEEDS_HUMAN_CHECK
@@ -206,8 +194,8 @@ def test_resolve_claim_records_note_without_status_change():
 
 
 def test_resolve_claim_errors():
-    rows = [AuditRow("a", ("P1",), (), AuditStatus.SUPPORTED),
-            AuditRow("b", (), (), AuditStatus.UNSUPPORTED)]
+    rows = [AuditRow("a", ("P1",), AuditStatus.SUPPORTED),
+            AuditRow("b", (), AuditStatus.UNSUPPORTED)]
     with pytest.raises(AlreadySupported):
         resolve_claim(rows, 0, "note")
     with pytest.raises(IndexOutOfRange):

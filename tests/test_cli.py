@@ -12,7 +12,7 @@ import pytest
 from airo import cli, rundir
 from airo.redact import BUILTIN_SHAPES
 
-from conftest import PIPELINE, PRIVATE_ONLY_FIELDS, run_pipeline
+from conftest import PIPELINE, PRIVATE_ONLY_FIELDS, UNDECODABLE_JSON, run_pipeline
 
 
 def test_init_creates_run_and_validates(tmp_path, capsys):
@@ -56,6 +56,21 @@ def test_validate_missing_template(tmp_path, capsys):
     (run_dir / rundir.SYNTHESIS_TMPL).unlink()
     assert cli.main(["validate", "--run-dir", str(run_dir)]) == 1
     assert "template not found" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("slot, other", [("taxonomy", "synthesis"), ("synthesis", "taxonomy")])
+def test_validate_refuses_a_template_of_the_other_stage(tmp_path, capsys, slot, other):
+    # the template's own checks pass, but its stage would refuse it at render time
+    run_dir = tmp_path / "run"
+    cli.main(["init", "demo", "--run-dir", str(run_dir)])
+    templates = run_dir / rundir.TEMPLATES_DIR
+    (templates / f"{slot}.tmpl").write_bytes((templates / f"{other}.tmpl").read_bytes())
+    capsys.readouterr()
+    assert cli.main(["validate", "--run-dir", str(run_dir)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if f"template {slot}:" in line] == [
+        f"FAIL template {slot}: expected a {slot} template, got stage {other}"]
+    assert all(line.startswith("ok ") for line in lines if f"template {slot}:" not in line)
 
 
 def test_validate_renders_the_taxonomy_template_with_the_bundle(tmp_path, capsys):
@@ -240,6 +255,40 @@ def test_malformed_run_file_is_an_error_not_a_traceback(demo_copy, capsys, comma
         assert err.startswith("error:") and err.count("\n") == 1 and name in err
 
 
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE_JSON))
+@pytest.mark.parametrize("command, name", [
+    (["validate"], rundir.STATE),
+    (["taxonomy", "--stub", "taxonomy_demo"], rundir.CONFIG),
+    (["audit"], rundir.BUNDLE),
+    (["draft", "--stub", "synthesis_demo"], rundir.TAXONOMY_JSON),
+    (["redact"], rundir.INTERACTION_LOG),
+    (["card"], rundir.CARD_SECTIONS),
+], ids=lambda value: value[0] if isinstance(value, list) else value.rpartition("/")[2])
+def test_undecodable_json_run_file_is_an_error_not_a_traceback(demo_copy, capsys, command,
+                                                               name, kind):
+    if kind == "long-int" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no digit limit for int conversion")
+    run_dir, _ = demo_copy
+    (run_dir / name).write_bytes(UNDECODABLE_JSON[kind])
+    capsys.readouterr()
+    assert cli.main(command + ["--run-dir", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_resolve_on_an_oversized_audit_csv_field_is_an_error(demo_copy, capsys):
+    run_dir, _ = demo_copy
+    csv_path = run_dir / rundir.AUDIT_CSV
+    csv_path.write_bytes(csv_path.read_bytes() + b'"' + b"x" * 200_000 + b'",P1,supported,\r\n')
+    before = csv_path.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["resolve", "0", "checked", "--run-dir", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedSyntax: audit CSV is not readable CSV")
+    assert csv_path.read_bytes() == before
+    assert not (run_dir / rundir.AUDIT_HISTORY).exists()
+
+
 _STATE = {"run_id": "ro-demo", "label": "demo", "created_at": "2026-01-02T03:04:05Z",
           "completed": []}
 
@@ -370,6 +419,20 @@ def test_card_before_audit_is_stage_order(tmp_path, capsys):
     cli.main(["init", "demo", "--run-dir", str(run_dir)])
     assert cli.main(["card", "--run-dir", str(run_dir)]) == 1
     assert "StageOrder" in capsys.readouterr().err
+
+
+def test_resolve_before_audit_is_stage_order(demo_copy, capsys):
+    # a re-run draft leaves the audit stale until audit runs again
+    run_dir, _ = demo_copy
+    args = ["--run-dir", str(run_dir)]
+    assert cli.main(["resolve", "5", "checked"] + args) == 0
+    assert cli.main(["draft", "--stub", "synthesis_demo"] + args) == 0
+    audit_csv, history = run_dir / rundir.AUDIT_CSV, run_dir / rundir.AUDIT_HISTORY
+    before = audit_csv.read_bytes(), history.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["resolve", "5", "checked again"] + args) == 1
+    assert "StageOrder" in capsys.readouterr().err
+    assert (audit_csv.read_bytes(), history.read_bytes()) == before
 
 
 def test_pack_before_redact_is_stage_order(tmp_path, capsys):

@@ -10,9 +10,9 @@ from airo.bundle import Taxonomy
 from airo.errors import (EmptyResponse, FixtureMissing, StageOutputInvalid, Transport)
 from airo.invoke import (Interface, ModelConfig, build_request_body, complete,
                          run_synthesis_stage, run_taxonomy_stage, strip_code_fence)
-from airo.template import render_taxonomy_prompt
+from airo.template import render
 
-from test_template import bundle_with, taxonomy_for
+from test_template import SYNTHESIS_TMPL, TAXONOMY_TMPL, bundle_with, taxonomy_for
 
 
 def stub_config(fixture: str = "fx", **overrides) -> ModelConfig:
@@ -75,7 +75,7 @@ def test_config_range_validation():
 
 
 def test_stub_complete_is_a_lookup():
-    prompt = render_taxonomy_prompt(bundle_with(2))
+    prompt = render(TAXONOMY_TMPL, bundle_with(2))
     invocation = complete(prompt, stub_config(), fixtures={"fx": "fixture text"})
     assert invocation.response_text == "fixture text"
     assert invocation.ended_at >= invocation.started_at
@@ -84,7 +84,7 @@ def test_stub_complete_is_a_lookup():
 
 
 def test_stub_determinism_modulo_timestamps():
-    prompt = render_taxonomy_prompt(bundle_with(2))
+    prompt = render(TAXONOMY_TMPL, bundle_with(2))
     a = complete(prompt, stub_config(), fixtures={"fx": "same"})
     b = complete(prompt, stub_config(), fixtures={"fx": "same"})
     assert (a.response_text, a.config, a.attempt, a.budget_exceeded) == \
@@ -92,20 +92,20 @@ def test_stub_determinism_modulo_timestamps():
 
 
 def test_stub_missing_fixture():
-    prompt = render_taxonomy_prompt(bundle_with(1))
+    prompt = render(TAXONOMY_TMPL, bundle_with(1))
     with pytest.raises(FixtureMissing, match="nope"):
         complete(prompt, stub_config("nope"), fixtures={})
 
 
 def test_stub_budget_flag():
-    prompt = render_taxonomy_prompt(bundle_with(1))
+    prompt = render(TAXONOMY_TMPL, bundle_with(1))
     invocation = complete(prompt, stub_config(max_tokens=1),
                           fixtures={"fx": "many words beyond the budget"})
     assert invocation.budget_exceeded
 
 
 def test_stub_empty_response_keeps_invocation():
-    prompt = render_taxonomy_prompt(bundle_with(1))
+    prompt = render(TAXONOMY_TMPL, bundle_with(1))
     with pytest.raises(EmptyResponse) as err:
         complete(prompt, stub_config(), fixtures={"fx": "   "})
     assert err.value.invocation is not None
@@ -113,7 +113,7 @@ def test_stub_empty_response_keeps_invocation():
 
 
 def test_request_body_carries_exact_config_values():
-    prompt = render_taxonomy_prompt(bundle_with(1))
+    prompt = render(TAXONOMY_TMPL, bundle_with(1))
     body = build_request_body(prompt, live_config(temperature=0.2, top_p=1.0, max_tokens=1200))
     assert body["temperature"] == 0.2
     assert body["top_p"] == 1.0
@@ -125,7 +125,7 @@ def test_request_body_carries_exact_config_values():
 
 
 def test_live_complete_success_and_wire_format():
-    prompt = render_taxonomy_prompt(bundle_with(1))
+    prompt = render(TAXONOMY_TMPL, bundle_with(1))
     http = FakeHTTP([chat_payload("hello")])
     invocation = complete(prompt, live_config(), urlopen=http, api_key="k")
     assert invocation.response_text == "hello"
@@ -137,14 +137,14 @@ def test_live_complete_success_and_wire_format():
 
 
 def test_live_finish_reason_length_sets_budget_flag():
-    prompt = render_taxonomy_prompt(bundle_with(1))
+    prompt = render(TAXONOMY_TMPL, bundle_with(1))
     http = FakeHTTP([chat_payload("truncated...", finish="length")])
     invocation = complete(prompt, live_config(), urlopen=http)
     assert invocation.budget_exceeded
 
 
 def test_http_500_retried_then_transport():
-    prompt = render_taxonomy_prompt(bundle_with(1))
+    prompt = render(TAXONOMY_TMPL, bundle_with(1))
     error = urllib.error.HTTPError("u", 500, "boom", None, io.BytesIO(b""))
     http = FakeHTTP([error, error, error])
     sleeps = []
@@ -157,7 +157,7 @@ def test_http_500_retried_then_transport():
 
 
 def test_transport_recovers_within_retry_budget():
-    prompt = render_taxonomy_prompt(bundle_with(1))
+    prompt = render(TAXONOMY_TMPL, bundle_with(1))
     error = urllib.error.URLError("refused")
     http = FakeHTTP([error, chat_payload("ok")])
     invocation = complete(prompt, live_config(), urlopen=http, sleep=lambda _s: None)
@@ -166,7 +166,7 @@ def test_transport_recovers_within_retry_budget():
 
 
 def test_malformed_response_is_transport():
-    prompt = render_taxonomy_prompt(bundle_with(1))
+    prompt = render(TAXONOMY_TMPL, bundle_with(1))
     http = FakeHTTP([b"{\"wrong\": true}"])
     with pytest.raises(Transport, match="malformed"):
         complete(prompt, live_config(), urlopen=http, max_retries=0, sleep=lambda _s: None)
@@ -179,7 +179,7 @@ def test_strip_code_fence():
 
 def test_api_key_read_from_environment(monkeypatch):
     monkeypatch.setenv("AIRO_API_KEY", "env-key")
-    prompt = render_taxonomy_prompt(bundle_with(1))
+    prompt = render(TAXONOMY_TMPL, bundle_with(1))
     http = FakeHTTP([chat_payload("ok")])
     complete(prompt, live_config(), urlopen=http)
     assert http.requests[0].get_header("Authorization") == "Bearer env-key"
@@ -200,7 +200,7 @@ def test_run_taxonomy_stage_parses_clusters():
     response = json.dumps({"clusters": [
         {"name": "a", "rationale": "r", "member_ids": ["P1", "P2"]},
         {"name": "b", "rationale": "r", "member_ids": ["P3", "P4"]}]})
-    taxonomy, invocation = run_taxonomy_stage(bundle, stub_config(),
+    taxonomy, invocation = run_taxonomy_stage(bundle, stub_config(), template=TAXONOMY_TMPL,
                                               fixtures={"fx": response})
     assert isinstance(taxonomy, Taxonomy)
     assert len(taxonomy.clusters) == 2
@@ -212,14 +212,15 @@ def test_run_taxonomy_stage_invented_id_fails_with_invocation():
     response = json.dumps({"clusters": [
         {"name": "a", "rationale": "r", "member_ids": ["P1", "P2", "P99"]}]})
     with pytest.raises(StageOutputInvalid, match="UnknownMember") as err:
-        run_taxonomy_stage(bundle, stub_config(), fixtures={"fx": response})
+        run_taxonomy_stage(bundle, stub_config(), template=TAXONOMY_TMPL,
+                           fixtures={"fx": response})
     assert err.value.invocation is not None
     assert err.value.invocation.response_text == response
 
 
 def test_run_taxonomy_stage_prose_is_malformed():
     with pytest.raises(StageOutputInvalid, match="MalformedSyntax"):
-        run_taxonomy_stage(bundle_with(2), stub_config(),
+        run_taxonomy_stage(bundle_with(2), stub_config(), template=TAXONOMY_TMPL,
                            fixtures={"fx": "I grouped the papers thematically."})
 
 
@@ -227,7 +228,7 @@ def test_run_synthesis_stage_returns_raw_text():
     bundle = bundle_with(2)
     draft = "RELATED WORK (DRAFT)\n\nbody\n\nCLAIM CHECKLIST\n- claim [P1]\n"
     text, invocation = run_synthesis_stage(bundle, taxonomy_for(bundle), stub_config(),
-                                           fixtures={"fx": draft})
+                                           template=SYNTHESIS_TMPL, fixtures={"fx": draft})
     assert "RELATED WORK (DRAFT)" in text
     assert "CLAIM CHECKLIST" in text
     assert invocation.stage.value == "synthesis"
@@ -237,5 +238,5 @@ def test_run_synthesis_stage_does_not_interpret_content():
     bundle = bundle_with(2)
     broken = "no headers at all"
     text, _ = run_synthesis_stage(bundle, taxonomy_for(bundle), stub_config(),
-                                  fixtures={"fx": broken})
+                                  template=SYNTHESIS_TMPL, fixtures={"fx": broken})
     assert text == broken  # failure surfaces at audit, not here

@@ -9,10 +9,11 @@ from airo.errors import InvalidLabel, MalformedSyntax
 from airo.invoke import Interface, ModelConfig, complete
 from airo.provenance import (Digest, InteractionLog, InvocationRecord, new_run, parse_log,
                              record_invocation, sha256_hex, sha256_of_text)
-from airo.template import render_taxonomy_prompt
+from airo.template import render
 
 from test_bundle import NOTE, make_raw
 from test_invoke import stub_config
+from test_template import TAXONOMY_TMPL
 
 
 def test_sha256_known_vectors():
@@ -49,7 +50,7 @@ def test_digest_hex_with_a_trailing_newline_is_rejected():
 
 
 def invocation_for(bundle, prompt_fixture="fixture response"):
-    prompt = render_taxonomy_prompt(bundle)
+    prompt = render(TAXONOMY_TMPL, bundle)
     return complete(prompt, stub_config(), fixtures={"fx": prompt_fixture})
 
 

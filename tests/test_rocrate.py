@@ -21,29 +21,37 @@ from airo.rocrate import (MANIFEST_NAME, Role, build_card, card_bundle_digest, p
 
 from conftest import run_pipeline
 
-CARD_SECTION_NAMES = ("run_id", "research_topic", "model_configuration", "artifacts_released",
-                      "intended_use", "human_oversight", "disclosure", "limitations",
-                      "reproducibility_note")
+CARD_SECTIONS = ("Run ID", "Research Topic", "Model Configuration", "Artifacts Released",
+                 "Intended Use", "Human Oversight", "Disclosure", "Limitations",
+                 "Reproducibility Note")
+
+
+def card_sections(markdown: str) -> dict[str, str]:
+    """The card's sections by title: two ``Title: value`` lines, then ``## Title`` blocks."""
+    head, *blocks = markdown.split("\n## ")
+    sections = dict(line.split(": ", 1) for line in head.splitlines() if ": " in line)
+    sections.update(block.split("\n", 1) for block in blocks)
+    return {title: text.strip() for title, text in sections.items()}
 
 
 def test_build_card_nine_sections_and_config(demo_run):
     run_dir, _ = demo_run
-    card = build_card(run_dir)
-    data = vars(card)
-    assert set(data) == set(CARD_SECTION_NAMES)
-    for key, value in data.items():
-        assert value, f"card section {key} is empty"
-    config = data["model_configuration"]
-    assert config["temperature"] == 0.2
-    assert config["top_p"] == 1.0
-    assert config["max_tokens"] == 1200
+    sections = card_sections(build_card(run_dir))
+    assert list(sections) == list(CARD_SECTIONS)
+    for title, text in sections.items():
+        assert text, f"card section {title} is empty"
+    assert sections["Run ID"] == rundir.RunDirectory(run_dir).load_state().run_id
+    config = sections["Model Configuration"].splitlines()
+    assert "- Temperature: 0.2" in config
+    assert "- Top-p: 1.0" in config
+    assert "- Max tokens: 1200" in config
     bundle = parse_bundle((run_dir / rundir.BUNDLE).read_bytes())
-    assert config["input_bundle_sha256"] == sha256_hex(canonical_bytes(bundle)).hex
+    assert f"- Input bundle SHA-256: `{sha256_hex(canonical_bytes(bundle)).hex}`" in config
 
 
 def test_card_markdown_carries_everything(demo_run):
     run_dir, _ = demo_run
-    markdown = build_card(run_dir).to_markdown()
+    markdown = build_card(run_dir)
     for heading in ("Model Configuration", "Artifacts Released", "Intended Use",
                     "Human Oversight", "Disclosure", "Limitations", "Reproducibility Note"):
         assert f"## {heading}" in markdown

@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from airo.bundle import InputBundle, NoteRecord, Taxonomy, Cluster
+from airo.bundle import InputBundle, NoteRecord, Taxonomy, Cluster, replace
 from airo.errors import TemplateInvalid
 from airo.template import (ALLOWED_PLACEHOLDERS, PLACEHOLDER_RE, REQUIRED_PLACEHOLDERS,
                            SLOT_CONSTRAINTS, SLOT_OUTPUT, PromptTemplate, Stage,
-                           constraint_placement, default_template, format_notes,
-                           format_taxonomy, parse_template, render, render_synthesis_prompt,
-                           render_taxonomy_prompt, validate_template)
+                           constraint_placement, format_notes, format_taxonomy, parse_template,
+                           render, validate_template)
+
+from conftest import packaged_template
+
+TAXONOMY_TMPL = packaged_template(Stage.TAXONOMY)
+SYNTHESIS_TMPL = packaged_template(Stage.SYNTHESIS)
 
 # bracket-free prose so the note-header pattern [ID] can only come from ids
 _plain = st.text(alphabet="abcdefghijklmnopqrstuvwxyz .,", min_size=1, max_size=40)
@@ -98,13 +102,13 @@ def tricky_bundles(draw) -> InputBundle:
 
 def test_shipped_defaults_validate():
     for stage in Stage:
-        report = validate_template(default_template(stage))
-        assert report.passed, [c for c in report.checks if not c.passed]
+        checks = validate_template(packaged_template(stage))
+        assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
 
 def test_taxonomy_prompt_lists_exactly_the_bundle_ids():
     bundle = bundle_with(3)
-    prompt = render_taxonomy_prompt(bundle)
+    prompt = render(TAXONOMY_TMPL, bundle)
     for note in bundle.notes:
         assert f"[{note.id}]" in prompt.text
         assert note.summary in prompt.text
@@ -113,7 +117,7 @@ def test_taxonomy_prompt_lists_exactly_the_bundle_ids():
 
 
 def test_single_note_bundle_renders():
-    prompt = render_taxonomy_prompt(bundle_with(1))
+    prompt = render(TAXONOMY_TMPL, bundle_with(1))
     assert "[P1]" in prompt.text
 
 
@@ -124,7 +128,7 @@ def test_placeholder_shaped_data_passes_through_verbatim():
         target_words=bundle.target_words,
         notes=(NoteRecord("P1", "pid", "Cite", "summary with literal {{TITLE}} token",
                           "", "", ""),) + bundle.notes[1:])
-    prompt = render_taxonomy_prompt(poisoned)
+    prompt = render(TAXONOMY_TMPL, poisoned)
     assert "  Summary: summary with literal {{TITLE}} token\n" in prompt.text  # data stays data
     # the template's own {{TITLE}} is substituted, so the data's is the only one left
     assert "a scientific paper on X." in prompt.text
@@ -133,7 +137,7 @@ def test_placeholder_shaped_data_passes_through_verbatim():
 
 def test_synthesis_prompt_substitutes_title_and_target_words():
     bundle = bundle_with(2, title="X", target_words=350)
-    prompt = render_synthesis_prompt(bundle, taxonomy_for(bundle))
+    prompt = render(SYNTHESIS_TMPL, bundle, taxonomy_for(bundle))
     assert "a scientific paper on X." in prompt.text
     assert "~350 words" in prompt.text
     assert "Topic: X\n" in prompt.text
@@ -141,7 +145,7 @@ def test_synthesis_prompt_substitutes_title_and_target_words():
 
 def test_synthesis_prompt_carries_fallback_marker_and_output_sections():
     bundle = bundle_with(2)
-    prompt = render_synthesis_prompt(bundle, taxonomy_for(bundle))
+    prompt = render(SYNTHESIS_TMPL, bundle, taxonomy_for(bundle))
     assert "mark it as [NEEDS HUMAN CHECK]" in prompt.text
     assert '"RELATED WORK (DRAFT)" header' in prompt.text
     assert '"CLAIM CHECKLIST" bullet list with supporting paper IDs' in prompt.text
@@ -150,16 +154,15 @@ def test_synthesis_prompt_carries_fallback_marker_and_output_sections():
 
 def test_constraint_block_survives_verbatim():
     bundle = bundle_with(4)
-    template = default_template(Stage.SYNTHESIS)
-    prompt = render_synthesis_prompt(bundle, taxonomy_for(bundle))
-    assert template.constraint_block in prompt.text
+    prompt = render(SYNTHESIS_TMPL, bundle, taxonomy_for(bundle))
+    assert SYNTHESIS_TMPL.constraint_block in prompt.text
 
 
 def test_rendering_is_deterministic():
     bundle = bundle_with(3)
     taxonomy = taxonomy_for(bundle)
-    first = render_synthesis_prompt(bundle, taxonomy)
-    second = render_synthesis_prompt(bundle, taxonomy)
+    first = render(SYNTHESIS_TMPL, bundle, taxonomy)
+    second = render(SYNTHESIS_TMPL, bundle, taxonomy)
     assert first == second
     assert first.text.encode("utf-8") == second.text.encode("utf-8")
 
@@ -177,12 +180,12 @@ def test_one_pass_render_equals_the_tokenizing_reference(template, bundle):
 
 @given(plain_bundles())
 def test_rendering_deterministic_property(bundle):
-    assert render_taxonomy_prompt(bundle) == render_taxonomy_prompt(bundle)
+    assert render(TAXONOMY_TMPL, bundle) == render(TAXONOMY_TMPL, bundle)
 
 
 @given(plain_bundles())
 def test_prompt_layer_invents_no_ids(bundle):
-    prompt = render_taxonomy_prompt(bundle)
+    prompt = render(TAXONOMY_TMPL, bundle)
     mentioned = set(re.findall(r"^\[([A-Za-z][A-Za-z0-9]*)\]", prompt.text, re.MULTILINE))
     assert mentioned == set(bundle.note_ids)
 
@@ -193,19 +196,18 @@ def test_midplaced_constraints_fail_placement():
         body="A" * 1000 + "\n{{HARD_CONSTRAINTS}}\n" + "B" * 1000 + "\n{{NOTES}}\n{{OUTPUT_SPEC}}",
         constraint_block="C" * 100,
         output_spec="say json")
-    report = validate_template(template)
-    failed = {c.name for c in report.checks if not c.passed}
+    failed = {c.name for c in validate_template(template) if not c.passed}
     assert "constraint placement" in failed
     with pytest.raises(TemplateInvalid, match="constraint placement"):
         render(template, bundle_with(1))
 
 
 def test_missing_target_words_fails_for_synthesis():
-    template = default_template(Stage.SYNTHESIS)
+    template = SYNTHESIS_TMPL
     body = template.body.replace("{{TARGET_WORDS}}", "some")
-    report = validate_template(PromptTemplate(Stage.SYNTHESIS, body,
+    checks = validate_template(PromptTemplate(Stage.SYNTHESIS, body,
                                               template.constraint_block, template.output_spec))
-    failures = {c.name: c.detail for c in report.checks if not c.passed}
+    failures = {c.name: c.detail for c in checks if not c.passed}
     assert "required placeholders" in failures
     assert "TARGET_WORDS" in failures["required placeholders"]
 
@@ -214,8 +216,7 @@ def test_unknown_placeholder_fails():
     template = PromptTemplate(Stage.TAXONOMY,
                               "{{NOTES}} {{BOGUS}} {{HARD_CONSTRAINTS}} {{OUTPUT_SPEC}}",
                               "rules", "output")
-    report = validate_template(template)
-    assert any("BOGUS" in c.detail for c in report.checks if not c.passed)
+    assert any("BOGUS" in c.detail for c in validate_template(template) if not c.passed)
     with pytest.raises(TemplateInvalid, match="BOGUS"):
         render(template, bundle_with(1))
 
@@ -223,8 +224,7 @@ def test_unknown_placeholder_fails():
 def test_empty_constraint_block_fails():
     template = PromptTemplate(Stage.TAXONOMY, "{{NOTES}} {{HARD_CONSTRAINTS}} {{OUTPUT_SPEC}}",
                               "   ", "output")
-    report = validate_template(template)
-    assert not report.passed
+    assert not all(c.passed for c in validate_template(template))
 
 
 def test_parse_template_round_trip_of_sections():
@@ -243,6 +243,14 @@ def test_parse_template_requires_stage_and_sections():
         parse_template("stage: taxonomy\n=== BODY ===\nx")
 
 
-def test_wrong_stage_template_rejected():
-    with pytest.raises(TemplateInvalid, match="taxonomy"):
-        render_taxonomy_prompt(bundle_with(1), template=default_template(Stage.SYNTHESIS))
+@pytest.mark.parametrize("stage", list(Stage), ids=lambda stage: stage.value)
+def test_wrong_stage_template_rejected(stage):
+    # a taxonomy asks for a synthesis template, none for a taxonomy one; the stage is
+    # checked before anything else, so a template that breaks other rules gets the same error
+    bundle = bundle_with(1)
+    taxonomy = taxonomy_for(bundle) if stage is Stage.SYNTHESIS else None
+    wrong = SYNTHESIS_TMPL if stage is Stage.TAXONOMY else TAXONOMY_TMPL
+    message = f"^expected a {stage.value} template, got stage {wrong.stage.value}$"
+    for template in (wrong, replace(wrong, body="{{BOGUS}}", constraint_block="")):
+        with pytest.raises(TemplateInvalid, match=message):
+            render(template, bundle, taxonomy)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 import warnings
 import zipfile
 
@@ -17,7 +18,7 @@ from airo.rocrate import (MANIFEST_NAME, PACKED_MEMBERS, read_crate_members,
 from airo.verify import (CheckName, CheckStatus, VerificationReport, verify_against_source,
                          verify_crate)
 
-from conftest import PRIVATE_ONLY_FIELDS, run_pipeline
+from conftest import PRIVATE_ONLY_FIELDS, UNDECODABLE_JSON, run_pipeline
 
 INVENTED_DRAFT = """RELATED WORK (DRAFT)
 
@@ -449,20 +450,27 @@ def test_non_string_raw_text_in_crate_log_is_a_finding(tmp_path, demo_run):
     assert any("redacted log unreadable" in finding for finding in hash_check.findings)
 
 
-def _crate_with_log(tmp_path, crate, edit):
-    """A copy of ``crate`` whose redacted log's JSON ``edit`` changed, with a manifest
-    consistent with the edit, so only the log's content can fail the crate."""
+def _crate_with_member(tmp_path, crate, name, data: bytes):
+    """A copy of ``crate`` whose member ``name`` holds ``data``, with its manifest digest
+    recomputed, so only the member's content can fail the crate."""
     members = read_crate_members(crate)
-    name = "provenance/interaction_log.redacted.json"
-    data = json.loads(members[name])
-    edit(data)
-    members[name] = json.dumps(data).encode()
-    manifest = json.loads(members[MANIFEST_NAME])
-    _node(manifest, name)["sha256"] = sha256_hex(members[name]).hex
-    members[MANIFEST_NAME] = json.dumps(manifest).encode()
+    members[name] = data
+    if name != MANIFEST_NAME:
+        manifest = json.loads(members[MANIFEST_NAME])
+        _node(manifest, name)["sha256"] = sha256_hex(data).hex
+        members[MANIFEST_NAME] = json.dumps(manifest).encode()
     tampered = tmp_path / "tampered.zip"
     write_zip_deterministic(tampered, members)
     return tampered
+
+
+def _crate_with_log(tmp_path, crate, edit):
+    """A copy of ``crate`` whose redacted log's JSON ``edit`` changed, with a manifest
+    consistent with the edit, so only the log's content can fail the crate."""
+    name = "provenance/interaction_log.redacted.json"
+    data = json.loads(read_crate_members(crate)[name])
+    edit(data)
+    return _crate_with_member(tmp_path, crate, name, json.dumps(data).encode())
 
 
 def _crate_with_record_field(tmp_path, crate, field, value):
@@ -542,3 +550,45 @@ def test_non_string_raw_text_in_source_log_is_an_error(tmp_path, demo_run):
     edited.write_text(json.dumps(data))
     with pytest.raises(ToolkitError):
         verify_against_source(crate, edited)
+
+
+# member -> (the check that reports it, the start of its finding)
+JSON_MEMBERS = {
+    "inputs/bundle.json": (CheckName.NOTES_INSPECTABLE, "bundle invalid: bundle is not"),
+    "outputs/taxonomy.json": (CheckName.STRUCTURE_CONFORMS, "taxonomy invalid: taxonomy is not"),
+    "provenance/interaction_log.redacted.json": (CheckName.HASH_INTEGRITY,
+                                                 "redacted log unreadable: "),
+    MANIFEST_NAME: (CheckName.HASH_INTEGRITY, f"manifest unusable: {MANIFEST_NAME} is not"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE_JSON))
+@pytest.mark.parametrize("name", sorted(JSON_MEMBERS))
+def test_undecodable_json_member_is_a_finding(tmp_path, demo_run, capsys, name, kind):
+    if kind == "long-int" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no digit limit for int conversion")
+    _, crate = demo_run
+    tampered = _crate_with_member(tmp_path, crate, name, UNDECODABLE_JSON[kind])
+
+    report = verify_crate(tampered)
+    check, finding = JSON_MEMBERS[name]
+    assert report.check(check).status is CheckStatus.FAIL
+    assert any(f.startswith(finding) for f in report.check(check).findings)
+    capsys.readouterr()
+    assert cli.main(["verify", str(tampered)]) == 1
+    out, err = capsys.readouterr()
+    assert out.endswith("overall: FAIL\n") and err == ""
+
+
+def test_oversized_audit_csv_field_is_a_finding(tmp_path, demo_run):
+    # csv refuses a field longer than csv.field_size_limit(), 131,072 characters by default
+    _, crate = demo_run
+    packed = read_crate_members(crate)["outputs/audit.csv"]
+    oversized = packed + b'"' + b"x" * 200_000 + b'",P1,supported,\r\n'
+    tampered = _crate_with_member(tmp_path, crate, "outputs/audit.csv", oversized)
+
+    claims = verify_crate(tampered).check(CheckName.CLAIM_MAPPING)
+    assert claims.status is CheckStatus.FAIL
+    assert [f for f in claims.findings if f.startswith("audit CSV unreadable: ")] == [
+        "audit CSV unreadable: audit CSV is not readable CSV: "
+        "field larger than field limit (131072)"]
