@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections.abc import KeysView
+from enum import Enum
 from functools import partial
 from json.encoder import encode_basestring
 
@@ -81,6 +83,70 @@ class Record:
     def __repr__(self) -> str:
         items = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
         return f"{type(self).__qualname__}({items})"
+
+    @classmethod
+    def from_json(cls, data):
+        """The record a decoded JSON object holds, read by declared field type: a missing key
+        takes the default, else None where the type allows it; an unknown key is ignored; a
+        wrong type is a TypeError and a missing required key a KeyError, naming the field."""
+        if type(data) is not dict:
+            raise TypeError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
+        state = {}
+        for field, read, _, optional in cls._codecs():
+            if field in data:
+                state[field] = read(data[field], field)
+            elif field not in cls._defaults:
+                state[field] = None if optional else data[field]  # data[field]: the KeyError
+        return cls(**state)
+
+    def to_json(self) -> dict:
+        """The fields as JSON values, in field order; ``from_json`` reads them back."""
+        return {field: write(getattr(self, field)) for field, _, write, _ in self._codecs()}
+
+    @classmethod
+    def _codecs(cls) -> list:
+        """``(field, read, write, optional)`` per field, parsed from its annotation on first use."""
+        if "_codec_list" not in vars(cls):
+            declared = {field: (annotation, vars(sys.modules[klass.__module__]))
+                        for klass in reversed(cls.__mro__)
+                        for field, annotation in vars(klass).get("__annotations__", {}).items()}
+            cls._codec_list = [(field, *_codec(*declared[field])) for field in cls._fields]
+        return cls._codec_list
+
+
+def expect_type(kind: type, value, field: str):
+    """``value`` if its type is ``kind`` (an int passes as a float), else a TypeError."""
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise TypeError(f"field {field!r} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _codec(annotation: str, namespace: dict) -> tuple:
+    """``(read, write, optional)`` for a field declared ``str``, ``int`` (never a bool),
+    ``float`` (an int is kept as given, so ``1`` is written back as ``1``), an Enum of
+    strings, a record, ``tuple[X, ...]``, ``list[X]``, or any of them ``| None``."""
+    spec = annotation.replace(" ", "")
+    if spec.endswith("|None"):
+        read, write, _ = _codec(spec.removesuffix("|None"), namespace)
+        return (lambda value, field: None if value is None else read(value, field),
+                lambda value: None if value is None else write(value), True)
+    container, _, inner = spec.partition("[")
+    if container in ("list", "tuple"):
+        read_item, write_item, _ = _codec(inner.removesuffix("]").removesuffix(",..."), namespace)
+        make = list if container == "list" else tuple
+        return (lambda value, field: make([read_item(item, f"{field}[]")
+                                           for item in expect_type(list, value, field)]),
+                lambda value: [write_item(item) for item in value], False)
+    kind = {"str": str, "int": int, "float": float}.get(spec) or namespace.get(spec, object)
+    if kind in (str, int, float):
+        return partial(expect_type, kind), lambda value: value, False
+    if issubclass(kind, Enum):  # a string naming no member is the Enum's ValueError
+        return (lambda value, field: kind(expect_type(str, value, field)),
+                lambda value: value.value, False)
+    if issubclass(kind, Record):
+        return (lambda value, field: kind.from_json(expect_type(dict, value, field)),
+                lambda value: value.to_json(), False)
+    raise NameError(f"no JSON reading for a field declared {annotation!r}")
 
 
 class FrozenRecord(Record):
@@ -154,8 +220,6 @@ class InputBundle(FrozenRecord):
                 raise SchemaViolation(f"duplicate id {note.id}")
             by_id[note.id] = note
         object.__setattr__(self, "_by_id", by_id)
-        if not isinstance(self.target_words, int) or isinstance(self.target_words, bool):
-            raise SchemaViolation("target_words must be an integer")
         if self.target_words < MIN_TARGET_WORDS:
             raise SchemaViolation(f"target_words must be >= {MIN_TARGET_WORDS}, got {self.target_words}")
 
@@ -185,13 +249,6 @@ class Taxonomy(FrozenRecord):
 def _expect_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise MalformedSyntax(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _expect_str(record: dict, key: str, where: str) -> str:
-    value = record[key]
-    if not isinstance(value, str):
-        raise SchemaViolation(f"{where}: field '{key}' must be a string")
     return value
 
 
@@ -229,10 +286,11 @@ def parse_bundle(raw: bytes) -> InputBundle:
     """Parse and fully validate a bundle file; errors name the offending record."""
     data = _expect_object(_load_json(raw, "bundle"), "bundle")
     _check_keys(data, _BUNDLE_FIELDS, "bundle")
-    title = _expect_str(data, "title", "bundle")
-    contribution = _expect_str(data, "contribution", "bundle")
-    if not isinstance(data["notes"], list):
-        raise SchemaViolation("bundle: notes must be a list")
+    try:
+        for field, kind in zip(_BUNDLE_FIELDS, (str, str, int, list)):
+            expect_type(kind, data[field], field)
+    except TypeError as err:
+        raise SchemaViolation(f"bundle: {err}") from None
 
     notes = []
     for index, item in enumerate(data["notes"]):
@@ -248,11 +306,12 @@ def parse_bundle(raw: bytes) -> InputBundle:
         where = f"notes[{index}]"
         _check_keys(_expect_object(item, where), _NOTE_FIELDS, where)
         for key in _NOTE_FIELDS:
-            _expect_str(item, key, where)
+            if not isinstance(item[key], str):
+                raise SchemaViolation(f"{where}: field '{key}' must be a string")
         notes.append(NoteRecord(**item))
 
-    # duplicate ids and the type of target_words are checked by InputBundle
-    return InputBundle(title=title, contribution=contribution,
+    # an empty note list and duplicate ids are refused by InputBundle
+    return InputBundle(title=data["title"], contribution=data["contribution"],
                        target_words=data["target_words"], notes=tuple(notes))
 
 
@@ -288,31 +347,24 @@ def parse_taxonomy(raw: bytes, bundle: InputBundle) -> Taxonomy:
     if not isinstance(data["clusters"], list) or not data["clusters"]:
         raise MalformedSyntax("taxonomy: 'clusters' must be a nonempty list")
 
-    clusters = []
-    names: set[str] = set()
+    clusters: dict[str, Cluster] = {}  # by name, in file order
     for index, item in enumerate(data["clusters"]):
         where = f"clusters[{index}]"
-        record = _expect_object(item, where)
-        if set(record.keys()) != set(_CLUSTER_FIELDS):
+        if set(_expect_object(item, where)) != set(_CLUSTER_FIELDS):
             raise MalformedSyntax(f"{where}: expected exactly fields {list(_CLUSTER_FIELDS)}")
-        name = record["name"]
-        rationale = record["rationale"]
-        member_ids = record["member_ids"]
-        if not isinstance(name, str) or not name:
+        try:
+            cluster = Cluster.from_json(item)
+        except TypeError as err:
+            raise MalformedSyntax(f"{where}: {err}") from None
+        if not cluster.name:
             raise MalformedSyntax(f"{where}: cluster name must be a nonempty string")
-        if name in names:
-            raise MalformedSyntax(f"{where}: duplicate cluster name {name!r}")
-        names.add(name)
-        if not isinstance(rationale, str):
-            raise MalformedSyntax(f"{where}: rationale must be a string")
-        if not isinstance(member_ids, list) or not all(isinstance(m, str) for m in member_ids):
-            raise MalformedSyntax(f"{where}: member_ids must be a list of strings")
-        clusters.append(restore(Cluster, {"name": name, "rationale": rationale,
-                                          "member_ids": tuple(member_ids)}))
+        if cluster.name in clusters:
+            raise MalformedSyntax(f"{where}: duplicate cluster name {cluster.name!r}")
+        clusters[cluster.name] = cluster
 
     known = bundle.known_ids
     assigned: set[str] = set()
-    for cluster in clusters:
+    for cluster in clusters.values():
         for member in cluster.member_ids:
             if member not in known:
                 raise UnknownMember(f"UnknownMember({member}): cluster {cluster.name!r} "
@@ -324,13 +376,9 @@ def parse_taxonomy(raw: bytes, bundle: InputBundle) -> Taxonomy:
         missing = [nid for nid in bundle.note_ids if nid not in assigned]
         raise Uncovered(f"note ids in no cluster: {', '.join(missing)}")
 
-    return Taxonomy(clusters=tuple(clusters))
+    return Taxonomy(clusters=tuple(clusters.values()))
 
 
 def taxonomy_to_bytes(taxonomy: Taxonomy) -> bytes:
     """Stable human-readable serialization used for the taxonomy output artifact."""
-    data = {"clusters": [
-        {"name": c.name, "rationale": c.rationale, "member_ids": list(c.member_ids)}
-        for c in taxonomy.clusters
-    ]}
-    return (json.dumps(data, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return (json.dumps(taxonomy.to_json(), indent=2, ensure_ascii=False) + "\n").encode("utf-8")

@@ -46,8 +46,7 @@ def cmd_init(args) -> int:
 
     run_dir = Path(args.run_dir) if args.run_dir else Path(new_run(args.label))
     run = rundir.init_scaffold(run_dir, args.label, with_demo=not args.no_demo)
-    state = run.load_state()
-    print(f"initialized {state.run_id} at {run.path}")
+    print(f"initialized {new_run(args.label)} at {run.path}")
     print(f"next: edit {rundir.BUNDLE} and {rundir.CONFIG}, then run 'airo validate'")
     return EXIT_OK
 
@@ -245,8 +244,8 @@ def cmd_card(args) -> int:
 
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
-        run.require("card")
-        run.file(rundir.CARD_MD).write_text(build_card(run.path), encoding="utf-8")
+        run_id = run.require("card").run_id
+        run.file(rundir.CARD_MD).write_text(build_card(run.path, run_id), encoding="utf-8")
         run.mark_complete("card")
         print(f"wrote {rundir.CARD_MD}")
     return EXIT_OK
@@ -258,9 +257,9 @@ def cmd_pack(args) -> int:
 
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
-        run.require("pack")
+        run_id = run.require("pack").run_id
         out = Path(args.output) if args.output else None
-        crate_path = pack(run.path, Tier(args.tier), out_path=out)
+        crate_path = pack(run.path, run_id, Tier(args.tier), out_path=out)
         run.mark_complete("pack")
         print(f"packed crate: {crate_path}")
     return EXIT_OK
@@ -273,13 +272,14 @@ def _print_check(check: CheckResult) -> None:
 
 
 def cmd_verify(args) -> int:
-    from .verify import CheckStatus, verify_against_source, verify_crate
+    from .verify import CheckStatus, read_crate_members, source_derivation, verify_members
 
-    report = verify_crate(Path(args.crate))
+    members = read_crate_members(Path(args.crate))  # once, for the escrow check as well
+    report = verify_members(members)
     for check in report.checks:
         _print_check(check)
     if args.source_log:  # read only now, so a SourceMismatch still shows the checks above
-        report.checks.append(verify_against_source(Path(args.crate), Path(args.source_log)))
+        report.checks.append(source_derivation(members, Path(args.source_log)))
         _print_check(report.checks[-1])
     print(f"overall: {report.overall.value.upper()}")
     return EXIT_OK if report.overall is CheckStatus.PASS else EXIT_FAILURE

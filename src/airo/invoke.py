@@ -30,10 +30,11 @@ DEFAULT_BACKOFF_S = 0.5
 
 def config_from_file(path: Path) -> ModelConfig:
     try:
-        data = dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        if data.get("interface") == Interface.OPENAI_COMPATIBLE.value and not data.get("endpoint"):
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if (type(data) is dict and data.get("interface") == Interface.OPENAI_COMPATIBLE.value
+                and data.get("endpoint") in (None, "")):
             data["endpoint"] = os.environ.get(ENV_ENDPOINT, "")
-        return ModelConfig.from_dict(data)
+        return ModelConfig.from_json(data)
     # RecursionError: JSON nested deeper than the decoder's recursion limit
     except (ValueError, KeyError, TypeError, RecursionError) as err:
         raise ConfigInvalid(f"{path}: {type(err).__name__}: {err}") from err

@@ -17,7 +17,7 @@ import re
 from datetime import datetime, timezone
 from functools import partial
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .bundle import FrozenRecord, InputBundle, Record, canonical_bytes, restore
 from .errors import InvalidLabel, MalformedSyntax
@@ -58,28 +58,14 @@ class ModelConfig(FrozenRecord):
     stub_fixture: str | None = None
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < float("inf"):  # NaN and Infinity are not JSON numbers
+            raise ValueError("temperature must be a finite number >= 0")
         if not (0 < self.top_p <= 1):
             raise ValueError("top_p must be in (0, 1]")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be a positive integer")
         if self.interface is Interface.OPENAI_COMPATIBLE and not self.endpoint:
             raise ValueError("endpoint must be nonempty for the openai-compatible interface")
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "interface": self.interface.value}  # keys in field order
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ModelConfig":
-        return cls(interface=Interface(data["interface"]),
-                   model_name=data["model_name"],
-                   temperature=data["temperature"],
-                   top_p=data["top_p"],
-                   max_tokens=data["max_tokens"],
-                   endpoint=data.get("endpoint", ""),
-                   seed=data.get("seed"),
-                   stub_fixture=data.get("stub_fixture"))
 
 
 class Digest(FrozenRecord):
@@ -93,12 +79,8 @@ class Digest(FrozenRecord):
             raise ValueError("digest hex must be 64 lowercase hexadecimal characters")
         object.__setattr__(self, "__dict__", {"hex": hex, "algorithm": algorithm})
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> dict:  # the stored layout names the algorithm first
         return {"algorithm": self.algorithm, "hex": self.hex}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Digest":
-        return cls(hex=data["hex"], algorithm=data.get("algorithm", "sha256"))
 
 
 def sha256_hex(data: bytes) -> Digest:
@@ -114,7 +96,7 @@ class InvocationRecord(FrozenRecord):
     """One logged model interaction; digests are always present, the rest optional.
 
     A redacted record has no timestamps, source paths or host, and keeps raw
-    texts only at auditor tier. ``to_dict`` omits fields that are None.
+    texts only at auditor tier. ``to_json`` omits fields that are None.
     """
 
     stage: Stage
@@ -129,6 +111,10 @@ class InvocationRecord(FrozenRecord):
     response_text: str | None = None
     source_paths: tuple[str, ...] | None = None
     host_id: str | None = None
+
+    def __post_init__(self):
+        if self.attempt < 1:
+            raise ValueError(f"attempt must be at least 1, got {self.attempt}")
 
     def linkage_findings(self) -> list[str]:
         """Violations of the raw-text/digest linkage invariant.
@@ -146,44 +132,8 @@ class InvocationRecord(FrozenRecord):
             findings.append("response_text does not re-hash to response_sha256")
         return findings
 
-    def to_dict(self) -> dict:
-        data = {**vars(self), "stage": self.stage.value, "config": self.config.to_dict(),
-                "prompt_sha256": self.prompt_sha256.to_dict(),
-                "response_sha256": self.response_sha256.to_dict(),
-                "bundle_sha256": self.bundle_sha256.to_dict(),
-                "source_paths": list(self.source_paths) if self.source_paths is not None else None}
-        return {key: value for key, value in data.items() if value is not None}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InvocationRecord":
-        """A record from its JSON form; a field of the wrong type is a TypeError and
-        an attempt below 1 a ValueError."""
-        attempt, source_paths = data["attempt"], data.get("source_paths")
-        if type(attempt) is not int:  # bool is an int subclass, and not a count
-            raise TypeError(f"attempt must be an integer, got {attempt!r}")
-        if attempt < 1:
-            raise ValueError(f"attempt must be at least 1, got {attempt}")
-        if source_paths is not None and not (isinstance(source_paths, list) and all(
-                isinstance(path, str) for path in source_paths)):
-            raise TypeError("source_paths must be a list of strings")
-        record = cls(stage=Stage(data["stage"]),
-                     config=ModelConfig.from_dict(data["config"]),
-                     prompt_sha256=Digest.from_dict(data["prompt_sha256"]),
-                     response_sha256=Digest.from_dict(data["response_sha256"]),
-                     bundle_sha256=Digest.from_dict(data["bundle_sha256"]),
-                     started_at=data.get("started_at"),
-                     ended_at=data.get("ended_at"),
-                     attempt=attempt,
-                     prompt_text=data.get("prompt_text"),
-                     response_text=data.get("response_text"),
-                     source_paths=tuple(source_paths) if source_paths is not None else None,
-                     host_id=data.get("host_id"))
-        if not all(isinstance(text, (str, type(None)))
-                   for text in (record.prompt_text, record.response_text, record.started_at,
-                                record.ended_at, record.host_id)):
-            raise TypeError("prompt_text, response_text, started_at, ended_at and host_id "
-                            "must be strings")
-        return record
+    def to_json(self) -> dict:
+        return {key: value for key, value in super().to_json().items() if value is not None}
 
 
 class InteractionLog(Record):
@@ -217,12 +167,11 @@ class InteractionLog(Record):
         self.records.append(record)
 
     def to_dict(self) -> dict:
-        if self.tier is None:
-            head = {"run_id": self.run_id, "created_at": self.created_at}
-        else:
-            head = {"run_id": self.run_id, "policy": self.tier.policy_dict(),
-                    "redacted_from_sha256": self.redacted_from_sha256.to_dict()}
-        return {**head, "records": [record.to_dict() for record in self.records]}
+        head = ({"created_at": self.created_at} if self.tier is None else
+                {"policy": self.tier.policy_dict(),
+                 "redacted_from_sha256": self.redacted_from_sha256.to_json()})
+        return {"run_id": self.run_id, **head,
+                "records": [record.to_json() for record in self.records]}
 
     def to_bytes(self) -> bytes:
         return (json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
@@ -237,7 +186,7 @@ def parse_log(raw: bytes) -> InteractionLog:
     try:
         data = json.loads(raw.decode("utf-8"))
         return InteractionLog(run_id=data["run_id"], created_at=data["created_at"],
-                              records=[InvocationRecord.from_dict(r) for r in data["records"]])
+                              records=[InvocationRecord.from_json(r) for r in data["records"]])
     # RecursionError: JSON nested deeper than the decoder's recursion limit
     except (ValueError, KeyError, TypeError, RecursionError) as err:
         raise MalformedSyntax(f"interaction log unreadable: {err}") from err

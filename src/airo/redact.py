@@ -52,8 +52,8 @@ def parse_redacted_log(raw: bytes) -> InteractionLog:
         data = json.loads(raw.decode("utf-8"))
         return InteractionLog(run_id=data["run_id"], created_at=None,
                               tier=Tier.from_policy_dict(data["policy"]),
-                              redacted_from_sha256=Digest.from_dict(data["redacted_from_sha256"]),
-                              records=[InvocationRecord.from_dict(r) for r in data["records"]])
+                              redacted_from_sha256=Digest.from_json(data["redacted_from_sha256"]),
+                              records=[InvocationRecord.from_json(r) for r in data["records"]])
     # RecursionError: JSON nested deeper than the decoder's recursion limit
     except (ValueError, KeyError, TypeError, RecursionError) as err:
         raise MalformedSyntax(f"redacted log unreadable: {err}") from err

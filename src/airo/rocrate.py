@@ -17,7 +17,7 @@ import zipfile
 from enum import Enum
 from pathlib import Path
 
-from .bundle import FrozenRecord, canonical_bytes, parse_bundle
+from .bundle import FrozenRecord, canonical_bytes, expect_type, parse_bundle
 from .errors import (CrateUnreadable, DanglingEntity, MalformedSyntax, ManifestMalformed,
                      ManifestMissing, MissingSection, UnredactedLeak, read_utf8)
 from .provenance import Digest, parse_log, sha256_hex
@@ -81,14 +81,12 @@ RELEASED_ARTIFACTS = (
 )
 
 
-def build_card(run_path: Path) -> str:
-    """The card's Markdown, from run state, the log's configuration, and the
+def build_card(run_path: Path, run_id: str) -> str:
+    """The card's Markdown, from the run id, the log's configuration, and the
     operator-authored narrative sections; every section must be nonempty."""
     from . import rundir  # only build_card and pack read a run directory; verify never does
 
     run = rundir.RunDirectory(Path(run_path))
-    state = run.load_state()
-
     bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
     log = parse_log(run.file(rundir.INTERACTION_LOG).read_bytes())
     if not log.records:
@@ -98,10 +96,10 @@ def build_card(run_path: Path) -> str:
     sections_path = run.file(rundir.CARD_SECTIONS)
     try:
         sections = json.loads(read_utf8(sections_path)) if sections_path.is_file() else {}
-        narrative = {title: str(sections.get(key, "")).strip()
+        narrative = {title: expect_type(str, sections.get(key, ""), key).strip()
                      for key, title in _CARD_SECTION_TITLES.items()}
-    # not JSON, nested past the decoder's recursion limit, or JSON but not an object
-    except (ValueError, RecursionError, AttributeError) as err:
+    # not JSON, nested past the decoder's recursion limit, not an object, or not strings
+    except (ValueError, RecursionError, AttributeError, TypeError) as err:
         raise MalformedSyntax(f"{sections_path}: not a JSON object of card sections ({err})"
                               ) from err
     for title, text in narrative.items():
@@ -116,7 +114,7 @@ def build_card(run_path: Path) -> str:
     lines = [
         "# AI Research Object Inspection Card",
         "",
-        f"Run ID: {state.run_id}",
+        f"Run ID: {run_id}",
         "",
         f"Research Topic: {bundle.title}",
         "",
@@ -184,13 +182,12 @@ def write_zip_deterministic(path: Path, members: dict[str, bytes]) -> None:
             archive.writestr(info, members[name])
 
 
-def pack(run_path: Path, tier: Tier, out_path: Path | None = None) -> Path:
-    """Package the run at ``tier``; deterministic by construction. A redacted log that
-    ``check_redaction`` faults for ``tier`` is an UnredactedLeak."""
+def pack(run_path: Path, run_id: str, tier: Tier, out_path: Path | None = None) -> Path:
+    """Package the run ``run_id`` at ``tier``; deterministic by construction. A redacted log
+    that ``check_redaction`` faults for ``tier`` is an UnredactedLeak."""
     from . import rundir
 
     run = rundir.RunDirectory(Path(run_path))
-    state = run.load_state()
 
     # the run-directory source and role of each member, in PACKED_MEMBERS order
     payload = dict(zip(PACKED_MEMBERS, (
@@ -203,11 +200,8 @@ def pack(run_path: Path, tier: Tier, out_path: Path | None = None) -> Path:
     if missing:
         raise DanglingEntity(f"run directory is missing required file(s): {', '.join(missing)}")
 
-    members: dict[str, bytes] = {}
-    roles: dict[str, Role] = {}
-    for member_name, (source, role) in payload.items():
-        members[member_name] = run.file(source).read_bytes()
-        roles[member_name] = role
+    members = {name: run.file(source).read_bytes() for name, (source, _) in payload.items()}
+    roles = {name: role for name, (_, role) in payload.items()}
 
     redacted = parse_redacted_log(members["provenance/interaction_log.redacted.json"])
     leaks = check_redaction(redacted, tier)
@@ -231,11 +225,11 @@ def pack(run_path: Path, tier: Tier, out_path: Path | None = None) -> Path:
          "object": [{"@id": "outputs/draft.md"}, {"@id": "inputs/bundle.json"}],
          "result": [{"@id": "outputs/audit.csv"}]},
     ]
-    manifest = _build_manifest_json(state.run_id, members, roles, actions)
+    manifest = _build_manifest_json(run_id, members, roles, actions)
     members[MANIFEST_NAME] = (json.dumps(manifest, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
     if out_path is None:
-        out_path = run.file(rundir.CRATE_DIR) / f"{state.run_id}.crate.zip"
+        out_path = run.file(rundir.CRATE_DIR) / f"{run_id}.crate.zip"
     write_zip_deterministic(Path(out_path), members)
     return Path(out_path)
 

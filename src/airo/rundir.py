@@ -96,24 +96,9 @@ class RunState(Record):
     created_at: str
     completed: list[str] = partial(list)
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunState":
-        """State read back from run.json; a field of the wrong type or shape is a
-        TypeError or ValueError, never a silently converted value."""
-        state = cls(run_id=data["run_id"], label=data["label"], created_at=data["created_at"],
-                    completed=data.get("completed", []))
-        for name in ("run_id", "label", "created_at"):
-            if not isinstance(getattr(state, name), str):
-                raise TypeError(f"'{name}' must be a string")
-        if not (isinstance(state.completed, list)
-                and all(isinstance(stage, str) for stage in state.completed)):
-            raise TypeError("'completed' must be a list of strings")
-        if not RUN_ID_RE.fullmatch(state.run_id):
-            raise ValueError(f"'run_id' {state.run_id!r} is not a valid run id")
-        return state
+    def __post_init__(self):
+        if not RUN_ID_RE.fullmatch(self.run_id):
+            raise ValueError(f"'run_id' {self.run_id!r} is not a valid run id")
 
 
 class RunDirectory:
@@ -135,7 +120,7 @@ class RunDirectory:
             raise StageOrder(f"{self.path} is not an initialized run directory "
                              f"(missing {STATE}); run 'airo init' first")
         try:
-            return RunState.from_dict(json.loads(self.state_path.read_text(encoding="utf-8")))
+            return RunState.from_json(json.loads(self.state_path.read_text(encoding="utf-8")))
         except (ValueError, KeyError, TypeError, RecursionError) as err:
             # ValueError covers JSONDecodeError and UnicodeDecodeError, which is what
             # a kill in the middle of save_state leaves behind; RecursionError is
@@ -144,7 +129,7 @@ class RunDirectory:
                                   f"{err!r}") from err
 
     def save_state(self, state: RunState) -> None:
-        self.state_path.write_text(json.dumps(state.to_dict(), indent=2) + "\n",
+        self.state_path.write_text(json.dumps(state.to_json(), indent=2) + "\n",
                                    encoding="utf-8")
 
     def require(self, stage: str) -> RunState:

@@ -60,9 +60,7 @@ class VerificationReport(Record):
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {"overall": self.overall.value,
-                "checks": [{"name": c.name.value, "status": c.status.value,
-                            "findings": c.findings} for c in self.checks]}
+        return {"overall": self.overall.value, "checks": [c.to_json() for c in self.checks]}
 
 
 def _result(name: CheckName, findings: list[str]) -> CheckResult:
@@ -201,7 +199,11 @@ def _input_derivation(members: dict[str, bytes], bundle: InputBundle | None,
 
 def verify_crate(archive: Path) -> VerificationReport:
     """Run the five-step inspection over a packed crate, read once."""
-    members = read_crate_members(archive)  # CrateUnreadable is the only exception
+    return verify_members(read_crate_members(archive))  # CrateUnreadable is the only exception
+
+
+def verify_members(members: dict[str, bytes]) -> VerificationReport:
+    """``verify_crate`` over the members already read from a crate."""
     notes, bundle = _notes_inspectable(members)
     structure, draft = _structure_conforms(members, bundle)
     claims = _claim_mapping(members, bundle, draft)
@@ -216,7 +218,11 @@ def verify_against_source(archive: Path, source_log_path: Path) -> CheckResult:
     Raises SourceMismatch when the log clearly belongs to a different run
     (run id or record count differ); finer disagreements are Fail findings.
     """
-    members = read_crate_members(archive)
+    return source_derivation(read_crate_members(archive), source_log_path)
+
+
+def source_derivation(members: dict[str, bytes], source_log_path: Path) -> CheckResult:
+    """``verify_against_source`` over the members already read from a crate."""
     if _REDACTED_LOG not in members:
         raise SourceMismatch("crate has no redacted interaction log")
     redacted = parse_redacted_log(members[_REDACTED_LOG])

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import time
+
 from hypothesis import strategies as st
 
 from airo.audit import (AuditRow, AuditStatus, ClaimEntry, DraftArtifact,
                         CHECKLIST_HEADING, DRAFT_HEADER, HUMAN_CHECK_MARKER, parse_draft)
 from airo.bundle import InputBundle, NoteRecord
+from airo.provenance import (InteractionLog, Interface, InvocationRecord, ModelConfig, Stage,
+                             sha256_hex)
+from airo.redact import Tier
+from airo.rundir import RunState
 
 note_ids = st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,5}", fullmatch=True)
 
@@ -87,3 +93,63 @@ def audit_rows(draw) -> AuditRow:
                     supporting_ids=tuple(draw(st.lists(note_ids, max_size=3, unique=True))),
                     status=draw(st.sampled_from(AuditStatus)),
                     resolver_note=draw(st.none() | _csv_text.filter(bool)))
+
+
+# JSON texts may hold any code point but a lone surrogate, which UTF-8 cannot encode
+_json_text = st.text(st.characters(codec="utf-8"), max_size=20)
+_timestamps = st.integers(0, 2**32).map(
+    lambda seconds: time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(seconds)))
+run_ids = st.text("abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=12).map(
+    "ro-".__add__)
+digests = st.binary(max_size=8).map(sha256_hex)
+
+
+@st.composite
+def model_configs(draw) -> ModelConfig:
+    """Valid configurations; a float field is drawn as an int too, which is kept as given."""
+    interface = draw(st.sampled_from(Interface))
+    endpoint = draw(_json_text.filter(bool) if interface is Interface.OPENAI_COMPATIBLE
+                    else _json_text)
+    return ModelConfig(
+        interface=interface, model_name=draw(_json_text),
+        temperature=draw(st.integers(0, 2) | st.floats(0, 2)),
+        top_p=draw(st.just(1) | st.floats(0, 1, exclude_min=True)),
+        max_tokens=draw(st.integers(1, 10**6)), endpoint=endpoint,
+        seed=draw(st.none() | st.integers(-2**63, 2**63)),
+        stub_fixture=draw(st.none() | _json_text))
+
+
+@st.composite
+def invocation_records(draw, redacted: bool = False) -> InvocationRecord:
+    """Records of a private log, or with ``redacted`` of a redacted one: no timestamps,
+    paths or host."""
+    private = {} if redacted else {
+        "started_at": draw(_timestamps), "ended_at": draw(_timestamps),
+        "source_paths": draw(st.none() | st.lists(_json_text, max_size=3).map(tuple)),
+        "host_id": draw(st.none() | _json_text)}
+    return InvocationRecord(
+        stage=draw(st.sampled_from(Stage)), config=draw(model_configs()),
+        prompt_sha256=draw(digests), response_sha256=draw(digests), bundle_sha256=draw(digests),
+        started_at=private.get("started_at"), ended_at=private.get("ended_at"),
+        attempt=draw(st.integers(1, 9)), prompt_text=draw(st.none() | _json_text),
+        response_text=draw(st.none() | _json_text),
+        source_paths=private.get("source_paths"), host_id=private.get("host_id"))
+
+
+run_states = st.builds(RunState, run_id=run_ids, label=_json_text, created_at=_timestamps,
+                       completed=st.lists(st.sampled_from(["taxonomy", "draft", "audit",
+                                                           "redact", "card", "pack"]),
+                                          unique=True))
+
+
+@st.composite
+def interaction_logs(draw, redacted: bool = False) -> InteractionLog:
+    """Private logs, records in ``started_at`` order, or with ``redacted`` redacted ones."""
+    records = draw(st.lists(invocation_records(redacted), max_size=3))
+    if redacted:
+        return InteractionLog(run_id=draw(run_ids), records=records, created_at=None,
+                              tier=draw(st.sampled_from(Tier)),
+                              redacted_from_sha256=draw(digests))
+    records.sort(key=lambda record: record.started_at)
+    return InteractionLog(run_id=draw(run_ids), records=records,
+                          created_at=draw(_timestamps))

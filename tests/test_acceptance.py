@@ -25,7 +25,7 @@ from airo.rocrate import (MANIFEST_NAME, Role, build_card, pack, read_crate_memb
                           read_manifest, write_zip_deterministic)
 from airo.template import Stage
 from airo.verify import CheckName, CheckStatus, verify_crate
-from conftest import run_pipeline
+from conftest import run_id_of, run_pipeline
 from strategies import audit_rows, bundles, draft_to_text, drafts
 from test_rocrate import card_sections
 from test_verify import INVENTED_DRAFT
@@ -188,9 +188,10 @@ def test_c5_redaction_completeness():
 def test_c6_packing_determinism(demo_copy):
     run_dir, _ = demo_copy
     digests = set()
+    run_id = run_id_of(run_dir)
     for repetition in range(5):
         out = run_dir / f"repack-{repetition}.zip"
-        digests.add(sha256_hex(pack(run_dir, Tier.REVIEWER, out_path=out).read_bytes()).hex)
+        digests.add(sha256_hex(pack(run_dir, run_id, Tier.REVIEWER, out_path=out).read_bytes()).hex)
     assert len(digests) == 1
 
 
@@ -224,7 +225,7 @@ def test_c7_parser_round_trips():
 @criterion(8, "inspection card emits all nine sections with the demo configuration")
 def test_c8_card_completeness(demo_run):
     run_dir, _ = demo_run
-    markdown = build_card(run_dir)
+    markdown = build_card(run_dir, run_id_of(run_dir))
     sections = card_sections(markdown)
     assert len(sections) == 9
     for title, text in sections.items():

@@ -153,6 +153,43 @@ def test_truncated_response_warns_and_completes(tmp_path, capsys, stage):
     assert stage in run.load_state().completed
 
 
+def test_an_integer_top_p_is_logged_as_given(tmp_path):
+    run = _init_before(tmp_path / "run", "taxonomy")
+    config = json.loads(run.file(rundir.CONFIG).read_text())
+    config["top_p"] = 1  # a float field takes an int and keeps it
+    run.file(rundir.CONFIG).write_text(json.dumps(config))
+    assert cli.main(["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run.path)]) == 0
+    logged = json.loads(run.file(rundir.INTERACTION_LOG).read_text())["records"][0]["config"]
+    assert type(logged["top_p"]) is int and logged["top_p"] == 1
+    assert b'"top_p": 1,' in run.file(rundir.INTERACTION_LOG).read_bytes()
+
+
+@pytest.mark.parametrize("command", [["card"], ["pack", "--tier", "reviewer"]],
+                         ids=lambda command: command[0])
+def test_card_and_pack_read_run_state_once_before_marking_complete(demo_copy, monkeypatch,
+                                                                   command):
+    run_dir, _ = demo_copy
+    loads = []
+    load_state = rundir.RunDirectory.load_state
+    monkeypatch.setattr(rundir.RunDirectory, "load_state",
+                        lambda run: loads.append(run.path) or load_state(run))
+    assert cli.main(command + ["--run-dir", str(run_dir)]) == 0
+    assert len(loads) == 2  # require, then mark_complete
+
+
+def test_verify_with_a_source_log_reads_the_crate_once(demo_run, monkeypatch, capsys):
+    import airo.verify
+    run_dir, crate = demo_run
+    reads = []
+    read_crate_members = airo.verify.read_crate_members
+    monkeypatch.setattr(airo.verify, "read_crate_members",
+                        lambda archive: reads.append(archive) or read_crate_members(archive))
+    assert cli.main(["verify", str(crate), "--source-log",
+                     str(run_dir / rundir.INTERACTION_LOG)]) == 0
+    assert reads == [crate]
+    assert "PASS    SourceDerivation" in capsys.readouterr().out
+
+
 def test_draft_file_rehashes_to_the_logged_response(tmp_path):
     run = _init_before(tmp_path / "run", "draft")
     fixture = run.file(rundir.FIXTURES_DIR) / "synthesis_demo.txt"
@@ -253,6 +290,20 @@ def test_malformed_run_file_is_an_error_not_a_traceback(demo_copy, capsys, comma
         assert f"FAIL template taxonomy: {run_dir / name}: not UTF-8 text" in out.splitlines()[1]
     else:
         assert err.startswith("error:") and err.count("\n") == 1 and name in err
+
+
+@pytest.mark.parametrize("value", [None, {"text": "s"}, 5, ["s"]],
+                         ids=["null", "object", "number", "list"])
+def test_a_card_section_that_is_not_a_string_is_refused(demo_copy, capsys, value):
+    # str() of these would write "None", a Python repr or a number into the card
+    run_dir, _ = demo_copy
+    path = run_dir / rundir.CARD_SECTIONS
+    path.write_text(json.dumps({**json.loads(path.read_text()), "disclosure": value}))
+    capsys.readouterr()
+    assert cli.main(["card", "--run-dir", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MalformedSyntax:") and rundir.CARD_SECTIONS in err
+    assert "field 'disclosure' must be str" in err
 
 
 @pytest.mark.parametrize("kind", sorted(UNDECODABLE_JSON))

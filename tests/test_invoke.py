@@ -7,7 +7,8 @@ import urllib.error
 import pytest
 
 from airo.bundle import Taxonomy
-from airo.errors import (EmptyResponse, FixtureMissing, StageOutputInvalid, Transport)
+from airo.errors import (ConfigInvalid, EmptyResponse, FixtureMissing, StageOutputInvalid,
+                         Transport)
 from airo.invoke import (Interface, ModelConfig, build_request_body, complete,
                          run_synthesis_stage, run_taxonomy_stage, strip_code_fence)
 from airo.template import render
@@ -193,6 +194,34 @@ def test_endpoint_falls_back_to_environment(tmp_path, monkeypatch):
                                 "temperature": 0.2, "top_p": 1.0, "max_tokens": 100,
                                 "endpoint": ""}))
     assert config_from_file(path).endpoint == "https://fallback.example.net/v1"
+
+
+# config.json values of a type ModelConfig does not declare, by the field they name
+WRONG_TYPED_CONFIG = {
+    "model_name": {"a": 1},
+    "seed": [[["x"]]],
+    "max_tokens": True,
+    "temperature": "0.2",
+}
+
+
+@pytest.mark.parametrize("field", sorted(WRONG_TYPED_CONFIG))
+def test_config_with_a_wrong_typed_value_is_invalid(tmp_path, field):
+    from airo.invoke import config_from_file
+    from airo.rundir import DEFAULT_DEMO_CONFIG
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**DEFAULT_DEMO_CONFIG, field: WRONG_TYPED_CONFIG[field]}))
+    with pytest.raises(ConfigInvalid, match=f"TypeError: field '{field}'"):
+        config_from_file(path)
+
+
+def test_config_as_an_array_of_pairs_is_invalid(tmp_path):
+    from airo.invoke import config_from_file
+    from airo.rundir import DEFAULT_DEMO_CONFIG
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(list(DEFAULT_DEMO_CONFIG.items())))
+    with pytest.raises(ConfigInvalid, match="must be a JSON object"):
+        config_from_file(path)
 
 
 def test_run_taxonomy_stage_parses_clusters():

@@ -42,7 +42,7 @@ def test_digest_hex_with_a_trailing_newline_is_rejected():
         Digest(hex="a" * 64 + "\n")
     log = json.loads(InteractionLog(run_id="ro-x").to_bytes())
     bundle = parse_bundle(make_raw([NOTE]))
-    record = record_invocation(invocation_for(bundle), bundle).to_dict()
+    record = record_invocation(invocation_for(bundle), bundle).to_json()
     record["bundle_sha256"]["hex"] += "\n"
     log["records"] = [record]
     with pytest.raises(MalformedSyntax, match="digest hex"):
@@ -88,8 +88,8 @@ def test_bundle_edit_changes_bundle_digest():
 def test_linkage_findings_detect_tampered_text():
     bundle = parse_bundle(make_raw([NOTE]))
     record = record_invocation(invocation_for(bundle), bundle)
-    tampered = InvocationRecord.from_dict(
-        {**record.to_dict(), "response_text": "someone edited this"})
+    tampered = InvocationRecord.from_json(
+        {**record.to_json(), "response_text": "someone edited this"})
     assert any("response_text" in f for f in tampered.linkage_findings())
 
 
@@ -124,8 +124,8 @@ def test_log_append_only_ordering():
     record = record_invocation(invocation_for(bundle), bundle)
     log = InteractionLog(run_id="ro-x")
     log.append(record)
-    early = InvocationRecord.from_dict(
-        {**record.to_dict(), "started_at": "1999-01-01T00:00:00Z",
+    early = InvocationRecord.from_json(
+        {**record.to_json(), "started_at": "1999-01-01T00:00:00Z",
          "ended_at": "1999-01-01T00:00:01Z"})
     with pytest.raises(ValueError, match="precedes"):
         log.append(early)
@@ -165,9 +165,9 @@ def test_canonical_log_bytes_configuration_is_covered():
     log = InteractionLog(run_id="ro-x", created_at="2026-01-01T00:00:00Z")
     log.append(record_invocation(invocation_for(bundle), bundle))
     record = log.records[0]
-    changed = ModelConfig.from_dict({**record.config.to_dict(), "model_name": "other"})
+    changed = ModelConfig.from_json({**record.config.to_json(), "model_name": "other"})
     other = InteractionLog(run_id="ro-x", created_at="2026-01-01T00:00:00Z")
-    other.append(InvocationRecord.from_dict({**record.to_dict(), "config": changed.to_dict()}))
+    other.append(InvocationRecord.from_json({**record.to_json(), "config": changed.to_json()}))
     assert log.canonical_bytes() != other.canonical_bytes()
 
 

@@ -137,7 +137,7 @@ def test_auditor_keeps_raw_text_drops_timestamps():
     redacted = redact(make_log(), Tier.AUDITOR)
     record = redacted.records[0]
     assert record.prompt_text is not None and record.response_text is not None
-    assert "started_at" not in record.to_dict()
+    assert "started_at" not in record.to_json()
     assert sha256_of_text(record.prompt_text) == record.prompt_sha256
 
 

@@ -19,7 +19,7 @@ from airo.redact import GENERALIZED_ENDPOINT, Tier
 from airo.rocrate import (MANIFEST_NAME, Role, build_card, card_bundle_digest, pack,
                           read_crate_members, read_manifest, write_zip_deterministic)
 
-from conftest import run_pipeline
+from conftest import run_id_of, run_pipeline
 
 CARD_SECTIONS = ("Run ID", "Research Topic", "Model Configuration", "Artifacts Released",
                  "Intended Use", "Human Oversight", "Disclosure", "Limitations",
@@ -36,7 +36,7 @@ def card_sections(markdown: str) -> dict[str, str]:
 
 def test_build_card_nine_sections_and_config(demo_run):
     run_dir, _ = demo_run
-    sections = card_sections(build_card(run_dir))
+    sections = card_sections(build_card(run_dir, run_id_of(run_dir)))
     assert list(sections) == list(CARD_SECTIONS)
     for title, text in sections.items():
         assert text, f"card section {title} is empty"
@@ -51,7 +51,7 @@ def test_build_card_nine_sections_and_config(demo_run):
 
 def test_card_markdown_carries_everything(demo_run):
     run_dir, _ = demo_run
-    markdown = build_card(run_dir)
+    markdown = build_card(run_dir, run_id_of(run_dir))
     for heading in ("Model Configuration", "Artifacts Released", "Intended Use",
                     "Human Oversight", "Disclosure", "Limitations", "Reproducibility Note"):
         assert f"## {heading}" in markdown
@@ -68,7 +68,7 @@ def test_card_missing_disclosure_section(demo_copy):
     sections["disclosure"] = "   "
     sections_path.write_text(json.dumps(sections))
     with pytest.raises(MissingSection, match="Disclosure"):
-        build_card(run_dir)
+        build_card(run_dir, run_id_of(run_dir))
 
 
 def test_pack_contents_and_membership(demo_run):
@@ -83,8 +83,9 @@ def test_pack_contents_and_membership(demo_run):
 
 def test_pack_deterministic(demo_copy):
     run_dir, _ = demo_copy
-    first = pack(run_dir, Tier.REVIEWER, out_path=run_dir / "a.zip").read_bytes()
-    second = pack(run_dir, Tier.REVIEWER, out_path=run_dir / "b.zip").read_bytes()
+    run_id = run_id_of(run_dir)
+    first = pack(run_dir, run_id, Tier.REVIEWER, out_path=run_dir / "a.zip").read_bytes()
+    second = pack(run_dir, run_id, Tier.REVIEWER, out_path=run_dir / "b.zip").read_bytes()
     assert sha256_hex(first) == sha256_hex(second)
 
 
@@ -93,7 +94,7 @@ def test_pack_never_ships_the_unredacted_log(demo_copy):
     private = (run_dir / rundir.INTERACTION_LOG).read_bytes()
     for tier in Tier:
         assert cli.main(["redact", "--tier", tier.value, "--run-dir", str(run_dir)]) == 0
-        crate = pack(run_dir, tier,
+        crate = pack(run_dir, run_id_of(run_dir), tier,
                      out_path=run_dir / f"{tier.value}.zip")
         members = read_crate_members(crate)
         assert "interaction_log.json" not in {name.rsplit("/", 1)[-1] for name in members}
@@ -106,7 +107,7 @@ def test_pack_refuses_raw_text_under_dropping_policy(demo_copy, auditor_run, tmp
     # simulate a stale auditor-tier redaction left in the run directory
     shutil.copy(auditor_dir / rundir.REDACTED_LOG, run_dir / rundir.REDACTED_LOG)
     with pytest.raises(UnredactedLeak, match="raw text"):
-        pack(run_dir, Tier.REVIEWER)
+        pack(run_dir, run_id_of(run_dir), Tier.REVIEWER)
 
 
 @pytest.mark.parametrize("endpoint, leaks", [
@@ -123,9 +124,9 @@ def test_pack_refuses_a_non_generalized_endpoint(demo_copy, endpoint, leaks):
     log_path.write_text(json.dumps(data))
     if leaks:
         with pytest.raises(UnredactedLeak, match="endpoint"):
-            pack(run_dir, Tier.REVIEWER)
+            pack(run_dir, run_id_of(run_dir), Tier.REVIEWER)
     else:
-        assert pack(run_dir, Tier.REVIEWER).is_file()
+        assert pack(run_dir, run_id_of(run_dir), Tier.REVIEWER).is_file()
 
 
 @pytest.mark.parametrize("requested", [Tier.PUBLIC, Tier.AUDITOR])
@@ -137,14 +138,14 @@ def test_pack_refuses_a_redacted_log_at_another_tier(demo_copy, requested):
     data["records"][0]["config"]["endpoint"] = "https://internal.lab"
     log_path.write_text(json.dumps(data))
     with pytest.raises(UnredactedLeak, match="at tier reviewer, not the requested"):
-        pack(run_dir, requested)
+        pack(run_dir, run_id_of(run_dir), requested)
 
 
 def test_pack_missing_artifact_is_dangling(demo_copy):
     run_dir, _ = demo_copy
     (run_dir / rundir.DRAFT_MD).unlink()
     with pytest.raises(DanglingEntity, match="draft.md"):
-        pack(run_dir, Tier.REVIEWER)
+        pack(run_dir, run_id_of(run_dir), Tier.REVIEWER)
 
 
 def test_read_manifest_bijection_and_roles(demo_run):

@@ -542,6 +542,23 @@ def test_mistyped_record_field_makes_the_log_unreadable(tmp_path, demo_run, log,
         assert any("redacted log unreadable" in finding for finding in hash_check.findings)
 
 
+def test_wrong_typed_model_configuration_makes_the_log_unreadable(tmp_path, demo_run):
+    # the values a log's configuration could be forged to hold, manifest digest recomputed
+    _, crate = demo_run
+
+    def mistype(data):
+        data["records"][0]["config"].update(model_name={"a": 1}, seed=[[["x"]]],
+                                            max_tokens=True)
+
+    report = verify_crate(_crate_with_log(tmp_path, crate, mistype))
+    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    assert hash_check.status is CheckStatus.FAIL
+    assert [finding for finding in hash_check.findings
+            if finding.startswith("redacted log unreadable: ")] == [
+        "redacted log unreadable: field 'model_name' must be str, got dict"]
+    assert report.overall is CheckStatus.FAIL
+
+
 def test_non_string_raw_text_in_source_log_is_an_error(tmp_path, demo_run):
     run_dir, crate = demo_run
     data = json.loads((run_dir / rundir.INTERACTION_LOG).read_bytes())
