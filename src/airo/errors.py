@@ -125,15 +125,7 @@ class UnredactedLeak(ToolkitError):
 
 
 class DanglingEntity(ToolkitError):
-    """Manifest (or pack payload) references a file that does not exist."""
-
-
-class ManifestMissing(ToolkitError):
-    """Archive has no ro-crate-metadata.json."""
-
-
-class ManifestMalformed(ToolkitError):
-    """ro-crate-metadata.json is unreadable or inconsistent with the archive."""
+    """The run directory lacks a file pack would write into the crate."""
 
 
 # --- verification ---
@@ -143,7 +135,7 @@ class CrateUnreadable(ToolkitError):
 
 
 class SourceMismatch(ToolkitError):
-    """Provided unredacted log does not belong to the crate's run."""
+    """A log belongs to another run than the crate or run it is checked or packed with."""
 
 
 # --- run directory / CLI ---

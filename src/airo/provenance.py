@@ -19,7 +19,7 @@ from functools import partial
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from .bundle import FrozenRecord, InputBundle, Record, canonical_bytes, restore
+from .bundle import FrozenRecord, InputBundle, Record, canonical_bytes, expect_type, restore
 from .errors import InvalidLabel, MalformedSyntax
 
 if TYPE_CHECKING:
@@ -185,7 +185,8 @@ class InteractionLog(Record):
 def parse_log(raw: bytes) -> InteractionLog:
     try:
         data = json.loads(raw.decode("utf-8"))
-        return InteractionLog(run_id=data["run_id"], created_at=data["created_at"],
+        return InteractionLog(run_id=data["run_id"],
+                              created_at=expect_type(str, data["created_at"], "created_at"),
                               records=[InvocationRecord.from_json(r) for r in data["records"]])
     # RecursionError: JSON nested deeper than the decoder's recursion limit
     except (ValueError, KeyError, TypeError, RecursionError) as err:

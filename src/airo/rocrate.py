@@ -2,11 +2,12 @@
 
 The archive is a ZIP with sorted member paths, a fixed per-member timestamp,
 fixed permissions, and no compression, so packing the same run directory
-twice yields byte-identical archives. ``ro-crate-metadata.json`` is emitted
-template-style against the RO-Crate 1.1 vocabulary: a root Dataset, one File
-entity per member (role-tagged via ``additionalType`` and carrying a
-``sha256`` digest), and CreateAction entities linking generated outputs to
-the logged invocation records that produced them.
+twice yields byte-identical archives. ``ro-crate-metadata.json`` follows the
+RO-Crate 1.1 vocabulary: a root Dataset, one File entity per member
+(role-tagged via ``additionalType`` and carrying a ``sha256`` digest), and
+CreateAction entities linking generated outputs to the logged invocation
+records that produced them. It is a function of the run id and the member
+digests alone (``manifest_json``), so verify rebuilds it instead of parsing it.
 """
 
 from __future__ import annotations
@@ -14,26 +15,32 @@ from __future__ import annotations
 import json
 import re
 import zipfile
-from enum import Enum
 from pathlib import Path
 
-from .bundle import FrozenRecord, canonical_bytes, expect_type, parse_bundle
-from .errors import (CrateUnreadable, DanglingEntity, MalformedSyntax, ManifestMalformed,
-                     ManifestMissing, MissingSection, UnredactedLeak, read_utf8)
-from .provenance import Digest, parse_log, sha256_hex
+from .bundle import canonical_bytes, expect_type, parse_bundle
+from .errors import (CrateUnreadable, DanglingEntity, MalformedSyntax, MissingSection,
+                     SourceMismatch, UnredactedLeak, read_utf8)
+from .provenance import parse_log, sha256_hex
 from .redact import Tier, check_redaction, generalize_endpoint, parse_redacted_log
 
 ROCRATE_CONTEXT = "https://w3id.org/ro/crate/1.1/context"
 ROCRATE_CONFORMS_TO = "https://w3id.org/ro/crate/1.1"
 MANIFEST_NAME = "ro-crate-metadata.json"
+REDACTED_LOG_MEMBER = "provenance/interaction_log.redacted.json"
 
 # Fixed ZIP member metadata; zeroed within the format's limits (DOS epoch).
 _ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)
 
-# Every member pack writes besides the manifest; verify requires each of them.
-PACKED_MEMBERS = ("code/taxonomy.tmpl", "code/synthesis.tmpl", "inputs/bundle.json",
-                  "outputs/taxonomy.json", "outputs/draft.md", "outputs/audit.csv",
-                  "provenance/interaction_log.redacted.json", "card.md")
+# Every member pack writes besides the manifest, with its role (the manifest's
+# ``additionalType``); a crate holds exactly these and the manifest.
+_MEMBER_ROLES = {
+    "code/taxonomy.tmpl": "code", "code/synthesis.tmpl": "code",
+    "inputs/bundle.json": "data", "outputs/taxonomy.json": "data", "outputs/draft.md": "data",
+    "outputs/audit.csv": "data", REDACTED_LOG_MEMBER: "provenance", "card.md": "provenance"}
+PACKED_MEMBERS = tuple(_MEMBER_ROLES)
+
+_ROLE_DESCRIPTIONS = {"code": "prompt template used by the workflow", "data": "run artifact",
+                      "provenance": "provenance material for the run"}
 
 # card_sections.json key -> the title of its section in the card, in card order
 _CARD_SECTION_TITLES = {
@@ -44,39 +51,13 @@ _CARD_SECTION_TITLES = {
     "reproducibility_note": "Reproducibility Note",
 }
 
-
-class Role(Enum):
-    CODE = "code"
-    DATA = "data"
-    PROVENANCE = "provenance"
-
-
-class FileEntity(FrozenRecord):
-    id: str
-    role: Role
-    sha256: Digest | None
-
-
-class ActionEntity(FrozenRecord):
-    id: str
-    name: str
-    objects: tuple[str, ...]
-    results: tuple[str, ...]
-    log_record: int | None = None  # index into the packed redacted log
-
-
-class CrateManifest(FrozenRecord):
-    entities: tuple[FileEntity, ...]
-    actions: tuple[ActionEntity, ...]
-
-
 # Crate-relative paths of the artifacts a standard run releases.
 RELEASED_ARTIFACTS = (
     "inputs/bundle.json: human-authored input bundle",
     "outputs/taxonomy.json: generated taxonomy structure (JSON)",
     "outputs/draft.md: draft synthesis text (Markdown)",
     "outputs/audit.csv: claim audit table (CSV)",
-    "provenance/interaction_log.redacted.json: privatized interaction log",
+    f"{REDACTED_LOG_MEMBER}: privatized interaction log",
     "code/taxonomy.tmpl, code/synthesis.tmpl: prompt templates",
 )
 
@@ -145,30 +126,39 @@ def card_bundle_digest(card_markdown: str) -> str | None:
     return match.group(1) if match else None
 
 
-def _build_manifest_json(run_id: str, members: dict[str, bytes],
-                         roles: dict[str, Role], actions: list[dict]) -> dict:
-    graph: list[dict] = [
+def manifest_json(run_id: str, digests: dict[str, str]) -> dict:
+    """The manifest of the crate of run ``run_id`` whose members have the SHA-256 hex
+    ``digests``, one for each of ``PACKED_MEMBERS``; pack writes it and verify rebuilds it."""
+    names = sorted(PACKED_MEMBERS)
+    # "position" is the record of the packed redacted log that captured the invocation
+    log_ref = {"@id": REDACTED_LOG_MEMBER}
+    return {"@context": ROCRATE_CONTEXT, "@graph": [
         {"@id": MANIFEST_NAME, "@type": "CreativeWork",
          "conformsTo": {"@id": ROCRATE_CONFORMS_TO}, "about": {"@id": "./"}},
         {"@id": "./", "@type": "Dataset", "identifier": run_id,
          "name": f"{run_id} inspection package",
          "description": "Generated drafting run with hash-linked provenance; "
                         "verify offline with 'airo verify'.",
-         "hasPart": [{"@id": name} for name in sorted(members)]},
-    ]
-    descriptions = {
-        Role.CODE: "prompt template used by the workflow",
-        Role.DATA: "run artifact",
-        Role.PROVENANCE: "provenance material for the run",
-    }
-    for name in sorted(members):
-        role = roles[name]
-        graph.append({"@id": name,
-                      "@type": ["File", "SoftwareSourceCode"] if role is Role.CODE else ["File"],
-                      "additionalType": role.value, "description": descriptions[role],
-                      "sha256": sha256_hex(members[name]).hex})
-    graph.extend(actions)
-    return {"@context": ROCRATE_CONTEXT, "@graph": graph}
+         "hasPart": [{"@id": name} for name in names]},
+        *({"@id": name,
+           "@type": ["File", "SoftwareSourceCode"] if _MEMBER_ROLES[name] == "code" else ["File"],
+           "additionalType": _MEMBER_ROLES[name],
+           "description": _ROLE_DESCRIPTIONS[_MEMBER_ROLES[name]],
+           "sha256": digests[name]} for name in names),
+        {"@id": "#taxonomy-invocation", "@type": "CreateAction",
+         "name": "taxonomy stage model invocation",
+         "object": [{"@id": "inputs/bundle.json"}, {"@id": "code/taxonomy.tmpl"}],
+         "result": [{"@id": "outputs/taxonomy.json"}], "subjectOf": log_ref, "position": 0},
+        {"@id": "#synthesis-invocation", "@type": "CreateAction",
+         "name": "synthesis stage model invocation",
+         "object": [{"@id": "inputs/bundle.json"}, {"@id": "code/synthesis.tmpl"},
+                    {"@id": "outputs/taxonomy.json"}],
+         "result": [{"@id": "outputs/draft.md"}], "subjectOf": log_ref, "position": 1},
+        {"@id": "#claim-audit", "@type": "CreateAction",
+         "name": "claim audit over draft and bundle",
+         "object": [{"@id": "outputs/draft.md"}, {"@id": "inputs/bundle.json"}],
+         "result": [{"@id": "outputs/audit.csv"}]},
+    ]}
 
 
 def write_zip_deterministic(path: Path, members: dict[str, bytes]) -> None:
@@ -184,93 +174,38 @@ def write_zip_deterministic(path: Path, members: dict[str, bytes]) -> None:
 
 def pack(run_path: Path, run_id: str, tier: Tier, out_path: Path | None = None) -> Path:
     """Package the run ``run_id`` at ``tier``; deterministic by construction. A redacted log
-    that ``check_redaction`` faults for ``tier`` is an UnredactedLeak."""
+    that ``check_redaction`` faults for ``tier`` is an UnredactedLeak, and one that names
+    another run is a SourceMismatch."""
     from . import rundir
 
     run = rundir.RunDirectory(Path(run_path))
 
-    # the run-directory source and role of each member, in PACKED_MEMBERS order
+    # the run-directory source of each member, in PACKED_MEMBERS order
     payload = dict(zip(PACKED_MEMBERS, (
-        (rundir.TAXONOMY_TMPL, Role.CODE), (rundir.SYNTHESIS_TMPL, Role.CODE),
-        (rundir.BUNDLE, Role.DATA), (rundir.TAXONOMY_JSON, Role.DATA),
-        (rundir.DRAFT_MD, Role.DATA), (rundir.AUDIT_CSV, Role.DATA),
-        (rundir.REDACTED_LOG, Role.PROVENANCE), (rundir.CARD_MD, Role.PROVENANCE)), strict=True))
+        rundir.TAXONOMY_TMPL, rundir.SYNTHESIS_TMPL, rundir.BUNDLE, rundir.TAXONOMY_JSON,
+        rundir.DRAFT_MD, rundir.AUDIT_CSV, rundir.REDACTED_LOG, rundir.CARD_MD), strict=True))
 
-    missing = [rel for rel, (src, _) in payload.items() if not run.file(src).is_file()]
+    missing = [rel for rel, source in payload.items() if not run.file(source).is_file()]
     if missing:
         raise DanglingEntity(f"run directory is missing required file(s): {', '.join(missing)}")
 
-    members = {name: run.file(source).read_bytes() for name, (source, _) in payload.items()}
-    roles = {name: role for name, (_, role) in payload.items()}
+    members = {name: run.file(source).read_bytes() for name, source in payload.items()}
 
-    redacted = parse_redacted_log(members["provenance/interaction_log.redacted.json"])
+    redacted = parse_redacted_log(members[REDACTED_LOG_MEMBER])
     leaks = check_redaction(redacted, tier)
     if leaks:
         raise UnredactedLeak(f"{leaks[0]}; re-run redact at the requested tier")
+    if redacted.run_id != run_id:
+        raise SourceMismatch(f"redacted log is of run {redacted.run_id}, not {run_id}; "
+                             f"re-run redact")
 
-    # "position" is the record of the packed redacted log that captured the invocation
-    log_ref = {"@id": "provenance/interaction_log.redacted.json"}
-    actions = [
-        {"@id": "#taxonomy-invocation", "@type": "CreateAction",
-         "name": "taxonomy stage model invocation",
-         "object": [{"@id": "inputs/bundle.json"}, {"@id": "code/taxonomy.tmpl"}],
-         "result": [{"@id": "outputs/taxonomy.json"}], "subjectOf": log_ref, "position": 0},
-        {"@id": "#synthesis-invocation", "@type": "CreateAction",
-         "name": "synthesis stage model invocation",
-         "object": [{"@id": "inputs/bundle.json"}, {"@id": "code/synthesis.tmpl"},
-                    {"@id": "outputs/taxonomy.json"}],
-         "result": [{"@id": "outputs/draft.md"}], "subjectOf": log_ref, "position": 1},
-        {"@id": "#claim-audit", "@type": "CreateAction",
-         "name": "claim audit over draft and bundle",
-         "object": [{"@id": "outputs/draft.md"}, {"@id": "inputs/bundle.json"}],
-         "result": [{"@id": "outputs/audit.csv"}]},
-    ]
-    manifest = _build_manifest_json(run_id, members, roles, actions)
-    members[MANIFEST_NAME] = (json.dumps(manifest, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    manifest = manifest_json(run_id, {name: sha256_hex(data).hex for name, data in members.items()})
+    members[MANIFEST_NAME] = (json.dumps(manifest, indent=2, ensure_ascii=False) + "\n").encode()
 
     if out_path is None:
         out_path = run.file(rundir.CRATE_DIR) / f"{run_id}.crate.zip"
     write_zip_deterministic(Path(out_path), members)
     return Path(out_path)
-
-
-def _parse_manifest_graph(data: dict) -> tuple[tuple[FileEntity, ...], tuple[ActionEntity, ...]]:
-    if not isinstance(data, dict) or "@graph" not in data or "@context" not in data:
-        raise ManifestMalformed("manifest must carry @context and @graph")
-    entities: list[FileEntity] = []
-    actions: list[ActionEntity] = []
-    root_seen = False
-    for node in data["@graph"]:
-        if not isinstance(node, dict) or not isinstance(node.get("@id"), str):
-            raise ManifestMalformed("graph node without a string @id")
-        node_types = node.get("@type", [])
-        if isinstance(node_types, str):
-            node_types = [node_types]
-        if node["@id"] == "./":
-            root_seen = True
-        elif "CreateAction" in node_types:
-            actions.append(ActionEntity(
-                id=node["@id"], name=node.get("name", ""),
-                objects=tuple(ref["@id"] for ref in node.get("object", [])),
-                results=tuple(ref["@id"] for ref in node.get("result", [])),
-                log_record=node.get("position")))
-        elif "File" in node_types:
-            role_value = node.get("additionalType")
-            try:
-                role = Role(role_value)
-            except ValueError:
-                raise ManifestMalformed(f"entity {node['@id']} has no valid role "
-                                        f"(additionalType={role_value!r})") from None
-            digest = None
-            if "sha256" in node:
-                try:
-                    digest = Digest(hex=node["sha256"])
-                except ValueError as err:
-                    raise ManifestMalformed(f"entity {node['@id']}: {err}") from None
-            entities.append(FileEntity(id=node["@id"], role=role, sha256=digest))
-    if not root_seen:
-        raise ManifestMalformed("manifest has no root dataset entity './'")
-    return tuple(entities), tuple(actions)
 
 
 def read_crate_members(archive: Path) -> dict[str, bytes]:
@@ -311,35 +246,25 @@ def read_crate_members(archive: Path) -> dict[str, bytes]:
         raise CrateUnreadable(f"cannot read archive {archive}: {err}") from err
 
 
-def read_manifest(archive: Path) -> CrateManifest:
-    """Parse ro-crate-metadata.json and cross-check it against the archive members."""
-    return manifest_from_members(read_crate_members(archive))
-
-
-def manifest_from_members(members: dict[str, bytes]) -> CrateManifest:
-    """``read_manifest`` over members already read from the archive."""
-    if MANIFEST_NAME not in members:
-        raise ManifestMissing(f"archive has no {MANIFEST_NAME}")
+def decode_manifest(raw: bytes):
+    """The decoded ``ro-crate-metadata.json``; bytes that are not JSON are a MalformedSyntax."""
     try:
-        data = json.loads(members[MANIFEST_NAME].decode("utf-8"))
-    # RecursionError: JSON nested deeper than the decoder's recursion limit
-    except (ValueError, UnicodeDecodeError, RecursionError) as err:
-        raise ManifestMalformed(f"{MANIFEST_NAME} is not valid JSON: {err}") from err
-    try:
-        entities, actions = _parse_manifest_graph(data)
-    except (TypeError, KeyError, AttributeError) as err:
-        raise ManifestMalformed(f"{MANIFEST_NAME} has an unexpected shape: {err!r}") from err
+        return json.loads(raw.decode("utf-8"))
+    # UnicodeDecodeError is a ValueError; RecursionError: nesting past the decoder's limit
+    except (ValueError, RecursionError) as err:
+        raise MalformedSyntax(f"{MANIFEST_NAME} is not valid JSON: {err}") from err
 
-    file_names = set(members) - {MANIFEST_NAME}
-    entity_ids = [entity.id for entity in entities]
-    if len(entity_ids) != len(set(entity_ids)):
-        raise ManifestMalformed("duplicate file entities in manifest")
-    dangling = sorted(set(entity_ids) - file_names)
-    if dangling:
-        raise DanglingEntity(f"manifest references missing file(s): {', '.join(dangling)}")
-    unlisted = sorted(file_names - set(entity_ids))
-    if unlisted:
-        raise ManifestMalformed(f"archive member(s) not described by the manifest: "
-                                f"{', '.join(unlisted)}")
 
-    return CrateManifest(entities=entities, actions=actions)
+def recorded_digests(manifest) -> dict[str, str]:
+    """``{@id: sha256}`` of every graph node of a decoded manifest that records a string
+    digest under a string id; a manifest with no ``@graph`` list records none."""
+    graph = manifest.get("@graph") if type(manifest) is dict else None
+    return {node["@id"]: node["sha256"] for node in graph
+            if type(node) is dict and type(node.get("@id")) is str
+            and type(node.get("sha256")) is str} if type(graph) is list else {}
+
+
+def read_manifest(archive: Path) -> dict[str, str]:
+    """The ``{@id: sha256}`` the crate's manifest records; a crate without one records none."""
+    raw = read_crate_members(archive).get(MANIFEST_NAME)
+    return {} if raw is None else recorded_digests(decode_manifest(raw))

@@ -18,10 +18,9 @@ from .audit import (AuditStatus, DraftArtifact, audit_draft, inline_findings, pa
 from .bundle import InputBundle, Record, canonical_bytes, parse_bundle, parse_taxonomy
 from .errors import SourceMismatch, ToolkitError
 from .provenance import InteractionLog, parse_log, sha256_hex
-from .redact import check_redaction, parse_redacted_log
-from .rocrate import PACKED_MEMBERS, card_bundle_digest, manifest_from_members, read_crate_members
-
-_REDACTED_LOG = "provenance/interaction_log.redacted.json"
+from .redact import check_redaction, parse_redacted_log, redact
+from .rocrate import (MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER, card_bundle_digest,
+                      decode_manifest, manifest_json, read_crate_members, recorded_digests)
 
 
 class CheckName(Enum):
@@ -133,31 +132,38 @@ def _claim_mapping(members: dict[str, bytes], bundle: InputBundle | None,
     return _result(CheckName.CLAIM_MAPPING, findings)
 
 
+def _same_json(decoded, built) -> bool:
+    """Type-exact, key-order-exact equality of JSON values: ``==`` alone takes ``False`` for
+    ``0`` and ``1.0`` for ``1``; ``repr`` tells them apart. ``==`` runs first, so ``repr``
+    only meets values no deeper than ``built``."""
+    return decoded == built and repr(decoded) == repr(built)
+
+
 def _hash_integrity(members: dict[str, bytes]) -> tuple[CheckResult, InteractionLog | None]:
-    """4. The crate holds every member pack writes, manifest digests match member bytes,
-    every action names members of the crate, retained raw texts re-hash to the log, and
-    the log holds nothing its own tier may not release."""
+    """4. The crate holds exactly the members pack writes, each matches the digest the manifest
+    records, the manifest is the one pack writes for the log's run and those members, retained
+    raw texts re-hash to the log, and the log holds nothing its own tier may not release."""
     findings = [f"{name} missing from crate" for name in PACKED_MEMBERS
-                if name not in members and name != _REDACTED_LOG]  # _load names the log
-    try:
-        manifest = manifest_from_members(members)
-    except ToolkitError as err:
-        findings.append(f"manifest unusable: {err}")
-    else:
-        for entity in manifest.entities:
-            if entity.sha256 is None:
-                findings.append(f"{entity.id}: no digest recorded")
-                continue
-            actual = sha256_hex(members[entity.id])
-            if actual != entity.sha256:
-                findings.append(f"{entity.id}: digest mismatch (manifest {entity.sha256.hex}, "
-                                f"file {actual.hex})")
-        findings.extend(f"{action.id}: {ref} is not a member of the crate"
-                        for action in manifest.actions
-                        for ref in action.objects + action.results if ref not in members)
+                if name not in members and name != REDACTED_LOG_MEMBER]  # _load names the log
+    findings += [f"{name}: not a member pack writes" for name in members
+                 if name not in PACKED_MEMBERS and name != MANIFEST_NAME]
+    manifest = _load(members, MANIFEST_NAME, decode_manifest, "manifest unusable", findings)
+    digests = {name: sha256_hex(members[name]).hex for name in PACKED_MEMBERS if name in members}
+    if manifest is not None:
+        recorded = recorded_digests(manifest)
+        for name, actual in digests.items():
+            if name not in recorded:
+                findings.append(f"{name}: no digest recorded")
+            elif recorded[name] != actual:
+                findings.append(f"{name}: digest mismatch (manifest {recorded[name]}, "
+                                f"file {actual})")
+    members_hold = not findings
     # parse_redacted_log's message already says the log is unreadable
-    redacted = _load(members, _REDACTED_LOG, parse_redacted_log, None, findings)
+    redacted = _load(members, REDACTED_LOG_MEMBER, parse_redacted_log, None, findings)
     if redacted is not None:
+        if members_hold and not _same_json(manifest, manifest_json(redacted.run_id, digests)):
+            findings.append(f"{MANIFEST_NAME} is not the manifest pack writes for run "
+                            f"{redacted.run_id} and these members")
         for index, record in enumerate(redacted.records):
             findings.extend(f"log record {index}: {finding}"
                             for finding in record.linkage_findings())
@@ -222,10 +228,11 @@ def verify_against_source(archive: Path, source_log_path: Path) -> CheckResult:
 
 
 def source_derivation(members: dict[str, bytes], source_log_path: Path) -> CheckResult:
-    """``verify_against_source`` over the members already read from a crate."""
-    if _REDACTED_LOG not in members:
+    """``verify_against_source`` over the members already read from a crate: the source log,
+    redacted at the crate log's tier, must equal the crate log field for field."""
+    if REDACTED_LOG_MEMBER not in members:
         raise SourceMismatch("crate has no redacted interaction log")
-    redacted = parse_redacted_log(members[_REDACTED_LOG])
+    redacted = parse_redacted_log(members[REDACTED_LOG_MEMBER])
     source = parse_log(Path(source_log_path).read_bytes())
 
     if source.run_id != redacted.run_id:
@@ -235,15 +242,15 @@ def source_derivation(members: dict[str, bytes], source_log_path: Path) -> Check
         raise SourceMismatch(f"record count mismatch: crate {len(redacted.records)}, "
                              f"source {len(source.records)}")
 
+    expected = redact(source, redacted.tier)
     findings: list[str] = []
-    for index, (src, red) in enumerate(zip(source.records, redacted.records)):
+    for index, (src, want, red) in enumerate(zip(source.records, expected.records,
+                                                 redacted.records)):
         findings.extend(f"record {index}: source {finding}" for finding in src.linkage_findings())
-        for label in ("prompt_sha256", "response_sha256", "bundle_sha256"):
-            if getattr(src, label) != getattr(red, label):
-                findings.append(f"record {index}: {label} differs between source log and "
-                                f"redacted log")
-    recomputed = sha256_hex(source.canonical_bytes())
-    if recomputed != redacted.redacted_from_sha256:
-        findings.append(f"source log canonical hash {recomputed.hex} does not match "
-                        f"redacted_from_sha256 {redacted.redacted_from_sha256.hex}")
+        findings.extend(f"record {index}: {field} differs between source log and redacted log"
+                        for field in red._fields if getattr(want, field) != getattr(red, field))
+    # redact digests the source's canonical bytes
+    if expected.redacted_from_sha256 != redacted.redacted_from_sha256:
+        findings.append(f"source log canonical hash {expected.redacted_from_sha256.hex} does not "
+                        f"match redacted_from_sha256 {redacted.redacted_from_sha256.hex}")
     return _result(CheckName.SOURCE_DERIVATION, findings)

@@ -16,7 +16,6 @@ from airo.errors import (DoubleAssigned, MalformedSyntax, SchemaViolation, Toolk
                          Uncovered, UnknownMember)
 from airo.invoke import Invocation
 from airo.provenance import Digest, InteractionLog, Interface, InvocationRecord, ModelConfig, Stage
-from airo.rocrate import ActionEntity, CrateManifest, FileEntity, Role
 from airo.rundir import RunState
 from airo.template import PromptTemplate, RenderedPrompt, TemplateCheck
 from airo.verify import CheckName, CheckResult, CheckStatus
@@ -244,8 +243,6 @@ _CONFIG = ModelConfig(Interface.OFFLINE_STUB, "model", 0.2, 1.0, 100, "https://l
                       7, "taxonomy_demo")
 _CLAIM = ClaimEntry("claim", ("P1",), False)
 _CITATION = InlineCitation("Smith 2020", "P1", 0, 4)
-_FILE = FileEntity("inputs/bundle.json", Role.DATA, _DIGEST)
-_ACTION = ActionEntity("#audit", "audit", ("inputs/bundle.json",), ("outputs/audit.csv",), 1)
 _STARTED, _ENDED = "2026-01-01T00:00:00Z", "2026-01-01T00:00:01Z"
 
 # One instance of every frozen record class, as its field values in order, with a new
@@ -264,9 +261,6 @@ RECORD_SAMPLES = {
     InlineCitation: (("Smith 2020", "P1", 0, 4), None),
     DraftArtifact: ((("body",), (_CLAIM,), (_CITATION,)), None),
     AuditRow: (("claim", ("P1",), AuditStatus.SUPPORTED, "ok"), None),
-    FileEntity: (("inputs/bundle.json", Role.DATA, _DIGEST), None),
-    ActionEntity: (("#audit", "audit", ("inputs/bundle.json",), ("outputs/audit.csv",), 1), None),
-    CrateManifest: (((_FILE,), (_ACTION,)), None),
     PromptTemplate: ((Stage.TAXONOMY, "body", "constraints", "spec"), Stage.SYNTHESIS),
     RenderedPrompt: ((Stage.TAXONOMY, "prompt"), Stage.SYNTHESIS),
     TemplateCheck: (("placeholders", True, "detail"), None),

@@ -148,6 +148,15 @@ def test_parse_log_rejects_garbage():
         parse_log(b"not a log")
 
 
+@pytest.mark.parametrize("created_at", [{"an": "object"}, 5, None], ids=["object", "int", "null"])
+def test_parse_log_rejects_a_head_timestamp_that_is_not_a_string(created_at):
+    # the head enters the canonical bytes that redacted_from_sha256 digests
+    log = json.loads(InteractionLog(run_id="ro-x").to_bytes())
+    log["created_at"] = created_at
+    with pytest.raises(MalformedSyntax, match="'created_at' must be str"):
+        parse_log(json.dumps(log).encode())
+
+
 @pytest.mark.parametrize("missing", ["started_at", "ended_at"])
 def test_parse_log_rejects_a_record_without_timestamps(missing):
     bundle = parse_bundle(make_raw([NOTE]))

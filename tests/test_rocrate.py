@@ -12,12 +12,14 @@ import pytest
 import airo.provenance
 from airo import cli, rundir
 from airo.bundle import canonical_bytes, parse_bundle
-from airo.errors import (DanglingEntity, ManifestMalformed, ManifestMissing, MissingSection,
+from airo.errors import (DanglingEntity, MalformedSyntax, MissingSection, SourceMismatch,
                          UnredactedLeak)
 from airo.provenance import sha256_hex
 from airo.redact import GENERALIZED_ENDPOINT, Tier
-from airo.rocrate import (MANIFEST_NAME, Role, build_card, card_bundle_digest, pack,
-                          read_crate_members, read_manifest, write_zip_deterministic)
+from airo.rocrate import (MANIFEST_NAME, REDACTED_LOG_MEMBER, build_card, card_bundle_digest,
+                          manifest_json, pack, read_crate_members, read_manifest,
+                          write_zip_deterministic)
+from airo.verify import CheckName, verify_crate
 
 from conftest import run_id_of, run_pipeline
 
@@ -148,33 +150,52 @@ def test_pack_missing_artifact_is_dangling(demo_copy):
         pack(run_dir, run_id_of(run_dir), Tier.REVIEWER)
 
 
+def test_pack_refuses_a_redacted_log_of_another_run(demo_copy):
+    # run.json hand-edited to name another run after redact: the crate would name one run in
+    # its manifest and another in its log, so pack refuses and writes nothing
+    run_dir, _ = demo_copy
+    state_path = run_dir / rundir.STATE
+    state = json.loads(state_path.read_text())
+    state["run_id"] = "ro-someone-else"
+    state_path.write_text(json.dumps(state))
+    crates = run_dir / rundir.CRATE_DIR
+    before = sorted(crates.iterdir())
+    with pytest.raises(SourceMismatch, match="ro-someone-else"):
+        pack(run_dir, "ro-someone-else", Tier.REVIEWER)
+    assert cli.main(["pack", "--run-dir", str(run_dir)]) == 1
+    assert sorted(crates.iterdir()) == before
+
+
+def _hash_findings(crate: Path) -> list[str]:
+    findings = verify_crate(crate).check(CheckName.HASH_INTEGRITY).findings
+    return [finding for finding in findings if not finding.startswith("skipped:")]
+
+
 def test_read_manifest_bijection_and_roles(demo_run):
     _, crate = demo_run
-    manifest = read_manifest(crate)
-    members = set(read_crate_members(crate)) - {MANIFEST_NAME}
-    assert {entity.id for entity in manifest.entities} == members
-    assert all(entity.role in (Role.CODE, Role.DATA, Role.PROVENANCE)
-               for entity in manifest.entities)
-    by_id = {entity.id: entity for entity in manifest.entities}
-    assert by_id["code/taxonomy.tmpl"].role is Role.CODE
-    assert by_id["inputs/bundle.json"].role is Role.DATA
-    assert by_id["provenance/interaction_log.redacted.json"].role is Role.PROVENANCE
-    assert by_id["card.md"].role is Role.PROVENANCE
+    members = read_crate_members(crate)
+    assert read_manifest(crate) == {name: sha256_hex(data).hex for name, data in members.items()
+                                    if name != MANIFEST_NAME}
+    roles = {node["@id"]: node["additionalType"]
+             for node in json.loads(members[MANIFEST_NAME])["@graph"] if "sha256" in node}
+    assert roles == {"code/taxonomy.tmpl": "code", "code/synthesis.tmpl": "code",
+                     "inputs/bundle.json": "data", "outputs/taxonomy.json": "data",
+                     "outputs/draft.md": "data", "outputs/audit.csv": "data",
+                     REDACTED_LOG_MEMBER: "provenance", "card.md": "provenance"}
 
 
 def test_manifest_digests_and_produced_by(demo_run):
-    _, crate = demo_run
-    manifest = read_manifest(crate)
+    run_dir, crate = demo_run
     members = read_crate_members(crate)
-    for entity in manifest.entities:
-        assert entity.sha256 is not None
-        assert entity.sha256 == sha256_hex(members[entity.id])
-    by_id = {action.id: action for action in manifest.actions}
-    assert by_id["#taxonomy-invocation"].results == ("outputs/taxonomy.json",)
-    assert by_id["#synthesis-invocation"].results == ("outputs/draft.md",)
-    assert by_id["#claim-audit"].results == ("outputs/audit.csv",)
-    assert by_id["#taxonomy-invocation"].log_record == 0
-    assert by_id["#synthesis-invocation"].log_record == 1
+    manifest = json.loads(members[MANIFEST_NAME])
+    assert manifest == manifest_json(run_id_of(run_dir), read_manifest(crate))
+    actions = {node["@id"]: node for node in manifest["@graph"]
+               if node["@type"] == "CreateAction"}
+    assert actions["#taxonomy-invocation"]["result"] == [{"@id": "outputs/taxonomy.json"}]
+    assert actions["#synthesis-invocation"]["result"] == [{"@id": "outputs/draft.md"}]
+    assert actions["#claim-audit"]["result"] == [{"@id": "outputs/audit.csv"}]
+    assert actions["#taxonomy-invocation"]["position"] == 0
+    assert actions["#synthesis-invocation"]["position"] == 1
 
 
 def test_read_manifest_missing(tmp_path, demo_run):
@@ -183,18 +204,19 @@ def test_read_manifest_missing(tmp_path, demo_run):
     del members[MANIFEST_NAME]
     out = tmp_path / "nomanifest.zip"
     write_zip_deterministic(out, members)
-    with pytest.raises(ManifestMissing):
-        read_manifest(out)
+    assert read_manifest(out) == {}
+    assert _hash_findings(out) == [f"{MANIFEST_NAME} missing from crate"]
 
 
 def test_read_manifest_dangling_entity_on_deleted_member(tmp_path, demo_run):
+    # the manifest still records the deleted member; verify names it once
     _, crate = demo_run
     members = read_crate_members(crate)
     del members["outputs/draft.md"]
     out = tmp_path / "deleted.zip"
     write_zip_deterministic(out, members)
-    with pytest.raises(DanglingEntity, match="outputs/draft.md"):
-        read_manifest(out)
+    assert "outputs/draft.md" in read_manifest(out)
+    assert _hash_findings(out) == ["outputs/draft.md missing from crate"]
 
 
 def test_read_manifest_unlisted_member(tmp_path, demo_run):
@@ -203,8 +225,8 @@ def test_read_manifest_unlisted_member(tmp_path, demo_run):
     members["outputs/surprise.txt"] = b"not in the manifest"
     out = tmp_path / "unlisted.zip"
     write_zip_deterministic(out, members)
-    with pytest.raises(ManifestMalformed, match="surprise"):
-        read_manifest(out)
+    assert "outputs/surprise.txt" not in read_manifest(out)
+    assert _hash_findings(out) == ["outputs/surprise.txt: not a member pack writes"]
 
 
 def test_read_manifest_malformed_json(tmp_path, demo_run):
@@ -213,7 +235,7 @@ def test_read_manifest_malformed_json(tmp_path, demo_run):
     members[MANIFEST_NAME] = b"{ nope"
     out = tmp_path / "badjson.zip"
     write_zip_deterministic(out, members)
-    with pytest.raises(ManifestMalformed):
+    with pytest.raises(MalformedSyntax, match="is not valid JSON"):
         read_manifest(out)
 
 

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from airo import cli, rundir
 from airo.errors import CrateUnreadable, MalformedSyntax, SourceMismatch, ToolkitError
 from airo.provenance import parse_log, sha256_hex
-from airo.rocrate import (MANIFEST_NAME, PACKED_MEMBERS, read_crate_members,
-                          write_zip_deterministic)
+from airo.rocrate import (MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER,
+                          read_crate_members, write_zip_deterministic)
 from airo.verify import (CheckName, CheckStatus, VerificationReport, verify_against_source,
-                         verify_crate)
+                         verify_crate, verify_members)
 
 from conftest import PRIVATE_ONLY_FIELDS, UNDECODABLE_JSON, run_pipeline
 
@@ -55,7 +55,8 @@ def test_reviewer_tier_raw_text_subcheck_reported_skipped(demo_run):
 
 
 def test_skip_note_does_not_hide_a_digest_mismatch(tmp_path, demo_run):
-    # a member whose name starts like the tier-skip note must still be hash-checked
+    # a finding about a member whose name starts like the tier-skip note must still count:
+    # here a member pack never writes, listed in the manifest under a digest it does not have
     _, crate = demo_run
     members = read_crate_members(crate)
     members["skipped:note.txt"] = b"tampered after packing"
@@ -70,8 +71,7 @@ def test_skip_note_does_not_hide_a_digest_mismatch(tmp_path, demo_run):
     report = verify_crate(tampered)
     hash_check = report.check(CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.FAIL
-    assert any(finding.startswith("skipped:note.txt: digest mismatch")
-               for finding in hash_check.findings)
+    assert hash_check.findings[0] == "skipped:note.txt: not a member pack writes"
     assert report.overall is CheckStatus.FAIL
 
 
@@ -277,7 +277,7 @@ def test_public_tier_crate_verifies(tmp_path):
 def test_unreadable_log_finding_names_the_log_once(tmp_path, demo_run):
     _, crate = demo_run
     members = read_crate_members(crate)
-    members["provenance/interaction_log.redacted.json"] = b""
+    members[REDACTED_LOG_MEMBER] = b""
     tampered = tmp_path / "tampered.zip"
     write_zip_deterministic(tampered, members)
 
@@ -344,13 +344,13 @@ def _rename_audit_result(manifest):
     _node(manifest, "#claim-audit")["result"] = [{"@id": "outputs/elsewhere.csv"}]
 
 
+NOT_PACKS_MANIFEST = (f"{MANIFEST_NAME} is not the manifest pack writes for run ro-demo and "
+                      f"these members")
+
 ABSENT_ACTION_MEMBERS = {
     "templates-removed": (["code/taxonomy.tmpl", "code/synthesis.tmpl"], None, [
-        "code/taxonomy.tmpl missing from crate", "code/synthesis.tmpl missing from crate",
-        "#taxonomy-invocation: code/taxonomy.tmpl is not a member of the crate",
-        "#synthesis-invocation: code/synthesis.tmpl is not a member of the crate"]),
-    "result-renamed": ([], _rename_audit_result, [
-        "#claim-audit: outputs/elsewhere.csv is not a member of the crate"]),
+        "code/taxonomy.tmpl missing from crate", "code/synthesis.tmpl missing from crate"]),
+    "result-renamed": ([], _rename_audit_result, [NOT_PACKS_MANIFEST]),
 }
 
 
@@ -363,6 +363,91 @@ def test_action_naming_a_non_member_fails_hash_integrity(tmp_path, demo_run, cas
     assert hash_check.status is CheckStatus.FAIL
     assert [f for f in hash_check.findings if not f.startswith("skipped:")] == expected
     assert report.overall is CheckStatus.FAIL
+
+
+def test_member_pack_never_writes_fails_hash_integrity(tmp_path, demo_run, capsys):
+    # a private note listed in the manifest under its own digest: the leak gate scans only
+    # the log, so only the list of what pack writes can refuse it
+    _, crate = demo_run
+    members = read_crate_members(crate)
+    members["notes/private.txt"] = b"see /home/alice/secret\n"
+    manifest = json.loads(members[MANIFEST_NAME])
+    manifest["@graph"].append({"@id": "notes/private.txt", "@type": ["File"],
+                               "additionalType": "data", "description": "run artifact",
+                               "sha256": sha256_hex(members["notes/private.txt"]).hex})
+    _node(manifest, "./")["hasPart"].append({"@id": "notes/private.txt"})
+    members[MANIFEST_NAME] = json.dumps(manifest).encode()
+    tampered = tmp_path / "tampered.zip"
+    write_zip_deterministic(tampered, members)
+
+    report = verify_crate(tampered)
+    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    assert hash_check.status is CheckStatus.FAIL
+    assert [f for f in hash_check.findings if not f.startswith("skipped:")] == [
+        "notes/private.txt: not a member pack writes"]
+    assert [check.name for check in report.checks if check.status is CheckStatus.FAIL] == [
+        CheckName.HASH_INTEGRITY]
+    capsys.readouterr()
+    assert cli.main(["verify", str(tampered)]) == 1
+    assert "notes/private.txt" in capsys.readouterr().out
+
+
+def _relabel_run(manifest):
+    _node(manifest, "./")["identifier"] = "ro-someone-else"
+    manifest["@graph"].remove(_node(manifest, "#claim-audit"))
+    _node(manifest, "#taxonomy-invocation")["result"] = [{"@id": "outputs/draft.md"}]
+
+
+REWRITTEN_MANIFESTS = {
+    "position-not-an-index":
+        lambda manifest: _node(manifest, "#synthesis-invocation").update(
+            position={"not": "an index"}),
+    "run-relabelled-audit-dropped-result-repointed": _relabel_run,
+}
+
+
+@pytest.mark.parametrize("case", sorted(REWRITTEN_MANIFESTS))
+def test_manifest_pack_would_not_write_fails_hash_integrity(tmp_path, demo_run, case):
+    # every member digest still matches; only the rebuilt manifest tells the edit apart
+    _, crate = demo_run
+    report = verify_crate(_crate_without(tmp_path, crate, [], REWRITTEN_MANIFESTS[case]))
+    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    assert hash_check.status is CheckStatus.FAIL
+    assert [f for f in hash_check.findings if not f.startswith("skipped:")] == [
+        NOT_PACKS_MANIFEST]
+    assert report.overall is CheckStatus.FAIL
+
+
+def _other_values(value) -> list:
+    """JSON values unlike ``value``; for an int, also the bool ``==`` takes for equal to it."""
+    if type(value) is int:
+        return [value + 1, bool(value)]
+    if type(value) is str:
+        return [value + "~"]
+    if type(value) is list:
+        return [value[:-1] if len(value) > 1 else value + value]
+    return [{**value, "@id": value["@id"] + "~"}]  # every object value is a reference
+
+
+def test_every_manifest_value_is_checked(demo_run):
+    # each value of each node of the demo manifest changed in turn, digests left as packed
+    _, crate = demo_run
+    members = read_crate_members(crate)
+    manifest = json.loads(members[MANIFEST_NAME])
+    places = [(manifest, key) for key in manifest if key != "@graph"]
+    places += [(node, key) for node in manifest["@graph"] for key in node]
+    cases, undetected = 0, []
+    for node, key in places:
+        original = node[key]
+        for value in _other_values(original):
+            node[key] = value
+            edited = dict(members, **{MANIFEST_NAME: json.dumps(manifest).encode()})
+            if verify_members(edited).check(CheckName.HASH_INTEGRITY).status is CheckStatus.PASS:
+                undetected.append((node.get("@id"), key, value))
+            cases += 1
+        node[key] = original
+    assert cases >= 70
+    assert undetected == []
 
 
 def test_unreadable_archive(tmp_path):
@@ -406,18 +491,48 @@ def test_verify_against_source_edited_response(tmp_path, demo_run):
     assert any("record 1" in finding and "re-hash" in finding for finding in result.findings)
 
 
+# a field of the first record of the crate's log -> the value a forger puts there, with the
+# manifest digest recomputed, so only the escrow check can tell
+FORGED_RECORD_FIELDS = {
+    "config": ("config", lambda config: dict(config, model_name="a-model-never-called",
+                                             temperature=0.0)),
+    "attempt": ("attempt", lambda attempt: attempt + 1),
+    "stage": ("stage", lambda stage: "synthesis"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED_RECORD_FIELDS))
+def test_forged_record_field_fails_the_escrow_check(tmp_path, demo_run, case):
+    run_dir, crate = demo_run
+    field, forge = FORGED_RECORD_FIELDS[case]
+    tampered = _crate_with_log(tmp_path, crate, lambda data: data["records"][0].update(
+        {field: forge(data["records"][0][field])}))
+
+    result = verify_against_source(tampered, run_dir / rundir.INTERACTION_LOG)
+    assert result.status is CheckStatus.FAIL
+    assert result.findings == [f"record 0: {field} differs between source log and redacted log"]
+
+
 def _node(manifest, node_id):
     return next(node for node in manifest["@graph"] if node["@id"] == node_id)
 
 
+NO_DRAFT_DIGEST = ["outputs/draft.md: no digest recorded"]
+
+# manifest edit -> the findings it gives
 HOSTILE_MANIFESTS = {
-    "action-object-not-a-reference":
+    "action-object-not-a-reference": (
         lambda manifest: _node(manifest, "#taxonomy-invocation").update(object=["x"]),
-    "digest-not-a-string": lambda manifest: _node(manifest, "outputs/draft.md").update(sha256=5),
-    "graph-not-a-list": lambda manifest: manifest.update({"@graph": 5}),
-    "id-not-a-string": lambda manifest: _node(manifest, "outputs/draft.md").update({"@id": 5}),
-    "type-not-a-string":
+        [NOT_PACKS_MANIFEST]),
+    "digest-not-a-string": (
+        lambda manifest: _node(manifest, "outputs/draft.md").update(sha256=5), NO_DRAFT_DIGEST),
+    "graph-not-a-list": (lambda manifest: manifest.update({"@graph": 5}),
+                         [f"{name}: no digest recorded" for name in PACKED_MEMBERS]),
+    "id-not-a-string": (
+        lambda manifest: _node(manifest, "outputs/draft.md").update({"@id": 5}), NO_DRAFT_DIGEST),
+    "type-not-a-string": (
         lambda manifest: _node(manifest, "outputs/draft.md").update({"@type": 5}),
+        [NOT_PACKS_MANIFEST]),
 }
 
 
@@ -426,22 +541,23 @@ def test_hostile_manifest_shape_is_a_finding(tmp_path, demo_run, mutation):
     _, crate = demo_run
     members = read_crate_members(crate)
     manifest = json.loads(members[MANIFEST_NAME])
-    HOSTILE_MANIFESTS[mutation](manifest)
+    edit, expected = HOSTILE_MANIFESTS[mutation]
+    edit(manifest)
     members[MANIFEST_NAME] = json.dumps(manifest).encode()
     tampered = tmp_path / "tampered.zip"
     write_zip_deterministic(tampered, members)
 
     hash_check = verify_crate(tampered).check(CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.FAIL
-    assert any(finding.startswith("manifest unusable") for finding in hash_check.findings)
+    assert [f for f in hash_check.findings if not f.startswith("skipped:")] == expected
 
 
 def test_non_string_raw_text_in_crate_log_is_a_finding(tmp_path, demo_run):
     _, crate = demo_run
     members = read_crate_members(crate)
-    data = json.loads(members["provenance/interaction_log.redacted.json"])
+    data = json.loads(members[REDACTED_LOG_MEMBER])
     data["records"][0]["prompt_text"] = 5
-    members["provenance/interaction_log.redacted.json"] = json.dumps(data).encode()
+    members[REDACTED_LOG_MEMBER] = json.dumps(data).encode()
     tampered = tmp_path / "tampered.zip"
     write_zip_deterministic(tampered, members)
 
@@ -467,10 +583,9 @@ def _crate_with_member(tmp_path, crate, name, data: bytes):
 def _crate_with_log(tmp_path, crate, edit):
     """A copy of ``crate`` whose redacted log's JSON ``edit`` changed, with a manifest
     consistent with the edit, so only the log's content can fail the crate."""
-    name = "provenance/interaction_log.redacted.json"
-    data = json.loads(read_crate_members(crate)[name])
+    data = json.loads(read_crate_members(crate)[REDACTED_LOG_MEMBER])
     edit(data)
-    return _crate_with_member(tmp_path, crate, name, json.dumps(data).encode())
+    return _crate_with_member(tmp_path, crate, REDACTED_LOG_MEMBER, json.dumps(data).encode())
 
 
 def _crate_with_record_field(tmp_path, crate, field, value):
@@ -573,8 +688,7 @@ def test_non_string_raw_text_in_source_log_is_an_error(tmp_path, demo_run):
 JSON_MEMBERS = {
     "inputs/bundle.json": (CheckName.NOTES_INSPECTABLE, "bundle invalid: bundle is not"),
     "outputs/taxonomy.json": (CheckName.STRUCTURE_CONFORMS, "taxonomy invalid: taxonomy is not"),
-    "provenance/interaction_log.redacted.json": (CheckName.HASH_INTEGRITY,
-                                                 "redacted log unreadable: "),
+    REDACTED_LOG_MEMBER: (CheckName.HASH_INTEGRITY, "redacted log unreadable: "),
     MANIFEST_NAME: (CheckName.HASH_INTEGRITY, f"manifest unusable: {MANIFEST_NAME} is not"),
 }
 
