@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from .bundle import ID_PATTERN, FrozenRecord, InputBundle, replace, restore
+from .bundle import ID_PATTERN, FrozenRecord, InputBundle, restore
 from .errors import (AlreadySupported, IndexOutOfRange, MalformedChecklistEntry,
                      MalformedSyntax, MissingChecklist, MissingHeader)
 from enum import Enum
@@ -201,19 +201,15 @@ def inline_findings(draft: DraftArtifact, bundle: InputBundle) -> tuple[list[str
 CSV_HEADER = ("claim", "cited_ids", "status", "resolver_note")
 
 
-def write_audit_csv(rows: list[AuditRow]) -> bytes:
-    """RFC-4180-style CSV; ids joined with ';' inside the cited_ids field."""
+def write_audit_rows(rows: list[list[str]]) -> bytes:
+    """RFC-4180-style CSV of the header and ``rows``, each row its four cells."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([row.claim, ";".join(row.supporting_ids),
-                         row.status.value, row.resolver_note or ""])
+    csv.writer(buffer, lineterminator="\r\n").writerows([CSV_HEADER, *rows])
     return buffer.getvalue().encode("utf-8")
 
 
-def read_audit_csv(data: bytes) -> list[AuditRow]:
-    """Parse an audit CSV back into rows."""
+def read_audit_rows(data: bytes) -> list[list[str]]:
+    """An audit CSV's checked data rows, each as its four cells; blank lines are skipped."""
     try:
         records = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
     except UnicodeDecodeError as err:
@@ -224,21 +220,40 @@ def read_audit_csv(data: bytes) -> list[AuditRow]:
         raise MalformedSyntax("audit CSV is empty")
     if tuple(records[0]) != CSV_HEADER:
         raise MalformedSyntax(f"audit CSV header must be {','.join(CSV_HEADER)}")
-    rows = []
-    for fields in records[1:]:
-        if not fields:
-            continue
+    rows = [fields for fields in records[1:] if fields]
+    for fields in rows:
         if len(fields) != 4:
             raise MalformedSyntax(f"audit CSV row has {len(fields)} fields, expected 4")
-        claim, ids, status, note = fields
-        parsed_status = _STATUS_BY_VALUE.get(status)
-        if parsed_status is None:
-            raise MalformedSyntax(f"unknown audit status {status!r}")
-        rows.append(restore(AuditRow, {"claim": claim,
-                                       "supporting_ids": tuple(filter(None, ids.split(";"))),
-                                       "status": parsed_status,
-                                       "resolver_note": note or None}))
+        if fields[2] not in _STATUS_BY_VALUE:
+            raise MalformedSyntax(f"unknown audit status {fields[2]!r}")
     return rows
+
+
+def write_audit_csv(rows: list[AuditRow]) -> bytes:
+    """The audit CSV of ``rows``; ids joined with ';' inside the cited_ids field."""
+    return write_audit_rows([[row.claim, ";".join(row.supporting_ids), row.status.value,
+                              row.resolver_note or ""] for row in rows])
+
+
+def read_audit_csv(data: bytes) -> list[AuditRow]:
+    """Parse an audit CSV back into rows."""
+    return [restore(AuditRow, {"claim": claim,
+                               "supporting_ids": tuple(filter(None, ids.split(";"))),
+                               "status": _STATUS_BY_VALUE[status],
+                               "resolver_note": note or None})
+            for claim, ids, status, note in read_audit_rows(data)]
+
+
+def resolve_row(rows: list[list[str]], index: int, note: str) -> str | None:
+    """Set row ``index``'s resolver note in place and return the note it replaces; the
+    status and every other cell stay as written (edits belong to the manuscript)."""
+    if not 0 <= index < len(rows):
+        raise IndexOutOfRange(f"row index {index} out of range 0..{len(rows) - 1}")
+    row = rows[index]
+    if row[2] == AuditStatus.SUPPORTED.value:
+        raise AlreadySupported(f"row {index} is already supported; nothing to resolve")
+    previous, row[3] = row[3] or None, note
+    return previous
 
 
 def write_audit_markdown(rows: list[AuditRow], errors: list[str] | None = None,
@@ -248,25 +263,8 @@ def write_audit_markdown(rows: list[AuditRow], errors: list[str] | None = None,
         ids = ";".join(row.supporting_ids) or "-"
         claim = row.claim.replace("|", "\\|")
         lines.append(f"| {index} | {row.status.value} | {ids} | {claim} |")
-    if any(row.resolver_note for row in rows):
-        lines += ["", "## Resolver notes", ""]
-        lines += [f"- row {i}: {row.resolver_note}"
-                  for i, row in enumerate(rows) if row.resolver_note]
     if errors:
         lines += ["", "## Citation-closure violations", ""] + [f"- {e}" for e in errors]
     if info:
         lines += ["", "## Informational", ""] + [f"- {n}" for n in info]
     return "\n".join(lines) + "\n"
-
-
-def resolve_claim(rows: list[AuditRow], index: int, note: str) -> list[AuditRow]:
-    """Attach a resolver note; the status never changes here (edits belong to the
-    manuscript, not the audit record). Returns a new row list."""
-    if not 0 <= index < len(rows):
-        raise IndexOutOfRange(f"row index {index} out of range 0..{len(rows) - 1}")
-    row = rows[index]
-    if row.status is AuditStatus.SUPPORTED:
-        raise AlreadySupported(f"row {index} is already supported; nothing to resolve")
-    updated = list(rows)
-    updated[index] = replace(row, resolver_note=note)
-    return updated

@@ -198,16 +198,15 @@ def cmd_audit(args) -> int:
 
 def cmd_resolve(args) -> int:
     from . import rundir
-    from .audit import read_audit_csv, resolve_claim, write_audit_csv
+    from .audit import read_audit_rows, resolve_row, write_audit_rows
     from .provenance import utc_now_rfc3339
 
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():
         run.require("resolve")
-        rows = read_audit_csv(run.file(rundir.AUDIT_CSV).read_bytes())
-        previous = rows[args.index].resolver_note if 0 <= args.index < len(rows) else None
-        updated = resolve_claim(rows, args.index, args.note)
-        run.file(rundir.AUDIT_CSV).write_bytes(write_audit_csv(updated))
+        rows = read_audit_rows(run.file(rundir.AUDIT_CSV).read_bytes())
+        previous = resolve_row(rows, args.index, args.note)
+        run.file(rundir.AUDIT_CSV).write_bytes(write_audit_rows(rows))
         # append-only history of resolutions; stays local to the run directory
         entry = {"at": utc_now_rfc3339(), "index": args.index,
                  "note": args.note, "previous": previous}

@@ -8,7 +8,8 @@ from hypothesis import given
 
 from airo.audit import (AuditRow, AuditStatus, ClaimEntry, HUMAN_CHECK_MARKER,
                         InlineCitation, audit_draft, inline_findings,
-                        parse_draft, read_audit_csv, resolve_claim, write_audit_csv)
+                        parse_draft, read_audit_csv, read_audit_rows, resolve_row,
+                        write_audit_csv, write_audit_rows)
 from airo.errors import (AlreadySupported, IndexOutOfRange, MalformedChecklistEntry,
                          MalformedSyntax, MissingChecklist, MissingHeader)
 from strategies import audit_rows, draft_to_text, drafts
@@ -147,8 +148,9 @@ def test_parsed_records_are_constructed_records():
             strict=True):
         assert_same_record(parsed, constructed)
 
-    rows = resolve_claim(rows, 2, "checked by hand")
-    for parsed, constructed in zip(read_audit_csv(write_audit_csv(rows)), [
+    table = read_audit_rows(write_audit_csv(rows))
+    assert resolve_row(table, 2, "checked by hand") is None
+    for parsed, constructed in zip(read_audit_csv(write_audit_rows(table)), [
             AuditRow("First claim about methods", ("P1",), AuditStatus.SUPPORTED),
             AuditRow("Comparative claim", ("P1", "P2"), AuditStatus.SUPPORTED),
             AuditRow("Open claim with no support", (), AuditStatus.NEEDS_HUMAN_CHECK,
@@ -185,22 +187,23 @@ def test_csv_quotes_commas():
     assert back[0].supporting_ids == ("P1",)
 
 
-def test_resolve_claim_records_note_without_status_change():
-    rows = [AuditRow("a", (), AuditStatus.NEEDS_HUMAN_CHECK)]
-    updated = resolve_claim(rows, 0, "verified against DOI landing page")
-    assert updated[0].resolver_note == "verified against DOI landing page"
-    assert updated[0].status is AuditStatus.NEEDS_HUMAN_CHECK
-    assert rows[0].resolver_note is None  # input untouched
+def test_resolve_row_records_note_without_status_change():
+    rows = [["a", "", "needs_human_check", ""]]
+    assert resolve_row(rows, 0, "verified against DOI landing page") is None
+    assert rows == [["a", "", "needs_human_check", "verified against DOI landing page"]]
+    assert resolve_row(rows, 0, "second look") == "verified against DOI landing page"
+    assert rows == [["a", "", "needs_human_check", "second look"]]
 
 
-def test_resolve_claim_errors():
-    rows = [AuditRow("a", ("P1",), AuditStatus.SUPPORTED),
-            AuditRow("b", (), AuditStatus.UNSUPPORTED)]
+def test_resolve_row_errors():
+    rows = [["a", "P1", "supported", ""], ["b", "", "unsupported", ""]]
     with pytest.raises(AlreadySupported):
-        resolve_claim(rows, 0, "note")
-    with pytest.raises(IndexOutOfRange):
-        resolve_claim(rows, 5, "note")
-    resolve_claim(rows, 1, "ok")
+        resolve_row(rows, 0, "note")
+    with pytest.raises(IndexOutOfRange) as raised:
+        resolve_row(rows, 5, "note")
+    assert str(raised.value) == "row index 5 out of range 0..1"
+    assert rows == [["a", "P1", "supported", ""], ["b", "", "unsupported", ""]]
+    assert resolve_row(rows, 1, "ok") is None
 
 
 def test_draft_round_trip_fixture():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -446,6 +448,33 @@ def test_resolve_twice_keeps_history(tmp_path, capsys):
     csv_text = (run_dir / rundir.AUDIT_CSV).read_text()
     assert "confirmed with co-author" in csv_text
     assert "checked against the primary source" not in csv_text
+
+
+def test_resolved_demo_table_is_pinned(demo_copy):
+    run_dir, _ = demo_copy
+    assert cli.main(["resolve", "5", "checked against the primary source",
+                     "--run-dir", str(run_dir)]) == 0
+    data = (run_dir / rundir.AUDIT_CSV).read_bytes()
+    assert len(data) == 596
+    assert hashlib.sha256(data).hexdigest() == \
+        "fa7cbebe43d68ffcc450e41202a09459b8f7b915207b99173e60587783495e40"
+
+
+def test_resolve_changes_only_the_resolved_note(demo_copy):
+    # a hand-edited cell elsewhere in the table reads back as written, not re-normalized
+    run_dir, _ = demo_copy
+    audit_csv = run_dir / rundir.AUDIT_CSV
+    rows = list(csv.reader(io.StringIO(audit_csv.read_text(encoding="utf-8"), newline="")))
+    rows[3][1] = "P2;;P3"  # data row 2, after the header
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerows(rows)
+    audit_csv.write_bytes(buffer.getvalue().encode("utf-8"))
+    assert cli.main(["resolve", "5", "checked", "--run-dir", str(run_dir)]) == 0
+    resolved = list(csv.reader(io.StringIO(audit_csv.read_text(encoding="utf-8"), newline="")))
+    rows[6][3] = "checked"
+    assert resolved == rows
+    assert audit_csv.read_bytes() == buffer.getvalue().replace(
+        "needs_human_check,\r\n", "needs_human_check,checked\r\n").encode("utf-8")
 
 
 def test_resolve_supported_row_fails(tmp_path, capsys):
