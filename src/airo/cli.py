@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 
 # parse_bundle stays a module attribute: perfbench's traced-run test reads airo.cli.parse_bundle
 from .bundle import parse_bundle, replace
-from .errors import (EmptyResponse, FixtureMissing, RunLocked, StageOutputInvalid,
-                     TemplateInvalid, ToolkitError, Transport, read_utf8)
+from .errors import (EmptyResponse, FixtureMissing, RunLocked, StageOrder, StageOutputInvalid,
+                     TemplateInvalid, ToolkitError, Transport, UnredactedLeak, read_utf8)
 from .redact import Tier
 
 if TYPE_CHECKING:
@@ -103,8 +103,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
-def _run_model_stage(args, stage: str, produce) -> int:
-    """Run one model stage; every interaction is logged, a failed one included.
+def _run_stage(args, work) -> int:
+    """Run the command's stage by ``RunDirectory.run_stage``, given ``work(args, run, state)``."""
+    from . import rundir
+
+    run = rundir.RunDirectory(Path(args.run_dir))
+    print(run.run_stage(args.command, partial(work, args, run)))
+    return EXIT_OK
+
+
+def _model_stage(args, run: rundir.RunDirectory, state, produce):
+    """One model stage's output; every interaction is logged, a failed one included.
 
     ``produce(run, bundle, config, options)`` invokes the model with
     ``options`` and returns ``(output bytes, invocation, summary)``.
@@ -113,43 +122,42 @@ def _run_model_stage(args, stage: str, produce) -> int:
 
     from . import rundir
     from .invoke import config_from_file
-    from .provenance import InteractionLog, Interface, parse_log, record_invocation
+    from .provenance import (InteractionLog, Interface, parse_log, record_invocation,
+                             utc_now_rfc3339)
     from .template import load_template
 
     template_rel, output_rel = {"taxonomy": (rundir.TAXONOMY_TMPL, rundir.TAXONOMY_JSON),
-                                "draft": (rundir.SYNTHESIS_TMPL, rundir.DRAFT_MD)}[stage]
-    run = rundir.RunDirectory(Path(args.run_dir))
-    with run.lock():
-        state = run.require(stage)
-        bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
-        config = config_from_file(Path(args.config) if args.config else run.file(rundir.CONFIG))
-        if args.stub:
-            config = replace(config, interface=Interface.OFFLINE_STUB, stub_fixture=args.stub)
-        options = {"template": load_template(run.file(template_rel)),
-                   "fixtures_dir": run.file(rundir.FIXTURES_DIR)}
-        log_path = run.file(rundir.INTERACTION_LOG)
-        log = (parse_log(log_path.read_bytes()) if log_path.is_file()
-               else InteractionLog(run_id=state.run_id))
-        host = platform.node() or None
-        paths = [str(run.file(rundir.BUNDLE)), str(run.file(template_rel))]
+                                "draft": (rundir.SYNTHESIS_TMPL, rundir.DRAFT_MD)}[args.command]
+    bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
+    config = config_from_file(Path(args.config) if args.config else run.file(rundir.CONFIG))
+    if args.stub:
+        config = replace(config, interface=Interface.OFFLINE_STUB, stub_fixture=args.stub)
+    options = {"template": load_template(run.file(template_rel)),
+               "fixtures_dir": run.file(rundir.FIXTURES_DIR)}
+    log_path = run.file(rundir.INTERACTION_LOG)
+    log = (parse_log(log_path.read_bytes()) if log_path.is_file()
+           else InteractionLog(run_id=state.run_id))
+    if log.records and log.records[-1].started_at > utc_now_rfc3339():
+        # checked before the call, since the log could not take a record of it
+        raise StageOrder(f"the last logged record started at {log.records[-1].started_at}, "
+                         f"after the current time; no model call was made")
+    host = platform.node() or None
+    paths = [str(run.file(rundir.BUNDLE)), str(run.file(template_rel))]
 
-        def keep(invocation) -> None:
-            log.append(record_invocation(invocation, bundle, paths, host))
-            log_path.write_bytes(log.to_bytes())
+    def keep(invocation) -> None:
+        log.append(record_invocation(invocation, bundle, paths, host))
+        log_path.write_bytes(log.to_bytes())
 
-        try:
-            output, invocation, summary = produce(run, bundle, config, options)
-        except (StageOutputInvalid, EmptyResponse) as err:
-            if err.invocation is not None:  # provenance totality: keep the interaction
-                keep(err.invocation)
-            raise
-        keep(invocation)
-        run.file(output_rel).write_bytes(output)
-        run.mark_complete(stage)
-        if invocation.budget_exceeded:
-            print("warning: response was truncated at max_tokens", file=sys.stderr)
-        print(f"wrote {output_rel}{summary}")
-    return EXIT_OK
+    try:
+        output, invocation, summary = produce(run, bundle, config, options)
+    except (StageOutputInvalid, EmptyResponse) as err:
+        if err.invocation is not None:  # provenance totality: keep the interaction
+            keep(err.invocation)
+        raise
+    keep(invocation)
+    if invocation.budget_exceeded:
+        print("warning: response was truncated at max_tokens", file=sys.stderr)
+    return {output_rel: output}, f"wrote {output_rel}{summary}"
 
 
 def _produce_taxonomy(run: rundir.RunDirectory, bundle, config: ModelConfig, options: dict):
@@ -170,30 +178,24 @@ def _produce_draft(run: rundir.RunDirectory, bundle, config: ModelConfig, option
     return text.encode("utf-8"), invocation, ""
 
 
-def cmd_audit(args) -> int:
+def _audit(args, run: rundir.RunDirectory, state):
     from . import rundir
     from .audit import (audit_draft, inline_findings, parse_draft, write_audit_csv,
                         write_audit_markdown)
 
-    run = rundir.RunDirectory(Path(args.run_dir))
-    with run.lock():
-        run.require("audit")
-        bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
-        draft = parse_draft(read_utf8(run.file(rundir.DRAFT_MD)))
-        rows = audit_draft(draft, bundle)
-        errors, info = inline_findings(draft, bundle)
-        run.file(rundir.AUDIT_CSV).write_bytes(write_audit_csv(rows))
-        run.file(rundir.AUDIT_MD).write_text(write_audit_markdown(rows, errors, info),
-                                             encoding="utf-8")
-        run.mark_complete("audit")
-        counts: dict[str, int] = {}
-        for row in rows:
-            counts[row.status.value] = counts.get(row.status.value, 0) + 1
-        summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-        print(f"wrote {rundir.AUDIT_CSV} ({len(rows)} row(s): {summary})")
-        for error in errors:
-            print(f"closure violation: {error}", file=sys.stderr)
-    return EXIT_OK
+    bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
+    draft = parse_draft(read_utf8(run.file(rundir.DRAFT_MD)))
+    rows = audit_draft(draft, bundle)
+    errors, info = inline_findings(draft, bundle)
+    counts: dict[str, int] = {}
+    for row in rows:
+        counts[row.status.value] = counts.get(row.status.value, 0) + 1
+    summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
+    for error in errors:
+        print(f"closure violation: {error}", file=sys.stderr)
+    return ({rundir.AUDIT_CSV: write_audit_csv(rows),
+             rundir.AUDIT_MD: write_audit_markdown(rows, errors, info).encode("utf-8")},
+            f"wrote {rundir.AUDIT_CSV} ({len(rows)} row(s): {summary})")
 
 
 def cmd_resolve(args) -> int:
@@ -202,7 +204,7 @@ def cmd_resolve(args) -> int:
     from .provenance import utc_now_rfc3339
 
     run = rundir.RunDirectory(Path(args.run_dir))
-    with run.lock():
+    with run.lock():  # resolve completes no stage, so it runs outside run_stage
         run.require("resolve")
         rows = read_audit_rows(run.file(rundir.AUDIT_CSV).read_bytes())
         previous = resolve_row(rows, args.index, args.note)
@@ -216,52 +218,37 @@ def cmd_resolve(args) -> int:
     return EXIT_OK
 
 
-def cmd_redact(args) -> int:
+def _redact(args, run: rundir.RunDirectory, state):
     from . import rundir
     from .provenance import parse_log
     from .redact import check_redaction, redact
 
-    run = rundir.RunDirectory(Path(args.run_dir))
-    with run.lock():
-        run.require("redact")
-        tier = Tier(args.tier)
-        redacted = redact(parse_log(run.file(rundir.INTERACTION_LOG).read_bytes()), tier)
-        findings = check_redaction(redacted, tier)
-        if findings:
-            for finding in findings:
-                print(f"redaction finding: {finding}", file=sys.stderr)
-            return EXIT_FAILURE
-        run.file(rundir.REDACTED_LOG).write_bytes(redacted.to_bytes())
-        run.mark_complete("redact")
-        print(f"wrote {rundir.REDACTED_LOG} (tier {tier.value})")
-    return EXIT_OK
+    tier = Tier(args.tier)
+    redacted = redact(parse_log(run.file(rundir.INTERACTION_LOG).read_bytes()), tier)
+    findings = check_redaction(redacted, tier)
+    for finding in findings:
+        print(f"redaction finding: {finding}", file=sys.stderr)
+    if findings:
+        raise UnredactedLeak(f"{len(findings)} redaction finding(s) above; nothing written")
+    return ({rundir.REDACTED_LOG: redacted.to_bytes()},
+            f"wrote {rundir.REDACTED_LOG} (tier {tier.value})")
 
 
-def cmd_card(args) -> int:
+def _card(args, run: rundir.RunDirectory, state):
     from . import rundir
     from .rocrate import build_card
 
-    run = rundir.RunDirectory(Path(args.run_dir))
-    with run.lock():
-        run_id = run.require("card").run_id
-        run.file(rundir.CARD_MD).write_text(build_card(run.path, run_id), encoding="utf-8")
-        run.mark_complete("card")
-        print(f"wrote {rundir.CARD_MD}")
-    return EXIT_OK
+    card = build_card(run.path, state.run_id).encode("utf-8")
+    return {rundir.CARD_MD: card}, f"wrote {rundir.CARD_MD}"
 
 
-def cmd_pack(args) -> int:
-    from . import rundir
+def _pack(args, run: rundir.RunDirectory, state):
     from .rocrate import pack
 
-    run = rundir.RunDirectory(Path(args.run_dir))
-    with run.lock():
-        run_id = run.require("pack").run_id
-        out = Path(args.output) if args.output else None
-        crate_path = pack(run.path, run_id, Tier(args.tier), out_path=out)
-        run.mark_complete("pack")
-        print(f"packed crate: {crate_path}")
-    return EXIT_OK
+    # pack writes the crate itself, after every check passed, wherever --output names
+    out = Path(args.output) if args.output else None
+    crate_path = pack(run.path, state.run_id, Tier(args.tier), out_path=out)
+    return {}, f"packed crate: {crate_path}"
 
 
 def _print_check(check: CheckResult) -> None:
@@ -303,17 +290,19 @@ COMMANDS = {
         _option("--no-demo", action="store_true",
                 help="skip the sample bundle and stub fixtures"))),
     "validate": (cmd_validate, "check the bundle and templates; exit 1 on problems", (_RUN_DIR,)),
-    "taxonomy": (partial(_run_model_stage, stage="taxonomy", produce=_produce_taxonomy),
+    "taxonomy": (partial(_run_stage, work=partial(_model_stage, produce=_produce_taxonomy)),
                  "run stage 1: cluster the papers", _MODEL_OPTIONS),
-    "draft": (partial(_run_model_stage, stage="draft", produce=_produce_draft),
+    "draft": (partial(_run_stage, work=partial(_model_stage, produce=_produce_draft)),
               "run stage 2: draft the section", _MODEL_OPTIONS),
-    "audit": (cmd_audit, "compute the claim audit table from the draft", (_RUN_DIR,)),
+    "audit": (partial(_run_stage, work=_audit), "compute the claim audit table from the draft",
+              (_RUN_DIR,)),
     "resolve": (cmd_resolve, "attach a resolver note to an audit row", (
         _RUN_DIR, _option("index", type=int, help="audit row index (0-based)"),
         _option("note", help="resolver note text"))),
-    "card": (cmd_card, "build the inspection card (card.md)", (_RUN_DIR,)),
-    "redact": (cmd_redact, "write the redacted interaction log", (_RUN_DIR, _TIER)),
-    "pack": (cmd_pack, "package the run as an RO-Crate zip", (
+    "card": (partial(_run_stage, work=_card), "build the inspection card (card.md)", (_RUN_DIR,)),
+    "redact": (partial(_run_stage, work=_redact), "write the redacted interaction log",
+               (_RUN_DIR, _TIER)),
+    "pack": (partial(_run_stage, work=_pack), "package the run as an RO-Crate zip", (
         _RUN_DIR, _TIER, _option("--output", "-o", help="crate output path"))),
     "verify": (cmd_verify, "verify a packed crate; exit 1 on any Fail", (
         _option("crate", help="path to the crate zip"),

@@ -141,7 +141,7 @@ class SourceMismatch(ToolkitError):
 # --- run directory / CLI ---
 
 class StageOrder(ToolkitError):
-    """A pipeline stage was requested before its prerequisite completed."""
+    """A stage ran before its prerequisite completed, or before the last logged call started."""
 
 
 class PathExists(ToolkitError):

@@ -141,15 +141,22 @@ class RunDirectory:
                              f"{', '.join(missing)}")
         return state
 
-    def mark_complete(self, stage: str) -> None:
-        """Record ``stage`` as complete and every stage downstream of it as not,
-        since their outputs were derived from what this run of ``stage`` replaced."""
-        state = self.load_state()
-        stale = _dependents(stage)
-        state.completed = [done for done in state.completed if done not in stale]
-        if stage not in state.completed:
-            state.completed.append(stage)
-        self.save_state(state)
+    def run_stage(self, stage: str, work) -> str:
+        """Run ``stage`` under the lock once its prerequisites are complete: ``work(state)``
+        returns ``({run-relative path: bytes}, message)``; write each output, record ``stage``
+        complete and every stage downstream of it not, since their outputs derive from what
+        this run replaces, and return the message. A ``work`` that raises completes nothing."""
+        with self.lock():
+            state = self.require(stage)
+            outputs, message = work(state)
+            for relative, data in outputs.items():
+                self.file(relative).write_bytes(data)
+            stale = _dependents(stage)
+            state.completed = [done for done in state.completed if done not in stale]
+            if stage not in state.completed:
+                state.completed.append(stage)
+            self.save_state(state)
+        return message
 
     @contextmanager
     def lock(self):

@@ -140,6 +140,30 @@ def test_failed_taxonomy_keeps_state_but_logs_interaction(tmp_path, capsys, stag
 
 
 @pytest.mark.parametrize("stage", sorted(MODEL_STAGES))
+def test_a_model_stage_after_a_log_record_dated_past_now_makes_no_call(tmp_path, capsys, stage):
+    # the log takes records in start order, so a call made now could not be logged
+    _, output, record_stage, broken = MODEL_STAGES[stage]
+    run = _init_before(tmp_path / "run", stage)
+    if stage == "taxonomy":  # a failed attempt: logged, but no output and nothing completed
+        (run.file(rundir.FIXTURES_DIR) / "broken.txt").write_text(broken)
+        assert cli.main(["taxonomy", "--stub", "broken", "--run-dir", str(run.path)]) == 1
+    log = json.loads(run.file(rundir.INTERACTION_LOG).read_text())
+    log["records"][-1].update(started_at="2999-01-01T00:00:00Z", ended_at="2999-01-01T00:00:00Z")
+    run.file(rundir.INTERACTION_LOG).write_text(json.dumps(log))
+    before = run.file(rundir.INTERACTION_LOG).read_bytes()
+    completed = run.load_state().completed
+    capsys.readouterr()
+    assert cli.main([stage, "--stub", f"{record_stage}_demo", "--run-dir", str(run.path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: StageOrder: ") and err.count("\n") == 1
+    assert "2999-01-01T00:00:00Z" in err
+    assert run.file(rundir.INTERACTION_LOG).read_bytes() == before
+    assert not run.file(output).exists()
+    assert run.load_state().completed == completed and stage not in completed
+    assert not run.file(rundir.LOCK).exists()
+
+
+@pytest.mark.parametrize("stage", sorted(MODEL_STAGES))
 def test_truncated_response_warns_and_completes(tmp_path, capsys, stage):
     _, output, record_stage, _ = MODEL_STAGES[stage]
     run = _init_before(tmp_path / "run", stage)
@@ -176,7 +200,7 @@ def test_card_and_pack_read_run_state_once_before_marking_complete(demo_copy, mo
     monkeypatch.setattr(rundir.RunDirectory, "load_state",
                         lambda run: loads.append(run.path) or load_state(run))
     assert cli.main(command + ["--run-dir", str(run_dir)]) == 0
-    assert len(loads) == 2  # require, then mark_complete
+    assert len(loads) == 1  # require; run_stage saves the state it loaded
 
 
 def test_verify_with_a_source_log_reads_the_crate_once(demo_run, monkeypatch, capsys):
@@ -543,10 +567,39 @@ def _run_until_redact(run_dir: Path, **config) -> rundir.RunDirectory:
 def test_redact_refuses_a_local_path_at_text_dropping_tiers(tmp_path, capsys, tier):
     run = _run_until_redact(tmp_path / "run", model_name="/home/alice/model")
     capsys.readouterr()
+    state = run.state_path.read_bytes()
     assert cli.main(["redact", "--tier", tier, "--run-dir", str(run.path)]) == 1
-    assert "redaction finding" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "redaction finding" in err
+    assert err.splitlines()[-1].startswith("error: UnredactedLeak: ")
     assert not run.file(rundir.REDACTED_LOG).exists()
+    assert run.state_path.read_bytes() == state
     assert "redact" not in run.load_state().completed
+
+
+def _empty_limitations(run: rundir.RunDirectory) -> None:
+    sections = json.loads(run.file(rundir.CARD_SECTIONS).read_text())
+    run.file(rundir.CARD_SECTIONS).write_text(json.dumps({**sections, "limitations": ""}))
+
+
+@pytest.mark.parametrize("command, edit, error, outputs", [
+    (["audit"], lambda run: run.file(rundir.DRAFT_MD).write_text("a draft with no header\n"),
+     "MissingHeader", [rundir.AUDIT_CSV, rundir.AUDIT_MD]),
+    (["card"], _empty_limitations, "MissingSection", [rundir.CARD_MD]),
+    (["pack", "--tier", "reviewer"], lambda run: run.file(rundir.AUDIT_CSV).unlink(),
+     "DanglingEntity", [f"{rundir.CRATE_DIR}/ro-demo.crate.zip"]),
+], ids=["audit", "card", "pack"])
+def test_a_refused_stage_leaves_its_outputs_and_run_state_as_they_were(demo_copy, capsys, command,
+                                                                       edit, error, outputs):
+    run = rundir.RunDirectory(demo_copy[0])
+    edit(run)
+    files = [run.state_path, *map(run.file, outputs)]
+    before = [path.read_bytes() for path in files]
+    capsys.readouterr()
+    assert cli.main(command + ["--run-dir", str(run.path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")
+    assert not run.file(rundir.LOCK).exists()
+    assert [path.read_bytes() for path in files] == before
 
 
 def test_redact_does_not_scan_the_auditor_tier(tmp_path, monkeypatch):
