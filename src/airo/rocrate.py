@@ -13,15 +13,14 @@ digests alone (``manifest_json``), so verify rebuilds it instead of parsing it.
 from __future__ import annotations
 
 import json
-import re
 import zipfile
 from pathlib import Path
 
 from .bundle import canonical_bytes, expect_type, parse_bundle
 from .errors import (CrateUnreadable, DanglingEntity, MalformedSyntax, MissingSection,
                      SourceMismatch, UnredactedLeak, read_utf8)
-from .provenance import parse_log, sha256_hex
-from .redact import Tier, check_redaction, generalize_endpoint, parse_redacted_log
+from .provenance import Interface, ModelConfig, parse_log, sha256_hex
+from .redact import GENERALIZED_ENDPOINT, Tier, check_redaction, parse_redacted_log
 
 ROCRATE_CONTEXT = "https://w3id.org/ro/crate/1.1/context"
 ROCRATE_CONFORMS_TO = "https://w3id.org/ro/crate/1.1"
@@ -51,20 +50,9 @@ _CARD_SECTION_TITLES = {
     "reproducibility_note": "Reproducibility Note",
 }
 
-# Crate-relative paths of the artifacts a standard run releases.
-RELEASED_ARTIFACTS = (
-    "inputs/bundle.json: human-authored input bundle",
-    "outputs/taxonomy.json: generated taxonomy structure (JSON)",
-    "outputs/draft.md: draft synthesis text (Markdown)",
-    "outputs/audit.csv: claim audit table (CSV)",
-    f"{REDACTED_LOG_MEMBER}: privatized interaction log",
-    "code/taxonomy.tmpl, code/synthesis.tmpl: prompt templates",
-)
-
 
 def build_card(run_path: Path, run_id: str) -> str:
-    """The card's Markdown, from the run id, the log's configuration, and the
-    operator-authored narrative sections; every section must be nonempty."""
+    """``render_card`` over the run directory; every section must be nonempty."""
     from . import rundir  # only build_card and pack read a run directory; verify never does
 
     run = rundir.RunDirectory(Path(run_path))
@@ -72,7 +60,6 @@ def build_card(run_path: Path, run_id: str) -> str:
     log = parse_log(run.file(rundir.INTERACTION_LOG).read_bytes())
     if not log.records:
         raise MissingSection("card section left empty: Model Configuration")
-    config = log.records[-1].config
 
     sections_path = run.file(rundir.CARD_SECTIONS)
     try:
@@ -83,21 +70,24 @@ def build_card(run_path: Path, run_id: str) -> str:
     except (ValueError, RecursionError, AttributeError, TypeError) as err:
         raise MalformedSyntax(f"{sections_path}: not a JSON object of card sections ({err})"
                               ) from err
-    for title, text in narrative.items():
+    for title, text in {**narrative, "Research Topic": bundle.title.strip()}.items():
         if not text:
             raise MissingSection(f"card section left empty: {title}")
-    if not bundle.title.strip():
-        raise MissingSection("card section left empty: Research Topic")
+    return render_card(run_id, bundle.title, sha256_hex(canonical_bytes(bundle)).hex,
+                       log.records[-1].config, narrative)
 
-    # the card is built once and may be packed at any tier, so it says what the
-    # most restrictive tier says: the constant, never a host
-    endpoint = generalize_endpoint(config.endpoint, Tier.PUBLIC) if config.endpoint else ""
+
+def render_card(run_id: str, title: str, bundle_digest_hex: str, config: ModelConfig,
+                narrative: dict[str, str]) -> str:
+    """The card's Markdown, then ``narrative``'s ``{title: text}`` sections; pure formatting."""
+    # one card serves every tier, so it states what every tier's log backs, never a host
+    endpoint = "(none)" if config.interface is Interface.OFFLINE_STUB else GENERALIZED_ENDPOINT
     lines = [
         "# AI Research Object Inspection Card",
         "",
         f"Run ID: {run_id}",
         "",
-        f"Research Topic: {bundle.title}",
+        f"Research Topic: {title}",
         "",
         "## Model Configuration",
         "",
@@ -106,24 +96,31 @@ def build_card(run_path: Path, run_id: str) -> str:
         f"- Temperature: {config.temperature}",
         f"- Top-p: {config.top_p}",
         f"- Max tokens: {config.max_tokens}",
-        f"- Endpoint: {endpoint or '(none)'}",
-        f"- Input bundle SHA-256: `{sha256_hex(canonical_bytes(bundle)).hex}`",
+        f"- Endpoint: {endpoint}",
+        f"- Input bundle SHA-256: `{bundle_digest_hex}`",
         "",
         "## Artifacts Released",
         "",
+        "- inputs/bundle.json: human-authored input bundle",
+        "- outputs/taxonomy.json: generated taxonomy structure (JSON)",
+        "- outputs/draft.md: draft synthesis text (Markdown)",
+        "- outputs/audit.csv: claim audit table (CSV)",
+        f"- {REDACTED_LOG_MEMBER}: privatized interaction log",
+        "- code/taxonomy.tmpl, code/synthesis.tmpl: prompt templates",
     ]
-    lines += [f"- {artifact}" for artifact in RELEASED_ARTIFACTS]
-    for title, text in narrative.items():
-        lines += ["", f"## {title}", "", text]
+    for section, text in narrative.items():
+        lines += ["", f"## {section}", "", text]
     return "\n".join(lines) + "\n"
 
 
-_CARD_DIGEST_RE = re.compile(r"Input bundle SHA-256: `([0-9a-f]{64})`")
-
-
-def card_bundle_digest(card_markdown: str) -> str | None:
-    match = _CARD_DIGEST_RE.search(card_markdown)
-    return match.group(1) if match else None
+def card_narrative(card: str) -> dict[str, str]:
+    """``card``'s narrative by title, cut at each title's heading in turn (at the next ``## ``
+    one if it is missing), so ``render_card`` gives ``card`` back or differs at a renamed one."""
+    texts = []
+    for heading in (f"\n\n## {title}\n\n" for title in _CARD_SECTION_TITLES.values()):
+        text, _, card = card.partition(heading if heading in card else "\n\n## ")
+        texts.append(text)
+    return dict(zip(_CARD_SECTION_TITLES.values(), texts[1:] + [card.removesuffix("\n")]))
 
 
 def manifest_json(run_id: str, digests: dict[str, str]) -> dict:

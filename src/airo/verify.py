@@ -19,8 +19,9 @@ from .bundle import InputBundle, Record, canonical_bytes, parse_bundle, parse_ta
 from .errors import SourceMismatch, ToolkitError
 from .provenance import InteractionLog, parse_log, sha256_hex
 from .redact import check_redaction, parse_redacted_log, redact
-from .rocrate import (MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER, card_bundle_digest,
-                      decode_manifest, manifest_json, read_crate_members, recorded_digests)
+from .rocrate import (MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER, card_narrative,
+                      decode_manifest, manifest_json, read_crate_members, recorded_digests,
+                      render_card)
 
 
 class CheckName(Enum):
@@ -179,7 +180,7 @@ def _hash_integrity(members: dict[str, bytes]) -> tuple[CheckResult, Interaction
 
 def _input_derivation(members: dict[str, bytes], bundle: InputBundle | None,
                       redacted: InteractionLog | None) -> CheckResult:
-    """5. Every log record, and the card, binds to the packed bundle's canonical hash."""
+    """5. Every log record binds to the packed bundle's hash; the card re-renders from both."""
     if bundle is None:
         return _result(CheckName.INPUT_DERIVATION,
                        ["cannot derive bundle hash: bundle unavailable"])
@@ -192,14 +193,16 @@ def _input_derivation(members: dict[str, bytes], bundle: InputBundle | None,
         if record.bundle_sha256 != expected:
             findings.append(f"log record {index}: bundle_sha256 {record.bundle_sha256.hex} "
                             f"does not match packed bundle {expected.hex}")
-    card = _load(members, "card.md", lambda data: data.decode(errors="replace"), None, findings)
-    if card is not None:
-        card_digest = card_bundle_digest(card)
-        if card_digest is None:
-            findings.append("card.md does not state an input bundle SHA-256")
-        elif card_digest != expected.hex:
-            findings.append(f"card.md bundle digest {card_digest} does not match packed "
-                            f"bundle {expected.hex}")
+    card = _load(members, "card.md", bytes.decode, "card.md unreadable", findings)
+    if card is not None and not redacted.records:
+        findings.append("card.md: the redacted log holds no records to back its configuration")
+    elif card is not None:
+        derived = render_card(redacted.run_id, bundle.title, expected.hex,
+                              redacted.records[-1].config, card_narrative(card))
+        have, want = card.split("\n") + [None], derived.split("\n") + [None]
+        at = next((i for i, pair in enumerate(zip(have, want)) if pair[0] != pair[1]), None)
+        if at is not None:
+            findings.append(f"card.md line {at + 1}: packed {have[at]!r}, derived {want[at]!r}")
     return _result(CheckName.INPUT_DERIVATION, findings)
 
 

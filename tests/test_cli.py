@@ -638,7 +638,19 @@ def test_internal_host_never_reaches_a_public_crate(tmp_path):
     members = read_crate_members(crate)
     for name, data in members.items():
         assert b"internal.lab" not in data, name
-    assert b"- Endpoint: generalized-endpoint\n" in members["card.md"]
+    assert b"- Endpoint: (none)\n" in members["card.md"]
+
+
+@pytest.mark.parametrize("tier", ["public", "reviewer", "auditor"])
+def test_a_stub_run_with_an_endpoint_verifies_at_every_tier(tmp_path, tier):
+    # the stub contacted no endpoint, so the card says so, which every tier's log backs
+    run = _run_until_redact(tmp_path / "run", endpoint="https://gpu.internal.lab:8443/v1")
+    for step in PIPELINE[REDACT_STEP:]:
+        assert cli.main([tier if arg == "reviewer" else arg for arg in step]
+                        + ["--run-dir", str(run.path)]) == 0, step
+    crate = run.file(rundir.CRATE_DIR) / f"{run.load_state().run_id}.crate.zip"
+    assert cli.main(["verify", str(crate)]) == 0
+    assert b"- Endpoint: (none)\n" in run.file(rundir.CARD_MD).read_bytes()
 
 
 def test_verify_tampered_crate_nonzero_exit(tmp_path, capsys, demo_run):

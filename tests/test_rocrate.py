@@ -8,16 +8,18 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import airo.provenance
 from airo import cli, rundir
-from airo.bundle import canonical_bytes, parse_bundle
+from airo.bundle import canonical_bytes, parse_bundle, replace
 from airo.errors import (DanglingEntity, MalformedSyntax, MissingSection, SourceMismatch,
                          UnredactedLeak)
-from airo.provenance import sha256_hex
-from airo.redact import GENERALIZED_ENDPOINT, Tier
-from airo.rocrate import (MANIFEST_NAME, REDACTED_LOG_MEMBER, build_card, card_bundle_digest,
-                          manifest_json, pack, read_crate_members, read_manifest,
+from airo.provenance import Interface, ModelConfig, parse_log, sha256_hex
+from airo.redact import GENERALIZED_ENDPOINT, Tier, redact
+from airo.rocrate import (MANIFEST_NAME, REDACTED_LOG_MEMBER, build_card, card_narrative,
+                          manifest_json, pack, read_crate_members, read_manifest, render_card,
                           write_zip_deterministic)
 from airo.verify import CheckName, verify_crate
 
@@ -26,6 +28,7 @@ from conftest import run_id_of, run_pipeline
 CARD_SECTIONS = ("Run ID", "Research Topic", "Model Configuration", "Artifacts Released",
                  "Intended Use", "Human Oversight", "Disclosure", "Limitations",
                  "Reproducibility Note")
+NARRATIVE_TITLES = CARD_SECTIONS[4:]
 
 
 def card_sections(markdown: str) -> dict[str, str]:
@@ -60,7 +63,12 @@ def test_card_markdown_carries_everything(demo_run):
     assert "Temperature: 0.2" in markdown
     assert "Top-p: 1.0" in markdown
     assert "Max tokens: 1200" in markdown
-    assert card_bundle_digest(markdown) is not None
+    bundle = parse_bundle((run_dir / rundir.BUNDLE).read_bytes())
+    config = parse_log((run_dir / rundir.INTERACTION_LOG).read_bytes()).records[-1].config
+    sections = json.loads((run_dir / rundir.CARD_SECTIONS).read_text())  # in card order
+    narrative = dict(zip(NARRATIVE_TITLES, (text.strip() for text in sections.values())))
+    assert markdown == render_card(run_id_of(run_dir), bundle.title,
+                                   sha256_hex(canonical_bytes(bundle)).hex, config, narrative)
 
 
 def test_card_missing_disclosure_section(demo_copy):
@@ -71,6 +79,41 @@ def test_card_missing_disclosure_section(demo_copy):
     sections_path.write_text(json.dumps(sections))
     with pytest.raises(MissingSection, match="Disclosure"):
         build_card(run_dir, run_id_of(run_dir))
+
+
+def test_a_live_endpoint_renders_the_same_card_at_every_tier(demo_run):
+    # the card is built from the private log and packed at any tier, so it may say only
+    # what every tier's redacted log still backs: that some endpoint was called, not which
+    run_dir, _ = demo_run
+    log = parse_log((run_dir / rundir.INTERACTION_LOG).read_bytes())
+    live = replace(log.records[-1].config, interface=Interface.OPENAI_COMPATIBLE,
+                   endpoint="https://gpu.internal.lab:8443/v1", stub_fixture=None)
+    log = replace(log, records=[replace(record, config=live) for record in log.records])
+    narrative = dict.fromkeys(NARRATIVE_TITLES, "Written by the authors.")
+    private = render_card(log.run_id, "A topic", "0" * 64, live, narrative)
+    assert f"- Endpoint: {GENERALIZED_ENDPOINT}\n" in private
+    assert "internal.lab" not in private
+    for tier in Tier:
+        redacted = redact(log, tier).records[-1].config
+        assert render_card(log.run_id, "A topic", "0" * 64, redacted, narrative) == private, tier
+
+
+# Narrative text made of pieces that could confuse a splitter: every section heading,
+# carriage returns, bare newlines, heading markers and non-ASCII text
+_NARRATIVE_TEXT = st.lists(
+    st.sampled_from([f"\n\n## {title}\n\n" for title in NARRATIVE_TITLES]
+                    + ["\r", "\r\n", "\n", "\n\n## ", "\u00e9\u6f22"])
+    | st.text(st.characters(codec="utf-8"), max_size=12), max_size=8).map("".join)
+
+
+@given(st.tuples(*[_NARRATIVE_TEXT] * len(NARRATIVE_TITLES)).map(
+    lambda texts: dict(zip(NARRATIVE_TITLES, texts))))  # in card order
+def test_a_split_card_renders_back_to_the_same_bytes(narrative):
+    config = ModelConfig(interface=Interface.OFFLINE_STUB, model_name="stub-model",
+                         temperature=0.2, top_p=1.0, max_tokens=1200)
+    card = render_card("ro-demo", "Inspectable drafting", "0" * 64, config, narrative)
+    assert render_card("ro-demo", "Inspectable drafting", "0" * 64, config,
+                       card_narrative(card)) == card
 
 
 def test_pack_contents_and_membership(demo_run):

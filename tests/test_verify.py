@@ -316,6 +316,53 @@ def test_card_removed_with_its_manifest_entry_fails_derivation(tmp_path, demo_ru
     assert report.overall is CheckStatus.FAIL
 
 
+@pytest.fixture(scope="module")
+def crate_per_tier(demo_run, auditor_run, tmp_path_factory):
+    public = run_pipeline(tmp_path_factory.mktemp("public") / "run", label="public-demo",
+                          tier="public")
+    return {"public": public, "reviewer": demo_run[1], "auditor": auditor_run[1]}
+
+
+# (prefix of a card line, what a forger writes there); none of it is backed by the crate
+CARD_FORGERIES = {
+    "model": ("- Model: ", "- Model: a-model-never-called"),
+    "interface": ("- Interface: ", "- Interface: openai-compatible"),
+    "temperature": ("- Temperature: ", "- Temperature: 0.0"),
+    "run-id": ("Run ID: ", "Run ID: ro-another-run"),
+    "research-topic": ("Research Topic: ", "Research Topic: A topic the bundle never names"),
+    "released-artifact": ("- outputs/audit.csv: ",
+                          "- outputs/audit.csv: every claim verified by a second model"),
+    "narrative-heading": ("## Disclosure", "## Nothing To Disclose"),
+}
+
+
+@pytest.mark.parametrize("tier", ["public", "reviewer", "auditor"])
+@pytest.mark.parametrize("prefix, forged", CARD_FORGERIES.values(), ids=list(CARD_FORGERIES))
+def test_card_that_contradicts_the_crate_fails_derivation(tmp_path, crate_per_tier, tier,
+                                                         prefix, forged):
+    # the card's manifest digest is recomputed, so the crate agrees with itself
+    crate = crate_per_tier[tier]
+    lines = read_crate_members(crate)["card.md"].decode().split("\n")
+    index = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    packed, lines[index] = lines[index], forged
+    report = verify_crate(_crate_with_member(tmp_path, crate, "card.md",
+                                             "\n".join(lines).encode()))
+    assert report.check(CheckName.INPUT_DERIVATION).findings == [
+        f"card.md line {index + 1}: packed {forged!r}, derived {packed!r}"]
+    assert [check.name for check in report.checks if check.status is CheckStatus.FAIL] == [
+        CheckName.INPUT_DERIVATION]
+
+
+def test_log_with_no_records_backs_no_card(tmp_path, demo_run):
+    _, crate = demo_run
+    report = verify_crate(_crate_with_log(tmp_path, crate, lambda data: data.update(records=[])))
+    derivation = report.check(CheckName.INPUT_DERIVATION)
+    assert derivation.status is CheckStatus.FAIL
+    assert derivation.findings == [
+        "card.md: the redacted log holds no records to back its configuration"]
+    assert report.overall is CheckStatus.FAIL
+
+
 def _drop_refs(names):
     """A manifest edit that drops every action's references to ``names``."""
     def edit(manifest):
