@@ -208,25 +208,33 @@ def write_audit_rows(rows: list[list[str]]) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
-def read_audit_rows(data: bytes) -> list[list[str]]:
-    """An audit CSV's checked data rows, each as its four cells; blank lines are skipped."""
-    try:
-        records = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+def _read_audit_table(data: bytes) -> tuple[list[str], list[tuple[list[str], int, int]]]:
+    """An audit CSV's lines, and its checked data rows as (four cells, first line, end line)."""
+    try:  # newline="" splits at \r, \n and \r\n alone, the line ends csv.reader knows
+        lines = io.StringIO(data.decode("utf-8"), newline="").readlines()
+        reader = csv.reader(lines)
+        records = [(fields, reader.line_num) for fields in reader]  # with the line it ends
     except UnicodeDecodeError as err:
         raise MalformedSyntax(f"audit CSV is not UTF-8: {err}") from err
     except csv.Error as err:  # e.g. a field longer than csv.field_size_limit()
         raise MalformedSyntax(f"audit CSV is not readable CSV: {err}") from err
     if not records:
         raise MalformedSyntax("audit CSV is empty")
-    if tuple(records[0]) != CSV_HEADER:
+    if tuple(records[0][0]) != CSV_HEADER:
         raise MalformedSyntax(f"audit CSV header must be {','.join(CSV_HEADER)}")
-    rows = [fields for fields in records[1:] if fields]
-    for fields in rows:
+    rows = [(fields, start, end)  # a record starts at the line the one before it ends
+            for (_, start), (fields, end) in zip(records, records[1:]) if fields]
+    for fields, _, _ in rows:
         if len(fields) != 4:
             raise MalformedSyntax(f"audit CSV row has {len(fields)} fields, expected 4")
         if fields[2] not in _STATUS_BY_VALUE:
             raise MalformedSyntax(f"unknown audit status {fields[2]!r}")
-    return rows
+    return lines, rows
+
+
+def read_audit_rows(data: bytes) -> list[list[str]]:
+    """An audit CSV's checked data rows, each as its four cells; blank lines are skipped."""
+    return [fields for fields, _, _ in _read_audit_table(data)[1]]
 
 
 def write_audit_csv(rows: list[AuditRow]) -> bytes:
@@ -244,16 +252,18 @@ def read_audit_csv(data: bytes) -> list[AuditRow]:
             for claim, ids, status, note in read_audit_rows(data)]
 
 
-def resolve_row(rows: list[list[str]], index: int, note: str) -> str | None:
-    """Set row ``index``'s resolver note in place and return the note it replaces; the
-    status and every other cell stay as written (edits belong to the manuscript)."""
+def resolve_audit_row(data: bytes, index: int, note: str) -> tuple[bytes, str | None]:
+    """``data`` with row ``index``'s resolver note set, and the note it replaces; that row is
+    rewritten as ``write_audit_rows`` writes it, and every other cell and byte stays as is."""
+    lines, rows = _read_audit_table(data)
     if not 0 <= index < len(rows):
         raise IndexOutOfRange(f"row index {index} out of range 0..{len(rows) - 1}")
-    row = rows[index]
-    if row[2] == AuditStatus.SUPPORTED.value:
+    fields, start, end = rows[index]
+    if fields[2] == AuditStatus.SUPPORTED.value:
         raise AlreadySupported(f"row {index} is already supported; nothing to resolve")
-    previous, row[3] = row[3] or None, note
-    return previous
+    previous, fields[3] = fields[3] or None, note
+    lines[start:end] = [write_audit_rows([fields]).decode("utf-8").partition("\r\n")[2]]
+    return "".join(lines).encode("utf-8"), previous
 
 
 def write_audit_markdown(rows: list[AuditRow], errors: list[str] | None = None,

@@ -200,15 +200,15 @@ def _audit(args, run: rundir.RunDirectory, state):
 
 def cmd_resolve(args) -> int:
     from . import rundir
-    from .audit import read_audit_rows, resolve_row, write_audit_rows
+    from .audit import resolve_audit_row
     from .provenance import utc_now_rfc3339
 
     run = rundir.RunDirectory(Path(args.run_dir))
     with run.lock():  # resolve completes no stage, so it runs outside run_stage
         run.require("resolve")
-        rows = read_audit_rows(run.file(rundir.AUDIT_CSV).read_bytes())
-        previous = resolve_row(rows, args.index, args.note)
-        run.file(rundir.AUDIT_CSV).write_bytes(write_audit_rows(rows))
+        audit_csv = run.file(rundir.AUDIT_CSV)
+        data, previous = resolve_audit_row(audit_csv.read_bytes(), args.index, args.note)
+        audit_csv.write_bytes(data)
         # append-only history of resolutions; stays local to the run directory
         entry = {"at": utc_now_rfc3339(), "index": args.index,
                  "note": args.note, "previous": previous}

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from datetime import datetime, timezone
 from functools import partial
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
@@ -30,11 +29,13 @@ if TYPE_CHECKING:
 RUN_ID_RE = re.compile(r"ro-[a-z0-9-]+")
 _LABEL_RE = re.compile(r"[a-z0-9-]+")
 _HEX_RE = re.compile(r"[0-9a-f]{64}")
+datetime = None  # a test sets a frozen datetime class here; None imports the real one
 
 
 def utc_now_rfc3339() -> str:
     """Current UTC time, RFC-3339 with second precision (the log timestamp format)."""
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    from datetime import datetime as clock, timezone
+    return (datetime or clock).now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 class Stage(Enum):

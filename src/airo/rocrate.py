@@ -113,10 +113,10 @@ def render_card(run_id: str, title: str, bundle_digest_hex: str, config: ModelCo
     return "\n".join(lines) + "\n"
 
 
-def card_narrative(card: str) -> dict[str, str]:
-    """``card``'s narrative by title, cut at each title's heading in turn (at the next ``## ``
-    one if it is missing), so ``render_card`` gives ``card`` back or differs at a renamed one."""
-    texts = []
+def card_narrative(card: str, head: str) -> dict[str, str]:
+    """``card``'s narrative after ``head`` (``render_card`` with none) by title, cut at each
+    title's heading (else the next ``## ``); a re-render gives ``card`` or differs there."""
+    texts, card = [], card.removeprefix(head.removesuffix("\n"))
     for heading in (f"\n\n## {title}\n\n" for title in _CARD_SECTION_TITLES.values()):
         text, _, card = card.partition(heading if heading in card else "\n\n## ")
         texts.append(text)

@@ -197,8 +197,8 @@ def _input_derivation(members: dict[str, bytes], bundle: InputBundle | None,
     if card is not None and not redacted.records:
         findings.append("card.md: the redacted log holds no records to back its configuration")
     elif card is not None:
-        derived = render_card(redacted.run_id, bundle.title, expected.hex,
-                              redacted.records[-1].config, card_narrative(card))
+        facts = (redacted.run_id, bundle.title, expected.hex, redacted.records[-1].config)
+        derived = render_card(*facts, card_narrative(card, render_card(*facts, {})))
         have, want = card.split("\n") + [None], derived.split("\n") + [None]
         at = next((i for i, pair in enumerate(zip(have, want)) if pair[0] != pair[1]), None)
         if at is not None:

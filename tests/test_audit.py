@@ -4,11 +4,12 @@ import csv
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from airo.audit import (AuditRow, AuditStatus, ClaimEntry, HUMAN_CHECK_MARKER,
+from airo.audit import (AuditRow, AuditStatus, CSV_HEADER, ClaimEntry, HUMAN_CHECK_MARKER,
                         InlineCitation, audit_draft, inline_findings,
-                        parse_draft, read_audit_csv, read_audit_rows, resolve_row,
+                        parse_draft, read_audit_csv, read_audit_rows, resolve_audit_row,
                         write_audit_csv, write_audit_rows)
 from airo.errors import (AlreadySupported, IndexOutOfRange, MalformedChecklistEntry,
                          MalformedSyntax, MissingChecklist, MissingHeader)
@@ -148,9 +149,9 @@ def test_parsed_records_are_constructed_records():
             strict=True):
         assert_same_record(parsed, constructed)
 
-    table = read_audit_rows(write_audit_csv(rows))
-    assert resolve_row(table, 2, "checked by hand") is None
-    for parsed, constructed in zip(read_audit_csv(write_audit_rows(table)), [
+    resolved, previous = resolve_audit_row(write_audit_csv(rows), 2, "checked by hand")
+    assert previous is None
+    for parsed, constructed in zip(read_audit_csv(resolved), [
             AuditRow("First claim about methods", ("P1",), AuditStatus.SUPPORTED),
             AuditRow("Comparative claim", ("P1", "P2"), AuditStatus.SUPPORTED),
             AuditRow("Open claim with no support", (), AuditStatus.NEEDS_HUMAN_CHECK,
@@ -188,22 +189,93 @@ def test_csv_quotes_commas():
 
 
 def test_resolve_row_records_note_without_status_change():
-    rows = [["a", "", "needs_human_check", ""]]
-    assert resolve_row(rows, 0, "verified against DOI landing page") is None
-    assert rows == [["a", "", "needs_human_check", "verified against DOI landing page"]]
-    assert resolve_row(rows, 0, "second look") == "verified against DOI landing page"
-    assert rows == [["a", "", "needs_human_check", "second look"]]
+    data, previous = resolve_audit_row(write_audit_rows([["a", "", "needs_human_check", ""]]),
+                                       0, "verified against DOI landing page")
+    assert previous is None
+    assert read_audit_rows(data) == [
+        ["a", "", "needs_human_check", "verified against DOI landing page"]]
+    data, previous = resolve_audit_row(data, 0, "second look")
+    assert previous == "verified against DOI landing page"
+    assert read_audit_rows(data) == [["a", "", "needs_human_check", "second look"]]
 
 
 def test_resolve_row_errors():
-    rows = [["a", "P1", "supported", ""], ["b", "", "unsupported", ""]]
-    with pytest.raises(AlreadySupported):
-        resolve_row(rows, 0, "note")
+    data = write_audit_rows([["a", "P1", "supported", ""], ["b", "", "unsupported", ""]])
+    with pytest.raises(AlreadySupported) as raised:
+        resolve_audit_row(data, 0, "note")
+    assert str(raised.value) == "row 0 is already supported; nothing to resolve"
     with pytest.raises(IndexOutOfRange) as raised:
-        resolve_row(rows, 5, "note")
+        resolve_audit_row(data, 5, "note")
     assert str(raised.value) == "row index 5 out of range 0..1"
-    assert rows == [["a", "P1", "supported", ""], ["b", "", "unsupported", ""]]
-    assert resolve_row(rows, 1, "ok") is None
+    assert read_audit_rows(data) == [["a", "P1", "supported", ""], ["b", "", "unsupported", ""]]
+    assert resolve_audit_row(data, 1, "ok")[1] is None
+
+
+# Cells that exercise CSV quoting: delimiters, quotes, spaces, every line end, a line
+# separator that str.splitlines breaks at and csv does not, text of 1 to 4 UTF-8 bytes a
+# character, and the empty string (NUL is out: csv.reader refuses it before Python 3.11)
+_CELLS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\u2028", "x", "\u00e9",
+                                  "\u6f22", "\U0001f600"]), max_size=8)
+_TABLES = st.lists(st.tuples(_CELLS, _CELLS, st.sampled_from([s.value for s in AuditStatus]),
+                             _CELLS).map(list), min_size=1, max_size=6)
+
+
+def _unresolved_index(draw, rows) -> int:
+    unresolved = [index for index, row in enumerate(rows) if row[2] != "supported"]
+    assume(unresolved)
+    return draw(st.sampled_from(unresolved))
+
+
+def _row_line(row: list[str]) -> str:
+    """``row``'s line as ``write_audit_rows`` writes it."""
+    return write_audit_rows([row])[len(write_audit_rows([])):].decode("utf-8")
+
+
+@settings(max_examples=300)
+@given(_TABLES, _CELLS, st.data())
+def test_resolving_a_written_table_writes_it_with_the_one_note_changed(rows, note, data):
+    index = _unresolved_index(data.draw, rows)
+    resolved, previous = resolve_audit_row(write_audit_rows(rows), index, note)
+    assert previous == (rows[index][3] or None)
+    rows[index][3] = note
+    assert resolved == write_audit_rows(rows)
+
+
+@st.composite
+def _hand_formatted_tables(draw):
+    """(rows, index, text before row ``index``, its line, text after it) of a table formatted
+    by hand: any cell may be quoted, each line ends in LF, CR or CRLF, blank lines follow any
+    line, and the last line may have no end."""
+    rows = draw(_TABLES)
+    index = _unresolved_index(draw, rows)
+    pieces = []  # per line: its cells, its end, and the blank lines after it
+    for fields in [list(CSV_HEADER), *rows]:
+        cells = ['"%s"' % cell.replace('"', '""')
+                 if draw(st.booleans()) or any(c in cell for c in ',"\r\n') else cell
+                 for cell in fields]
+        ends = [draw(st.sampled_from(["\n", "\r", "\r\n"]))]
+        for _ in range(draw(st.integers(0, 2))):  # a CR then an LF would be one CRLF
+            ends.append(draw(st.sampled_from(
+                ["\r", "\r\n"] if ends[-1] == "\r" else ["\n", "\r", "\r\n"])))
+        pieces.append([",".join(cells), ends[0], "".join(ends[1:])])
+    if draw(st.booleans()):
+        pieces[-1][1:] = ["", ""]
+    before = "".join("".join(piece) for piece in pieces[:index + 1])
+    after = pieces[index + 1][2] + "".join("".join(piece) for piece in pieces[index + 2:])
+    return rows, index, before, "".join(pieces[index + 1][:2]), after
+
+
+@settings(max_examples=300)
+@given(_hand_formatted_tables(), _CELLS)
+def test_resolving_a_hand_formatted_table_rewrites_only_the_row_lines(table, note):
+    rows, index, before, line, after = table
+    data = (before + line + after).encode("utf-8")
+    assert read_audit_rows(data) == rows
+    resolved, previous = resolve_audit_row(data, index, note)
+    assert previous == (rows[index][3] or None)
+    rows[index][3] = note
+    assert resolved == (before + _row_line(rows[index]) + after).encode("utf-8")
+    assert read_audit_rows(resolved) == rows
 
 
 def test_draft_round_trip_fixture():

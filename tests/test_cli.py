@@ -508,6 +508,41 @@ def test_resolve_supported_row_fails(tmp_path, capsys):
     assert "AlreadySupported" in capsys.readouterr().err
 
 
+# how each refusal comes about: (row to resolve, edit of the table's bytes, error line)
+_RESOLVE_REFUSALS = {
+    "out-of-range": ("6", None, "IndexOutOfRange: row index 6 out of range 0..5"),
+    "supported": ("0", None, "AlreadySupported: row 0 is already supported; nothing to resolve"),
+    "not-utf8": ("5", lambda data: data + b"\xff,P1,supported,\r\n",
+                 "MalformedSyntax: audit CSV is not UTF-8"),
+    "field-limit": ("5", lambda data: data + b'"' + b"x" * 200_000 + b'",P1,supported,\r\n',
+                    "MalformedSyntax: audit CSV is not readable CSV"),
+    "empty": ("5", lambda data: b"", "MalformedSyntax: audit CSV is empty"),
+    "header": ("5", lambda data: data.replace(b"resolver_note", b"note", 1),
+               "MalformedSyntax: audit CSV header must be claim,cited_ids,status,resolver_note"),
+    "three-fields": ("5", lambda data: data + b"a,P1,supported\r\n",
+                     "MalformedSyntax: audit CSV row has 3 fields, expected 4"),
+    "status": ("5", lambda data: data + b"a,P1,bogus,\r\n",
+               "MalformedSyntax: unknown audit status 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("index, edit, error", _RESOLVE_REFUSALS.values(),
+                         ids=list(_RESOLVE_REFUSALS))
+def test_a_refused_resolve_leaves_the_table_and_its_history_as_they_were(demo_copy, capsys,
+                                                                       index, edit, error):
+    run_dir, _ = demo_copy
+    args = ["--run-dir", str(run_dir)]
+    assert cli.main(["resolve", "5", "checked"] + args) == 0
+    audit_csv, history = run_dir / rundir.AUDIT_CSV, run_dir / rundir.AUDIT_HISTORY
+    if edit:
+        audit_csv.write_bytes(edit(audit_csv.read_bytes()))
+    before = audit_csv.read_bytes(), history.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["resolve", index, "checked again"] + args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert (audit_csv.read_bytes(), history.read_bytes()) == before
+
+
 def test_draft_output_contains_required_headers(tmp_path):
     run_dir = tmp_path / "run"
     cli.main(["init", "demo", "--run-dir", str(run_dir)])
@@ -752,7 +787,7 @@ try:
 except SystemExit as exit_:
     code = exit_.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "airo"),
-                  sorted({"dataclasses", "inspect"} & set(sys.modules))]))
+                  sorted({"dataclasses", "inspect", "datetime"} & set(sys.modules))]))
 """
 
 
@@ -762,8 +797,9 @@ def test_verify_process_loads_only_the_verify_path(demo_run, help_only):
     argv = ["verify", "-h"] if help_only else ["verify", str(crate)]
     out = subprocess.run([sys.executable, "-c", _REPORT_AIRO_MODULES, *argv], env=_src_env(),
                          capture_output=True, text=True, check=True).stdout
-    code, loaded, code_generation = json.loads(out.splitlines()[-1])
+    code, loaded, unneeded = json.loads(out.splitlines()[-1])
     assert code == 0
     assert not {"airo.invoke", "airo.template", "airo.rundir"} & set(loaded)
     assert set(loaded) <= VERIFY_PATH
-    assert code_generation == []  # records are built without dataclasses or inspect
+    # records are built without dataclasses or inspect, and verify never reads the clock
+    assert unneeded == []

@@ -107,13 +107,16 @@ _NARRATIVE_TEXT = st.lists(
 
 
 @given(st.tuples(*[_NARRATIVE_TEXT] * len(NARRATIVE_TITLES)).map(
-    lambda texts: dict(zip(NARRATIVE_TITLES, texts))))  # in card order
-def test_a_split_card_renders_back_to_the_same_bytes(narrative):
-    config = ModelConfig(interface=Interface.OFFLINE_STUB, model_name="stub-model",
+    lambda texts: dict(zip(NARRATIVE_TITLES, texts))),  # in card order
+    _NARRATIVE_TEXT, _NARRATIVE_TEXT)
+def test_a_split_card_renders_back_to_the_same_bytes(narrative, title, model_name):
+    # the title and the model name are in the card's head, and may hold heading lines too
+    config = ModelConfig(interface=Interface.OFFLINE_STUB, model_name=model_name,
                          temperature=0.2, top_p=1.0, max_tokens=1200)
-    card = render_card("ro-demo", "Inspectable drafting", "0" * 64, config, narrative)
-    assert render_card("ro-demo", "Inspectable drafting", "0" * 64, config,
-                       card_narrative(card)) == card
+    card = render_card("ro-demo", title, "0" * 64, config, narrative)
+    head = render_card("ro-demo", title, "0" * 64, config, {})
+    assert render_card("ro-demo", title, "0" * 64, config,
+                       card_narrative(card, head)) == card
 
 
 def test_pack_contents_and_membership(demo_run):

@@ -18,7 +18,7 @@ from airo.rocrate import (MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER,
 from airo.verify import (CheckName, CheckStatus, VerificationReport, verify_against_source,
                          verify_crate, verify_members)
 
-from conftest import PRIVATE_ONLY_FIELDS, UNDECODABLE_JSON, run_pipeline
+from conftest import PIPELINE, PRIVATE_ONLY_FIELDS, UNDECODABLE_JSON, run_pipeline
 
 INVENTED_DRAFT = """RELATED WORK (DRAFT)
 
@@ -351,6 +351,24 @@ def test_card_that_contradicts_the_crate_fails_derivation(tmp_path, crate_per_ti
         f"card.md line {index + 1}: packed {forged!r}, derived {packed!r}"]
     assert [check.name for check in report.checks if check.status is CheckStatus.FAIL] == [
         CheckName.INPUT_DERIVATION]
+
+
+def test_a_title_holding_a_narrative_heading_verifies(tmp_path):
+    # the heading inside the title is part of the card's head, not the start of its narrative
+    run_dir = tmp_path / "run"
+    assert cli.main(["init", "demo", "--run-dir", str(run_dir)]) == 0
+    bundle_path = run_dir / rundir.BUNDLE
+    bundle = json.loads(bundle_path.read_bytes())
+    bundle["title"] = "Drafting\n\n## Intended Use\n\nwith headings"
+    bundle_path.write_text(json.dumps(bundle), encoding="utf-8")
+    for step in PIPELINE:
+        assert cli.main(step + ["--run-dir", str(run_dir)]) == 0, step
+    crate, = (run_dir / rundir.CRATE_DIR).glob("*.crate.zip")
+    assert "## Intended Use\n\nwith headings" in read_crate_members(crate)["card.md"].decode()
+    report = verify_crate(crate)
+    assert [(check.name, check.findings) for check in report.checks
+            if check.status is CheckStatus.FAIL] == []
+    assert report.overall is CheckStatus.PASS
 
 
 def test_log_with_no_records_backs_no_card(tmp_path, demo_run):
