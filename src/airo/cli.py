@@ -124,10 +124,13 @@ def _model_stage(args, run: rundir.RunDirectory, state, produce):
     from .invoke import config_from_file
     from .provenance import (InteractionLog, Interface, parse_log, record_invocation,
                              utc_now_rfc3339)
+    from .rocrate import MEMBERS, SOURCES, STAGES
     from .template import load_template
 
-    template_rel, output_rel = {"taxonomy": (rundir.TAXONOMY_TMPL, rundir.TAXONOMY_JSON),
-                                "draft": (rundir.SYNTHESIS_TMPL, rundir.DRAFT_MD)}[args.command]
+    _, (_, _, objects, (output,), _) = STAGES[args.command]
+    # the template is the action's one code object
+    template_rel = next(SOURCES[name] for name in objects if MEMBERS[name][1] == "code")
+    output_rel = SOURCES[output]
     bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
     config = config_from_file(Path(args.config) if args.config else run.file(rundir.CONFIG))
     if args.stub:

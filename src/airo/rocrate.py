@@ -25,18 +25,41 @@ from .redact import GENERALIZED_ENDPOINT, Tier, check_redaction, parse_redacted_
 ROCRATE_CONTEXT = "https://w3id.org/ro/crate/1.1/context"
 ROCRATE_CONFORMS_TO = "https://w3id.org/ro/crate/1.1"
 MANIFEST_NAME = "ro-crate-metadata.json"
-REDACTED_LOG_MEMBER = "provenance/interaction_log.redacted.json"
 
 # Fixed ZIP member metadata; zeroed within the format's limits (DOS epoch).
 _ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)
 
-# Every member pack writes besides the manifest, with its role (the manifest's
-# ``additionalType``); a crate holds exactly these and the manifest.
-_MEMBER_ROLES = {
-    "code/taxonomy.tmpl": "code", "code/synthesis.tmpl": "code",
-    "inputs/bundle.json": "data", "outputs/taxonomy.json": "data", "outputs/draft.md": "data",
-    "outputs/audit.csv": "data", REDACTED_LOG_MEMBER: "provenance", "card.md": "provenance"}
-PACKED_MEMBERS = tuple(_MEMBER_ROLES)
+# Every member pack writes besides the manifest, in the order verify reports them, with its
+# run-directory source (None: the member's own path), its role (the manifest's
+# ``additionalType``) and its card line, if any; a crate holds exactly these and the manifest.
+MEMBERS = {
+    "code/taxonomy.tmpl": ("templates/taxonomy.tmpl", "code", "prompt templates"),
+    "code/synthesis.tmpl": ("templates/synthesis.tmpl", "code", "prompt templates"),
+    "inputs/bundle.json": ("bundle.json", "data", "human-authored input bundle"),
+    "outputs/taxonomy.json": (None, "data", "generated taxonomy structure (JSON)"),
+    "outputs/draft.md": (None, "data", "draft synthesis text (Markdown)"),
+    "outputs/audit.csv": (None, "data", "claim audit table (CSV)"),
+    "provenance/interaction_log.redacted.json": (None, "provenance", "privatized interaction log"),
+    "card.md": (None, "provenance", None)}
+PACKED_MEMBERS = tuple(MEMBERS)
+SOURCES = {name: source or name for name, (source, _, _) in MEMBERS.items()}
+(_TAXONOMY_TMPL, _SYNTHESIS_TMPL, _BUNDLE, _TAXONOMY, _DRAFT, _AUDIT, REDACTED_LOG_MEMBER,
+ _) = MEMBERS
+
+# stage -> (the stages it requires, and for a stage the manifest records, its CreateAction:
+# @id, name, object members, result members, and its call's record in the packed log)
+STAGES = {
+    "taxonomy": ((), ("#taxonomy-invocation", "taxonomy stage model invocation",
+                      (_BUNDLE, _TAXONOMY_TMPL), (_TAXONOMY,), 0)),
+    "draft": (("taxonomy",), ("#synthesis-invocation", "synthesis stage model invocation",
+                              (_BUNDLE, _SYNTHESIS_TMPL, _TAXONOMY), (_DRAFT,), 1)),
+    "audit": (("draft",), ("#claim-audit", "claim audit over draft and bundle",
+                           (_DRAFT, _BUNDLE), (_AUDIT,), None)),
+    "redact": (("draft",), None),
+    "card": (("audit",), None),
+    "resolve": (("audit",), None),
+    "pack": (("redact", "card"), None),
+}
 
 _ROLE_DESCRIPTIONS = {"code": "prompt template used by the workflow", "data": "run artifact",
                       "provenance": "provenance material for the run"}
@@ -101,13 +124,12 @@ def render_card(run_id: str, title: str, bundle_digest_hex: str, config: ModelCo
         "",
         "## Artifacts Released",
         "",
-        "- inputs/bundle.json: human-authored input bundle",
-        "- outputs/taxonomy.json: generated taxonomy structure (JSON)",
-        "- outputs/draft.md: draft synthesis text (Markdown)",
-        "- outputs/audit.csv: claim audit table (CSV)",
-        f"- {REDACTED_LOG_MEMBER}: privatized interaction log",
-        "- code/taxonomy.tmpl, code/synthesis.tmpl: prompt templates",
     ]
+    released: dict[str, list[str]] = {}  # card line -> its members, the code members last
+    for name in sorted(MEMBERS, key=lambda name: MEMBERS[name][1] == "code"):
+        if MEMBERS[name][2]:
+            released.setdefault(MEMBERS[name][2], []).append(name)
+    lines += [f"- {', '.join(names)}: {line}" for line, names in released.items()]
     for section, text in narrative.items():
         lines += ["", f"## {section}", "", text]
     return "\n".join(lines) + "\n"
@@ -138,23 +160,16 @@ def manifest_json(run_id: str, digests: dict[str, str]) -> dict:
                         "verify offline with 'airo verify'.",
          "hasPart": [{"@id": name} for name in names]},
         *({"@id": name,
-           "@type": ["File", "SoftwareSourceCode"] if _MEMBER_ROLES[name] == "code" else ["File"],
-           "additionalType": _MEMBER_ROLES[name],
-           "description": _ROLE_DESCRIPTIONS[_MEMBER_ROLES[name]],
+           "@type": ["File", "SoftwareSourceCode"] if MEMBERS[name][1] == "code" else ["File"],
+           "additionalType": MEMBERS[name][1],
+           "description": _ROLE_DESCRIPTIONS[MEMBERS[name][1]],
            "sha256": digests[name]} for name in names),
-        {"@id": "#taxonomy-invocation", "@type": "CreateAction",
-         "name": "taxonomy stage model invocation",
-         "object": [{"@id": "inputs/bundle.json"}, {"@id": "code/taxonomy.tmpl"}],
-         "result": [{"@id": "outputs/taxonomy.json"}], "subjectOf": log_ref, "position": 0},
-        {"@id": "#synthesis-invocation", "@type": "CreateAction",
-         "name": "synthesis stage model invocation",
-         "object": [{"@id": "inputs/bundle.json"}, {"@id": "code/synthesis.tmpl"},
-                    {"@id": "outputs/taxonomy.json"}],
-         "result": [{"@id": "outputs/draft.md"}], "subjectOf": log_ref, "position": 1},
-        {"@id": "#claim-audit", "@type": "CreateAction",
-         "name": "claim audit over draft and bundle",
-         "object": [{"@id": "outputs/draft.md"}, {"@id": "inputs/bundle.json"}],
-         "result": [{"@id": "outputs/audit.csv"}]},
+        *({"@id": action, "@type": "CreateAction", "name": name,
+           "object": [{"@id": member} for member in objects],
+           "result": [{"@id": member} for member in results],
+           **({} if position is None else {"subjectOf": log_ref, "position": position})}
+          for _, row in STAGES.values() if row
+          for action, name, objects, results, position in (row,)),
     ]}
 
 
@@ -177,16 +192,11 @@ def pack(run_path: Path, run_id: str, tier: Tier, out_path: Path | None = None) 
 
     run = rundir.RunDirectory(Path(run_path))
 
-    # the run-directory source of each member, in PACKED_MEMBERS order
-    payload = dict(zip(PACKED_MEMBERS, (
-        rundir.TAXONOMY_TMPL, rundir.SYNTHESIS_TMPL, rundir.BUNDLE, rundir.TAXONOMY_JSON,
-        rundir.DRAFT_MD, rundir.AUDIT_CSV, rundir.REDACTED_LOG, rundir.CARD_MD), strict=True))
-
-    missing = [rel for rel, source in payload.items() if not run.file(source).is_file()]
+    missing = [name for name, source in SOURCES.items() if not run.file(source).is_file()]
     if missing:
         raise DanglingEntity(f"run directory is missing required file(s): {', '.join(missing)}")
 
-    members = {name: run.file(source).read_bytes() for name, source in payload.items()}
+    members = {name: run.file(source).read_bytes() for name, source in SOURCES.items()}
 
     redacted = parse_redacted_log(members[REDACTED_LOG_MEMBER])
     leaks = check_redaction(redacted, tier)

@@ -16,11 +16,10 @@ from pathlib import Path
 from .bundle import Record
 from .errors import MalformedSyntax, PathExists, RunLocked, StageOrder
 from .provenance import RUN_ID_RE, new_run, utc_now_rfc3339
+from .rocrate import SOURCES, STAGES
 
-BUNDLE = "bundle.json"
 CONFIG = "config.json"
 CARD_SECTIONS = "card_sections.json"
-CARD_MD = "card.md"
 STATE = "run.json"
 LOCK = ".lock"
 TEMPLATES_DIR = "templates"
@@ -29,30 +28,17 @@ OUTPUTS_DIR = "outputs"
 PROVENANCE_DIR = "provenance"
 CRATE_DIR = "crate"
 
-TAXONOMY_TMPL = f"{TEMPLATES_DIR}/taxonomy.tmpl"
-SYNTHESIS_TMPL = f"{TEMPLATES_DIR}/synthesis.tmpl"
-TAXONOMY_JSON = f"{OUTPUTS_DIR}/taxonomy.json"
-DRAFT_MD = f"{OUTPUTS_DIR}/draft.md"
-AUDIT_CSV = f"{OUTPUTS_DIR}/audit.csv"
+# the run-directory source of each crate member, in PACKED_MEMBERS order
+TAXONOMY_TMPL, SYNTHESIS_TMPL, BUNDLE, TAXONOMY_JSON, DRAFT_MD, AUDIT_CSV, REDACTED_LOG, CARD_MD = (
+    SOURCES.values())
 AUDIT_MD = f"{OUTPUTS_DIR}/audit.md"
 AUDIT_HISTORY = f"{OUTPUTS_DIR}/audit_history.jsonl"
 INTERACTION_LOG = f"{PROVENANCE_DIR}/interaction_log.json"
-REDACTED_LOG = f"{PROVENANCE_DIR}/interaction_log.redacted.json"
-
-_PREREQUISITES = {
-    "taxonomy": (),
-    "draft": ("taxonomy",),
-    "audit": ("draft",),
-    "redact": ("draft",),
-    "card": ("audit",),
-    "resolve": ("audit",),
-    "pack": ("redact", "card"),
-}
 
 
 def _dependents(stage: str) -> set[str]:
     """Every stage that requires ``stage``, directly or through other stages."""
-    direct = {other for other, prerequisites in _PREREQUISITES.items() if stage in prerequisites}
+    direct = {other for other, (prerequisites, _) in STAGES.items() if stage in prerequisites}
     return direct.union(*map(_dependents, direct))
 
 
@@ -135,7 +121,7 @@ class RunDirectory:
     def require(self, stage: str) -> RunState:
         """State with all of ``stage``'s prerequisites complete, else StageOrder."""
         state = self.load_state()
-        missing = [pre for pre in _PREREQUISITES[stage] if pre not in state.completed]
+        missing = [pre for pre in STAGES[stage][0] if pre not in state.completed]
         if missing:
             raise StageOrder(f"stage '{stage}' requires completed stage(s): "
                              f"{', '.join(missing)}")
@@ -207,9 +193,8 @@ def init_scaffold(path: Path, label: str, with_demo: bool = True) -> RunDirector
     from importlib import resources
 
     package = resources.files("airo")
-    for name in ("taxonomy.tmpl", "synthesis.tmpl"):
-        run.file(f"{TEMPLATES_DIR}/{name}").write_text(
-            package.joinpath(f"templates/{name}").read_text("utf-8"), encoding="utf-8")
+    for rel in (TAXONOMY_TMPL, SYNTHESIS_TMPL):  # the package keeps them at the same paths
+        run.file(rel).write_text(package.joinpath(rel).read_text("utf-8"), encoding="utf-8")
     run.file(CONFIG).write_text(json.dumps(DEFAULT_DEMO_CONFIG, indent=2) + "\n",
                                 encoding="utf-8")
     run.file(CARD_SECTIONS).write_text(json.dumps(DEFAULT_CARD_SECTIONS, indent=2) + "\n",
