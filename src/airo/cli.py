@@ -156,6 +156,8 @@ def _model_stage(args, run: rundir.RunDirectory, state, produce):
     except (StageOutputInvalid, EmptyResponse) as err:
         if err.invocation is not None:  # provenance totality: keep the interaction
             keep(err.invocation)
+            # redact and card read the log, so what they wrote from it lacks this record
+            run.save_stale(state, "redact", "card")
         raise
     keep(invocation)
     if invocation.budget_exceeded:

@@ -137,12 +137,16 @@ class RunDirectory:
             outputs, message = work(state)
             for relative, data in outputs.items():
                 self.file(relative).write_bytes(data)
-            stale = _dependents(stage)
-            state.completed = [done for done in state.completed if done not in stale]
             if stage not in state.completed:
                 state.completed.append(stage)
-            self.save_state(state)
+            self.save_stale(state, *_dependents(stage))
         return message
+
+    def save_stale(self, state: RunState, *stages: str) -> None:
+        """Save ``state`` with ``stages`` and every stage downstream of them not completed."""
+        stale = set(stages).union(*map(_dependents, stages))
+        state.completed = [done for done in state.completed if done not in stale]
+        self.save_state(state)
 
     @contextmanager
     def lock(self):

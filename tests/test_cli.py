@@ -140,6 +140,26 @@ def test_failed_taxonomy_keeps_state_but_logs_interaction(tmp_path, capsys, stag
 
 
 @pytest.mark.parametrize("stage", sorted(MODEL_STAGES))
+def test_a_failed_call_after_redact_makes_redact_card_and_pack_wait(demo_copy, capsys, stage):
+    # redact and card read the log, so a crate packed after the failed call must hold it
+    run_dir, crate = demo_copy
+    run, args = rundir.RunDirectory(run_dir), ["--run-dir", str(run_dir)]
+    (run.file(rundir.FIXTURES_DIR) / "broken.txt").write_text(MODEL_STAGES[stage][3])
+    assert cli.main([stage, "--stub", "broken"] + args) == 1
+    assert run.load_state().completed == ["taxonomy", "draft", "audit"]
+    capsys.readouterr()
+    assert cli.main(["pack", "--tier", "reviewer"] + args) == 1
+    assert capsys.readouterr().err == (
+        "error: StageOrder: stage 'pack' requires completed stage(s): redact, card\n")
+    for step in (["redact", "--tier", "reviewer"], ["card"], ["pack", "--tier", "reviewer"]):
+        assert cli.main(step + args) == 0
+    source_log = str(run.file(rundir.INTERACTION_LOG))
+    assert cli.main(["verify", str(crate), "--source-log", source_log]) == 0
+    from airo.rocrate import REDACTED_LOG_MEMBER, read_crate_members
+    assert len(json.loads(read_crate_members(crate)[REDACTED_LOG_MEMBER])["records"]) == 3
+
+
+@pytest.mark.parametrize("stage", sorted(MODEL_STAGES))
 def test_a_model_stage_after_a_log_record_dated_past_now_makes_no_call(tmp_path, capsys, stage):
     # the log takes records in start order, so a call made now could not be logged
     _, output, record_stage, broken = MODEL_STAGES[stage]
@@ -412,6 +432,26 @@ def test_transport_error_exit_code(tmp_path, monkeypatch, capsys):
     (run_dir / rundir.CONFIG).write_text(json.dumps(config))
     assert cli.main(["taxonomy", "--run-dir", str(run_dir)]) == 3
     assert "transport error" in capsys.readouterr().err
+
+
+def test_a_model_stage_that_logs_no_call_leaves_run_state_as_it_was(demo_copy, monkeypatch,
+                                                                     capsys):
+    # only a logged call makes redact and card stale; a transport error logs none
+    import urllib.error
+
+    def refuse(request, timeout=None):
+        raise urllib.error.URLError("connection refused")
+
+    monkeypatch.setattr("urllib.request.urlopen", refuse)
+    monkeypatch.setattr("time.sleep", lambda _s: None)
+    run = rundir.RunDirectory(demo_copy[0])
+    config = json.loads(run.file(rundir.CONFIG).read_text())
+    config.update(interface="openai-compatible", endpoint="http://model.invalid/v1")
+    run.file(rundir.CONFIG).write_text(json.dumps(config))
+    files = [run.state_path, run.file(rundir.INTERACTION_LOG)]
+    before = [path.read_bytes() for path in files]
+    assert cli.main(["taxonomy", "--run-dir", str(run.path)]) == 3
+    assert [path.read_bytes() for path in files] == before
 
 
 def test_lock_prevents_concurrent_writers(tmp_path, capsys):
