@@ -192,7 +192,7 @@ def pack(run_path: Path, run_id: str, tier: Tier, out_path: Path | None = None) 
 
     run = rundir.RunDirectory(Path(run_path))
 
-    missing = [name for name, source in SOURCES.items() if not run.file(source).is_file()]
+    missing = [source for source in SOURCES.values() if not run.file(source).is_file()]
     if missing:
         raise DanglingEntity(f"run directory is missing required file(s): {', '.join(missing)}")
 

@@ -18,9 +18,9 @@ from airo.errors import (DanglingEntity, MalformedSyntax, MissingSection, Source
                          UnredactedLeak)
 from airo.provenance import Interface, ModelConfig, parse_log, sha256_hex
 from airo.redact import GENERALIZED_ENDPOINT, Tier, redact
-from airo.rocrate import (MANIFEST_NAME, REDACTED_LOG_MEMBER, build_card, card_narrative,
-                          manifest_json, pack, read_crate_members, read_manifest, render_card,
-                          write_zip_deterministic)
+from airo.rocrate import (MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER, SOURCES, STAGES,
+                          build_card, card_narrative, manifest_json, pack, read_crate_members,
+                          read_manifest, render_card, write_zip_deterministic)
 from airo.verify import CheckName, verify_crate
 
 from conftest import run_id_of, run_pipeline
@@ -189,11 +189,36 @@ def test_pack_refuses_a_redacted_log_at_another_tier(demo_copy, requested):
         pack(run_dir, run_id_of(run_dir), requested)
 
 
+def test_the_stage_table_is_closed(demo_run):
+    # a row names only stages there are and members pack ships, from files a run holds
+    run_dir, _ = demo_run
+    stages = {name for name, (handler, _, _) in cli.COMMANDS.items()
+              if getattr(handler, "func", None) is cli._run_stage}
+    assert stages | {"resolve"} == set(STAGES)
+    for prerequisites, action in STAGES.values():
+        assert set(prerequisites) <= set(STAGES)
+        if action:
+            _, _, objects, results, _ = action
+            assert set(objects) | set(results) <= set(PACKED_MEMBERS)
+    assert [source for source in SOURCES.values() if not (run_dir / source).is_file()] == []
+
+
 def test_pack_missing_artifact_is_dangling(demo_copy):
     run_dir, _ = demo_copy
     (run_dir / rundir.DRAFT_MD).unlink()
     with pytest.raises(DanglingEntity, match="draft.md"):
         pack(run_dir, run_id_of(run_dir), Tier.REVIEWER)
+
+
+def test_pack_names_the_missing_run_directory_files(demo_copy):
+    # the run-directory paths an operator can restore, not the crate members they become
+    run_dir, _ = demo_copy
+    for source in (rundir.BUNDLE, rundir.SYNTHESIS_TMPL):
+        (run_dir / source).unlink()
+    with pytest.raises(DanglingEntity) as refused:
+        pack(run_dir, run_id_of(run_dir), Tier.REVIEWER)
+    assert str(refused.value) == ("run directory is missing required file(s): "
+                                  "templates/synthesis.tmpl, bundle.json")
 
 
 def test_pack_refuses_a_redacted_log_of_another_run(demo_copy):
