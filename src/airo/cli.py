@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 
 # parse_bundle stays a module attribute: perfbench's traced-run test reads airo.cli.parse_bundle
 from .bundle import parse_bundle, replace
-from .errors import (EmptyResponse, FixtureMissing, RunLocked, StageOrder, StageOutputInvalid,
-                     TemplateInvalid, ToolkitError, Transport, UnredactedLeak, read_utf8)
+from .errors import (FailedCall, FixtureMissing, RunLocked, StageOrder, ToolkitError, Transport,
+                     UnredactedLeak, read_utf8)
 from .redact import Tier
 
 if TYPE_CHECKING:
@@ -54,7 +54,7 @@ def cmd_init(args) -> int:
 def cmd_validate(args) -> int:
     from . import rundir
     from .provenance import Stage
-    from .template import expect_stage, load_template, render, validate_template
+    from .template import expect_stage, load_template, validate_template
 
     run = rundir.RunDirectory(Path(args.run_dir))
     run.load_state()
@@ -86,13 +86,7 @@ def cmd_validate(args) -> int:
             print(f"FAIL template {stage.value}: {err}")
             failures += 1
             continue
-        checks = validate_template(template)
-        if all(c.passed for c in checks) and bundle is not None and stage is Stage.TAXONOMY:
-            try:  # data can move the block where the empty skeleton cannot show it
-                render(template, bundle)
-            except TemplateInvalid as err:
-                checks = tuple(replace(c, passed=False, detail=str(err))
-                               if c.name == "constraint placement" else c for c in checks)
+        checks = validate_template(template, bundle)  # data can move the constraint block
         for check in checks:
             mark = "ok" if check.passed else "FAIL"
             detail = f" ({check.detail})" if check.detail else ""
@@ -153,11 +147,10 @@ def _model_stage(args, run: rundir.RunDirectory, state, produce):
 
     try:
         output, invocation, summary = produce(run, bundle, config, options)
-    except (StageOutputInvalid, EmptyResponse) as err:
-        if err.invocation is not None:  # provenance totality: keep the interaction
-            keep(err.invocation)
-            # redact and card read the log, so what they wrote from it lacks this record
-            run.save_stale(state, "redact", "card")
+    except FailedCall as err:  # provenance totality: keep the interaction
+        keep(err.invocation)
+        # redact and card read the log, so what they wrote from it lacks this record
+        run.save_stale(state, "redact", "card")
         raise
     keep(invocation)
     if invocation.budget_exceeded:

@@ -62,20 +62,21 @@ class Transport(ToolkitError):
         self.status = status
 
 
-class EmptyResponse(ToolkitError):
-    """Model returned no usable text; carries the invocation for provenance."""
+class FailedCall(ToolkitError):
+    """A model call completed but its response is unusable; carries the invocation for
+    provenance, so the call is logged all the same."""
 
-    def __init__(self, message: str, invocation=None):
+    def __init__(self, message: str, invocation):
         super().__init__(message)
         self.invocation = invocation
 
 
-class StageOutputInvalid(ToolkitError):
-    """Stage response could not be parsed; carries the invocation for provenance."""
+class EmptyResponse(FailedCall):
+    """Model returned no usable text."""
 
-    def __init__(self, message: str, invocation=None):
-        super().__init__(message)
-        self.invocation = invocation
+
+class StageOutputInvalid(FailedCall):
+    """Stage response could not be parsed."""
 
 
 class FixtureMissing(ToolkitError):

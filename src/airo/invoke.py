@@ -15,9 +15,8 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from .bundle import FrozenRecord, InputBundle, Taxonomy, parse_taxonomy
-from .errors import (ConfigInvalid, DoubleAssigned, EmptyResponse, FixtureMissing,
-                     MalformedSyntax, StageOutputInvalid, Transport, Uncovered, UnknownMember,
-                     read_utf8)
+from .errors import (ConfigInvalid, EmptyResponse, FixtureMissing, StageOutputInvalid,
+                     ToolkitError, Transport, read_utf8)
 from .provenance import Interface, ModelConfig, Stage, utc_now_rfc3339
 from .template import PromptTemplate, RenderedPrompt, render
 
@@ -49,12 +48,6 @@ class Invocation(FrozenRecord):
     ended_at: str
     attempt: int
     budget_exceeded: bool = False
-
-    def __post_init__(self):
-        if self.ended_at < self.started_at:
-            raise ValueError("ended_at must not precede started_at")
-        if self.attempt < 1:
-            raise ValueError("attempt must be a positive integer")
 
 
 def build_request_body(prompt: RenderedPrompt, config: ModelConfig) -> dict:
@@ -129,38 +122,36 @@ def complete(prompt: RenderedPrompt, config: ModelConfig, *,
     started = utc_now_rfc3339()
     if config.interface is Interface.OFFLINE_STUB:
         text = _read_stub_fixture(config, fixtures, fixtures_dir)
+        attempt = 1
         # crude token proxy for the stub: whitespace-separated words
         truncated = len(text.split()) > config.max_tokens
-        invocation = Invocation(stage=prompt.stage, prompt=prompt, response_text=text,
-                                config=config, started_at=started, ended_at=utc_now_rfc3339(),
-                                attempt=1, budget_exceeded=truncated)
-        if not text.strip():
-            raise EmptyResponse(f"stub fixture {config.stub_fixture!r} is empty",
-                                invocation=invocation)
-        return invocation
-
-    body = build_request_body(prompt, config)
-    key = api_key if api_key is not None else os.environ.get(ENV_API_KEY)
-    if urlopen is None:
-        import urllib.request
-        urlopen = urllib.request.urlopen
-    wait = sleep if sleep is not None else time.sleep
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            text, finish = _post_chat(config, body, key, urlopen)
-        except Transport:
-            if attempt > max_retries:
-                raise
-            wait(backoff_s)
-            continue
-        invocation = Invocation(stage=prompt.stage, prompt=prompt, response_text=text,
-                                config=config, started_at=started, ended_at=utc_now_rfc3339(),
-                                attempt=attempt, budget_exceeded=(finish == "length"))
-        if not text.strip():
-            raise EmptyResponse("model returned an empty completion", invocation=invocation)
-        return invocation
+        empty = f"stub fixture {config.stub_fixture!r} is empty"
+    else:
+        body = build_request_body(prompt, config)
+        key = api_key if api_key is not None else os.environ.get(ENV_API_KEY)
+        if urlopen is None:
+            import urllib.request
+            urlopen = urllib.request.urlopen
+        wait = sleep if sleep is not None else time.sleep
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                text, finish = _post_chat(config, body, key, urlopen)
+                break
+            except Transport:
+                if attempt > max_retries:
+                    raise
+                wait(backoff_s)
+        truncated = finish == "length"
+        empty = "model returned an empty completion"
+    # the clock is logged as read: one that steps back during the call still leaves a record
+    invocation = Invocation(stage=prompt.stage, prompt=prompt, response_text=text, config=config,
+                            started_at=started, ended_at=utc_now_rfc3339(), attempt=attempt,
+                            budget_exceeded=truncated)
+    if not text.strip():
+        raise EmptyResponse(empty, invocation=invocation)
+    return invocation
 
 
 _FENCE_RE = re.compile(r"\A```[A-Za-z0-9_-]*\n(.*)\n```\Z", re.DOTALL)
@@ -180,7 +171,7 @@ def run_taxonomy_stage(bundle: InputBundle, config: ModelConfig, *, template: Pr
     try:
         taxonomy = parse_taxonomy(strip_code_fence(invocation.response_text).encode("utf-8"),
                                   bundle)
-    except (MalformedSyntax, UnknownMember, Uncovered, DoubleAssigned) as err:
+    except ToolkitError as err:
         raise StageOutputInvalid(f"{type(err).__name__}: {err}", invocation=invocation) from err
     return taxonomy, invocation
 

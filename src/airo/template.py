@@ -126,18 +126,6 @@ def expect_stage(template: PromptTemplate, stage: Stage) -> PromptTemplate:
     return template
 
 
-def _body_placeholders(template: PromptTemplate) -> set[str]:
-    return set(PLACEHOLDER_RE.findall(template.body))
-
-
-def _fill(template: PromptTemplate, bindings: dict[str, str]) -> str:
-    """Substitute the data bindings and the two slots in one pass; ``re.sub``
-    never rescans what it substitutes, so placeholder-shaped data stays data."""
-    values = {**bindings, SLOT_CONSTRAINTS: template.constraint_block,
-              SLOT_OUTPUT: template.output_spec}
-    return PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], template.body)
-
-
 def constraint_placement(text: str, constraint_block: str) -> tuple[bool, str]:
     """Apply the begin/end placement rule to a rendered (or skeleton) prompt."""
     start = text.find(constraint_block)
@@ -151,38 +139,51 @@ def constraint_placement(text: str, constraint_block: str) -> tuple[bool, str]:
                    f"outside the first/last {int(PLACEMENT_FRACTION * 100)}%")
 
 
-def _structural_checks(template: PromptTemplate, present: set[str]) -> list[TemplateCheck]:
-    """The placeholder and constraint-block checks, which need no rendered text."""
+def _checked_fill(template: PromptTemplate, bindings: dict[str, str]
+                  ) -> tuple[str, tuple[TemplateCheck, ...]]:
+    """The body filled from ``bindings``, any data placeholder they lack left empty, and one
+    check of each template invariant, the constraint block placed in that text.
+
+    Data and both slots are substituted in one pass; ``re.sub`` never rescans what it
+    substitutes, so placeholder-shaped data stays data."""
+    present = set(PLACEHOLDER_RE.findall(template.body))
+    values = {**dict.fromkeys(present, ""), **bindings,
+              SLOT_CONSTRAINTS: template.constraint_block, SLOT_OUTPUT: template.output_spec}
+    text = PLACEHOLDER_RE.sub(lambda match: values[match.group(1)], template.body)
     unknown = sorted(present - ALLOWED_PLACEHOLDERS[template.stage])
     missing = sorted(REQUIRED_PLACEHOLDERS[template.stage] - present)
     nonempty = bool(template.constraint_block.strip())
-    return [
+    placed, detail = (constraint_placement(text, template.constraint_block) if nonempty
+                      else (False, "no constraint block to place"))
+    return text, (
         TemplateCheck("known placeholders", not unknown,
                       f"unknown placeholder(s): {', '.join(unknown)}" if unknown else ""),
         TemplateCheck("required placeholders", not missing,
                       f"missing placeholder: {', '.join(missing)}" if missing else ""),
         TemplateCheck("constraint block nonempty", nonempty,
                       "" if nonempty else "HARD_CONSTRAINTS section is empty"),
-    ]
+        TemplateCheck("constraint placement", placed, detail),
+    )
 
 
-def validate_template(template: PromptTemplate) -> tuple[TemplateCheck, ...]:
-    """Check every template invariant; returns one pass/fail check each, never raises."""
-    present = _body_placeholders(template)
-    checks = _structural_checks(template, present)
+def _bindings(bundle: InputBundle, stage: Stage, taxonomy: Taxonomy | None = None
+              ) -> dict[str, str]:
+    bindings = {"TITLE": bundle.title, "CONTRIBUTION": bundle.contribution,
+                "TARGET_WORDS": str(bundle.target_words), "NOTES": format_notes(bundle, stage)}
+    if taxonomy is not None:
+        bindings["TAXONOMY"] = format_taxonomy(taxonomy)
+    return bindings
 
-    # Placement on a skeleton with every data placeholder empty. Data placed
-    # after an end-placed block, or before a begin-placed one, can push it into
-    # the middle, so a pass here holds for every bundle only when no data sits
-    # on that side of the block; render() checks the real text each time.
-    if template.constraint_block.strip():
-        skeleton = _fill(template, dict.fromkeys(present - _SLOTS, ""))
-        ok, detail = constraint_placement(skeleton, template.constraint_block)
-        checks.append(TemplateCheck("constraint placement", ok, detail))
-    else:
-        checks.append(TemplateCheck("constraint placement", False, "no constraint block to place"))
 
-    return tuple(checks)
+def validate_template(template: PromptTemplate,
+                      bundle: InputBundle | None = None) -> tuple[TemplateCheck, ...]:
+    """Check every template invariant; returns one pass/fail check each, never raises.
+
+    The constraint block is placed in the prompt rendered from ``bundle`` with an empty
+    taxonomy. With no bundle it is placed in a skeleton whose data placeholders are all
+    empty, which holds for every bundle only when no data sits on the far side of the block.
+    """
+    return _checked_fill(template, {} if bundle is None else _bindings(bundle, template.stage))[1]
 
 
 def format_notes(bundle: InputBundle, stage: Stage) -> str:
@@ -213,26 +214,11 @@ def render(template: PromptTemplate, bundle: InputBundle,
 
     A taxonomy is given to a synthesis template only, and never to a taxonomy one."""
     expect_stage(template, Stage.TAXONOMY if taxonomy is None else Stage.SYNTHESIS)
-    present = _body_placeholders(template)
-    failures = [c for c in _structural_checks(template, present) if not c.passed]
+    text, (*structural, placement) = _checked_fill(
+        template, _bindings(bundle, template.stage, taxonomy))
+    failures = [c for c in structural if not c.passed]
     if failures:
         raise TemplateInvalid("; ".join(f"{c.name}: {c.detail}" for c in failures))
-
-    bindings: dict[str, str] = {}
-    for name in present - _SLOTS:
-        if name == "TITLE":
-            bindings[name] = bundle.title
-        elif name == "CONTRIBUTION":
-            bindings[name] = bundle.contribution
-        elif name == "TARGET_WORDS":
-            bindings[name] = str(bundle.target_words)
-        elif name == "NOTES":
-            bindings[name] = format_notes(bundle, template.stage)
-        elif name == "TAXONOMY":
-            bindings[name] = format_taxonomy(taxonomy)
-
-    text = _fill(template, bindings)
-    ok, detail = constraint_placement(text, template.constraint_block)
-    if not ok:
-        raise TemplateInvalid(detail)
+    if not placement.passed:
+        raise TemplateInvalid(placement.detail)
     return RenderedPrompt(stage=template.stage, text=text)
