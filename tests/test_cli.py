@@ -92,6 +92,31 @@ def test_validate_renders_the_taxonomy_template_with_the_bundle(tmp_path, capsys
     assert "TemplateInvalid: constraint placement" in capsys.readouterr().err
 
 
+def test_validate_renders_the_synthesis_template_with_the_bundle(tmp_path, capsys):
+    # a block placed after the contribution statement passes on the empty skeleton; a long
+    # contribution pushes it out of the first quarter, which the draft stage would then refuse
+    run_dir = tmp_path / "run"
+    cli.main(["init", "demo", "--run-dir", str(run_dir)])
+    template = run_dir / rundir.SYNTHESIS_TMPL
+    statement = "Contribution statement: {{CONTRIBUTION}}\n"
+    template.write_text(template.read_text()
+                        .replace("\n\n{{HARD_CONSTRAINTS}}\n=== HARD", "\n=== HARD")
+                        .replace(statement, statement + "\n{{HARD_CONSTRAINTS}}\n"))
+    bundle = json.loads((run_dir / rundir.BUNDLE).read_text())
+    bundle["contribution"] = "C" * 1000
+    (run_dir / rundir.BUNDLE).write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert cli.main(["validate", "--run-dir", str(run_dir)]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL template synthesis: constraint placement (constraint placement: block spans"
+            in out)
+    assert "ok template taxonomy: constraint placement" in out
+    assert cli.main(["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run_dir)]) == 0
+    capsys.readouterr()
+    assert cli.main(["draft", "--stub", "synthesis_demo", "--run-dir", str(run_dir)]) == 1
+    assert "TemplateInvalid: constraint placement" in capsys.readouterr().err
+
+
 def test_draft_before_taxonomy_is_stage_order(tmp_path, capsys):
     run_dir = tmp_path / "run"
     cli.main(["init", "demo", "--run-dir", str(run_dir)])
@@ -181,6 +206,24 @@ def test_a_model_stage_after_a_log_record_dated_past_now_makes_no_call(tmp_path,
     assert not run.file(output).exists()
     assert run.load_state().completed == completed and stage not in completed
     assert not run.file(rundir.LOCK).exists()
+
+
+def test_a_clock_that_steps_back_during_a_call_is_logged_as_read(tmp_path, monkeypatch):
+    # the call was made, so its record is kept with the times the clock gave, not refused
+    times = iter(["2026-05-01T00:00:10Z", "2026-05-01T00:00:05Z"])
+    monkeypatch.setattr("airo.invoke.utc_now_rfc3339", lambda: next(times, "2026-05-01T00:01:00Z"))
+    run_dir = tmp_path / "run"
+    args = ["--run-dir", str(run_dir)]
+    assert cli.main(["init", "demo"] + args) == 0
+    assert cli.main(["taxonomy", "--stub", "taxonomy_demo"] + args) == 0
+    record, = json.loads((run_dir / rundir.INTERACTION_LOG).read_text())["records"]
+    assert (record["started_at"], record["ended_at"]) == ("2026-05-01T00:00:10Z",
+                                                          "2026-05-01T00:00:05Z")
+    for step in PIPELINE[2:]:
+        assert cli.main(step + args) == 0, step
+    crate, = (run_dir / rundir.CRATE_DIR).glob("*.crate.zip")
+    source_log = str(run_dir / rundir.INTERACTION_LOG)
+    assert cli.main(["verify", str(crate), "--source-log", source_log]) == 0
 
 
 @pytest.mark.parametrize("stage", sorted(MODEL_STAGES))
