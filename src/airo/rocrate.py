@@ -60,6 +60,8 @@ STAGES = {
     "resolve": (("audit",), None),
     "pack": (("redact", "card"), None),
 }
+# the packed log's record that #synthesis-invocation names; the card states its configuration
+CARD_RECORD = STAGES["draft"][1][4]
 
 _ROLE_DESCRIPTIONS = {"code": "prompt template used by the workflow", "data": "run artifact",
                       "provenance": "provenance material for the run"}
@@ -81,7 +83,7 @@ def build_card(run_path: Path, run_id: str) -> str:
     run = rundir.RunDirectory(Path(run_path))
     bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
     log = parse_log(run.file(rundir.INTERACTION_LOG).read_bytes())
-    if not log.records:
+    if len(log.records) <= CARD_RECORD:
         raise MissingSection("card section left empty: Model Configuration")
 
     sections_path = run.file(rundir.CARD_SECTIONS)
@@ -97,7 +99,7 @@ def build_card(run_path: Path, run_id: str) -> str:
         if not text:
             raise MissingSection(f"card section left empty: {title}")
     return render_card(run_id, bundle.title, sha256_hex(canonical_bytes(bundle)).hex,
-                       log.records[-1].config, narrative)
+                       log.records[CARD_RECORD].config, narrative)
 
 
 def render_card(run_id: str, title: str, bundle_digest_hex: str, config: ModelConfig,

@@ -81,6 +81,16 @@ def test_card_missing_disclosure_section(demo_copy):
         build_card(run_dir, run_id_of(run_dir))
 
 
+def test_a_log_without_the_synthesis_record_backs_no_card(demo_copy):
+    run_dir, _ = demo_copy
+    log_path = run_dir / rundir.INTERACTION_LOG
+    log = json.loads(log_path.read_text())
+    log["records"] = log["records"][:1]
+    log_path.write_text(json.dumps(log))
+    with pytest.raises(MissingSection, match="Model Configuration"):
+        build_card(run_dir, run_id_of(run_dir))
+
+
 def test_a_live_endpoint_renders_the_same_card_at_every_tier(demo_run):
     # the card is built from the private log and packed at any tier, so it may say only
     # what every tier's redacted log still backs: that some endpoint was called, not which

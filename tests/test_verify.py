@@ -381,6 +381,49 @@ def test_log_with_no_records_backs_no_card(tmp_path, demo_run):
     assert report.overall is CheckStatus.FAIL
 
 
+def test_log_without_the_synthesis_record_backs_no_card(tmp_path, demo_run):
+    _, crate = demo_run
+    report = verify_crate(_crate_with_log(tmp_path, crate,
+                                          lambda data: data.update(records=data["records"][:1])))
+    assert report.check(CheckName.INPUT_DERIVATION).findings == [
+        "card.md: the redacted log holds no record at position 1 to back its configuration"]
+    assert report.overall is CheckStatus.FAIL
+
+
+def _crate_after_a_failed_call(run_dir, tmp_path) -> str:
+    """Repack the demo run after a failed taxonomy call under a config naming other-model;
+    returns the demo model, the one the synthesis record names."""
+    args = ["--run-dir", str(run_dir)]
+    config = json.loads((run_dir / rundir.CONFIG).read_text())
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**config, "model_name": "other-model"}))
+    (run_dir / rundir.FIXTURES_DIR / "bad.txt").write_text("not json")
+    assert cli.main(["taxonomy", "--stub", "bad", "--config", str(other)] + args) == 1
+    for step in (["redact"], ["card"], ["pack"]):
+        assert cli.main(step + args) == 0, step
+    return config["model_name"]
+
+
+def test_the_card_states_the_model_of_the_synthesis_record(demo_copy, tmp_path):
+    # the log's last record is the failed call; #synthesis-invocation names record 1
+    run_dir, crate = demo_copy
+    model = _crate_after_a_failed_call(run_dir, tmp_path)
+    card = read_crate_members(crate)["card.md"].decode()
+    assert f"\n- Model: {model}\n" in card and "other-model" not in card
+    source_log = str(run_dir / rundir.INTERACTION_LOG)
+    assert cli.main(["verify", str(crate), "--source-log", source_log]) == 0
+
+
+def test_a_card_naming_the_failed_call_model_fails_derivation(demo_copy, tmp_path):
+    run_dir, crate = demo_copy
+    model = _crate_after_a_failed_call(run_dir, tmp_path)
+    card = read_crate_members(crate)["card.md"].decode()
+    forged = card.replace(f"\n- Model: {model}\n", "\n- Model: other-model\n")
+    report = verify_crate(_crate_with_member(tmp_path, crate, "card.md", forged.encode()))
+    assert [check.name for check in report.checks if check.status is CheckStatus.FAIL] == [
+        CheckName.INPUT_DERIVATION]
+
+
 def _drop_refs(names):
     """A manifest edit that drops every action's references to ``names``."""
     def edit(manifest):
