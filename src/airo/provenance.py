@@ -217,9 +217,6 @@ def record_invocation(invocation: "Invocation", bundle: InputBundle,
 def new_run(label: str) -> str:
     """Normalize a label into a run id: lowercased, whitespace -> hyphens, 'ro-' prefix."""
     normalized = re.sub(r"\s+", "-", label.strip().lower())
-    if not normalized or not _LABEL_RE.fullmatch(normalized):
+    if not _LABEL_RE.fullmatch(normalized):  # then "ro-" + normalized matches RUN_ID_RE
         raise InvalidLabel(f"label must reduce to lowercase alphanumerics/hyphens, got {label!r}")
-    run_id = f"ro-{normalized}"
-    if not RUN_ID_RE.fullmatch(run_id):
-        raise InvalidLabel(f"label {label!r} does not normalize to a valid run id")
-    return run_id
+    return f"ro-{normalized}"
