@@ -19,7 +19,7 @@ from pathlib import Path
 from .bundle import canonical_bytes, expect_type, parse_bundle
 from .errors import (CrateUnreadable, DanglingEntity, MalformedSyntax, MissingSection,
                      SourceMismatch, UnredactedLeak, read_utf8)
-from .provenance import Interface, ModelConfig, parse_log, sha256_hex
+from .provenance import InvocationRecord, Interface, ModelConfig, Stage, parse_log, sha256_hex
 from .redact import GENERALIZED_ENDPOINT, Tier, check_redaction, parse_redacted_log
 
 ROCRATE_CONTEXT = "https://w3id.org/ro/crate/1.1/context"
@@ -60,8 +60,6 @@ STAGES = {
     "resolve": (("audit",), None),
     "pack": (("redact", "card"), None),
 }
-# the packed log's record that #synthesis-invocation names; the card states its configuration
-CARD_RECORD = STAGES["draft"][1][4]
 
 _ROLE_DESCRIPTIONS = {"code": "prompt template used by the workflow", "data": "run artifact",
                       "provenance": "provenance material for the run"}
@@ -76,6 +74,16 @@ _CARD_SECTION_TITLES = {
 }
 
 
+def card_record(records: list[InvocationRecord], draft: bytes | None) -> InvocationRecord | None:
+    """The record whose configuration the card states: the last synthesis call whose response
+    is ``draft`` (failed and re-run calls may sit on either side of it), else the last
+    synthesis call; None when the log holds none."""
+    synthesis = [record for record in records if record.stage is Stage.SYNTHESIS]
+    digest = sha256_hex(draft) if draft is not None else None
+    return next((record for record in reversed(synthesis) if record.response_sha256 == digest),
+                synthesis[-1] if synthesis else None)
+
+
 def build_card(run_path: Path, run_id: str) -> str:
     """``render_card`` over the run directory; every section must be nonempty."""
     from . import rundir  # only build_card and pack read a run directory; verify never does
@@ -83,7 +91,9 @@ def build_card(run_path: Path, run_id: str) -> str:
     run = rundir.RunDirectory(Path(run_path))
     bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
     log = parse_log(run.file(rundir.INTERACTION_LOG).read_bytes())
-    if len(log.records) <= CARD_RECORD:
+    draft_path = run.file(rundir.DRAFT_MD)
+    record = card_record(log.records, draft_path.read_bytes() if draft_path.is_file() else None)
+    if record is None:
         raise MissingSection("card section left empty: Model Configuration")
 
     sections_path = run.file(rundir.CARD_SECTIONS)
@@ -99,7 +109,7 @@ def build_card(run_path: Path, run_id: str) -> str:
         if not text:
             raise MissingSection(f"card section left empty: {title}")
     return render_card(run_id, bundle.title, sha256_hex(canonical_bytes(bundle)).hex,
-                       log.records[CARD_RECORD].config, narrative)
+                       record.config, narrative)
 
 
 def render_card(run_id: str, title: str, bundle_digest_hex: str, config: ModelConfig,

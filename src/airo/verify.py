@@ -19,8 +19,8 @@ from .bundle import InputBundle, Record, canonical_bytes, parse_bundle, parse_ta
 from .errors import SourceMismatch, ToolkitError
 from .provenance import InteractionLog, parse_log, sha256_hex
 from .redact import check_redaction, parse_redacted_log, redact
-from .rocrate import (CARD_RECORD, MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER,
-                      card_narrative, decode_manifest, manifest_json, read_crate_members,
+from .rocrate import (MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER, card_narrative,
+                      card_record, decode_manifest, manifest_json, read_crate_members,
                       recorded_digests, render_card)
 
 
@@ -194,11 +194,12 @@ def _input_derivation(members: dict[str, bytes], bundle: InputBundle | None,
             findings.append(f"log record {index}: bundle_sha256 {record.bundle_sha256.hex} "
                             f"does not match packed bundle {expected.hex}")
     card = _load(members, "card.md", bytes.decode, "card.md unreadable", findings)
-    if card is not None and len(redacted.records) <= CARD_RECORD:
-        held = f"no record at position {CARD_RECORD}" if redacted.records else "no records"
+    record = card_record(redacted.records, members.get("outputs/draft.md"))
+    if card is not None and record is None:
+        held = "no synthesis record" if redacted.records else "no records"
         findings.append(f"card.md: the redacted log holds {held} to back its configuration")
     elif card is not None:
-        facts = (redacted.run_id, bundle.title, expected.hex, redacted.records[CARD_RECORD].config)
+        facts = (redacted.run_id, bundle.title, expected.hex, record.config)
         derived = render_card(*facts, card_narrative(card, render_card(*facts, {})))
         have, want = card.split("\n") + [None], derived.split("\n") + [None]
         at = next((i for i, pair in enumerate(zip(have, want)) if pair[0] != pair[1]), None)

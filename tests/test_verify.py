@@ -386,39 +386,65 @@ def test_log_without_the_synthesis_record_backs_no_card(tmp_path, demo_run):
     report = verify_crate(_crate_with_log(tmp_path, crate,
                                           lambda data: data.update(records=data["records"][:1])))
     assert report.check(CheckName.INPUT_DERIVATION).findings == [
-        "card.md: the redacted log holds no record at position 1 to back its configuration"]
+        "card.md: the redacted log holds no synthesis record to back its configuration"]
     assert report.overall is CheckStatus.FAIL
 
 
-def _crate_after_a_failed_call(run_dir, tmp_path) -> str:
-    """Repack the demo run after a failed taxonomy call under a config naming other-model;
-    returns the demo model, the one the synthesis record names."""
-    args = ["--run-dir", str(run_dir)]
+# whether the run starts from a fresh init instead of the demo pipeline; the steps, each
+# with its exit code, OTHER standing for a config naming other-model; and whether the card
+# must state other-model
+CARD_CASES = {
+    "failed taxonomy call after the draft": (
+        False, [(["taxonomy", "--stub", "bad", "--config", "OTHER"], 1)], False),
+    "failed draft call after the draft": (
+        False, [(["draft", "--stub", "blank", "--config", "OTHER"], 1)], False),
+    "draft re-run under another config": (
+        False, [(["draft", "--stub", "synthesis_demo", "--config", "OTHER"], 0), (["audit"], 0)],
+        True),
+    "failed draft call before the draft": (
+        True, [(["taxonomy", "--stub", "taxonomy_demo"], 0),
+               (["draft", "--stub", "blank", "--config", "OTHER"], 1),
+               (["draft", "--stub", "synthesis_demo"], 0), (["audit"], 0)], False),
+}
+
+
+def _run_steps(run_dir, tmp_path, steps):
+    """Run ``steps`` in run_dir, then redact, card and pack; returns the crate and the demo
+    config's model."""
     config = json.loads((run_dir / rundir.CONFIG).read_text())
     other = tmp_path / "other.json"
     other.write_text(json.dumps({**config, "model_name": "other-model"}))
     (run_dir / rundir.FIXTURES_DIR / "bad.txt").write_text("not json")
-    assert cli.main(["taxonomy", "--stub", "bad", "--config", str(other)] + args) == 1
-    for step in (["redact"], ["card"], ["pack"]):
-        assert cli.main(step + args) == 0, step
-    return config["model_name"]
+    (run_dir / rundir.FIXTURES_DIR / "blank.txt").write_text("")
+    for argv, code in steps + [(["redact"], 0), (["card"], 0), (["pack"], 0)]:
+        argv = [str(other) if arg == "OTHER" else arg for arg in argv]
+        assert cli.main(argv + ["--run-dir", str(run_dir)]) == code, argv
+    state = rundir.RunDirectory(run_dir).load_state()
+    return run_dir / rundir.CRATE_DIR / f"{state.run_id}.crate.zip", config["model_name"]
 
 
-def test_the_card_states_the_model_of_the_synthesis_record(demo_copy, tmp_path):
-    # the log's last record is the failed call; #synthesis-invocation names record 1
-    run_dir, crate = demo_copy
-    model = _crate_after_a_failed_call(run_dir, tmp_path)
+@pytest.mark.parametrize("fresh, steps, other", CARD_CASES.values(), ids=list(CARD_CASES))
+def test_the_card_states_the_model_of_the_call_that_wrote_the_draft(demo_copy, tmp_path,
+                                                                    fresh, steps, other):
+    # the log is append-only: a failed or re-run call may sit after, or before, the draft's own
+    run_dir = demo_copy[0]
+    if fresh:
+        run_dir = tmp_path / "fresh"
+        assert cli.main(["init", "demo", "--run-dir", str(run_dir)]) == 0
+    crate, demo_model = _run_steps(run_dir, tmp_path, steps)
+    stated, passed_over = ("other-model", demo_model) if other else (demo_model, "other-model")
     card = read_crate_members(crate)["card.md"].decode()
-    assert f"\n- Model: {model}\n" in card and "other-model" not in card
+    assert f"\n- Model: {stated}\n" in card and passed_over not in card
     source_log = str(run_dir / rundir.INTERACTION_LOG)
     assert cli.main(["verify", str(crate), "--source-log", source_log]) == 0
 
 
 def test_a_card_naming_the_failed_call_model_fails_derivation(demo_copy, tmp_path):
-    run_dir, crate = demo_copy
-    model = _crate_after_a_failed_call(run_dir, tmp_path)
+    crate, demo_model = _run_steps(demo_copy[0], tmp_path,
+                                   CARD_CASES["failed taxonomy call after the draft"][1])
     card = read_crate_members(crate)["card.md"].decode()
-    forged = card.replace(f"\n- Model: {model}\n", "\n- Model: other-model\n")
+    forged = card.replace(f"\n- Model: {demo_model}\n", "\n- Model: other-model\n")
+    assert forged != card
     report = verify_crate(_crate_with_member(tmp_path, crate, "card.md", forged.encode()))
     assert [check.name for check in report.checks if check.status is CheckStatus.FAIL] == [
         CheckName.INPUT_DERIVATION]
