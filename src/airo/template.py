@@ -182,6 +182,9 @@ def validate_template(template: PromptTemplate,
     The constraint block is placed in the prompt rendered from ``bundle`` with an empty
     taxonomy. With no bundle it is placed in a skeleton whose data placeholders are all
     empty, which holds for every bundle only when no data sits on the far side of the block.
+    The taxonomy ``render`` fills in for synthesis also moves the block, so this check can
+    disagree with ``render`` in either direction: a ``{{TAXONOMY}}`` after a begin-placed
+    block can fail here and pass there, and one after an end-placed block the reverse.
     """
     return _checked_fill(template, {} if bundle is None else _bindings(bundle, template.stage))[1]
 
