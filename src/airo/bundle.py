@@ -261,18 +261,31 @@ def _check_keys(record: dict, allowed: tuple[str, ...], where: str) -> None:
             raise SchemaViolation(f"{where}: unexpected field '{key}'")
 
 
-def _load_json(raw: bytes, what: str):
+# an escape the decoder turns into a surrogate code point, paired or lone
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def read_json(raw: bytes, what: str, build=lambda data: data):
+    """``build`` over the JSON value of ``raw``: every file airo keeps is read here. Bytes that
+    are not UTF-8 JSON, a string UTF-8 cannot carry (a lone surrogate escape), and a value
+    ``build`` refuses are a MalformedSyntax ``<what> unreadable: <reason>``."""
     try:
         text = raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise MalformedSyntax(f"{what} is not UTF-8 at byte offset {err.start}") from err
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise MalformedSyntax(f"{what} is not valid JSON at offset {err.pos}: {err.msg}") from err
-    # an integer past the int digit limit, or nesting past the recursion limit
-    except (ValueError, RecursionError) as err:
-        raise MalformedSyntax(f"{what} is not decodable JSON: {err}") from err
+        data = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+        return build(data)
+    # ValueError: not UTF-8, not JSON, an int past the digit limit, a lone surrogate, or a
+    # value build refuses, as LookupError and TypeError are; RecursionError: nesting past
+    # the decoder's limit
+    except (ValueError, LookupError, TypeError, RecursionError) as err:
+        raise MalformedSyntax(f"{what} unreadable: {err}") from err
+
+
+def json_bytes(value) -> bytes:
+    """The form of every JSON file airo writes: 2-space indent, text unescaped, UTF-8, a
+    final newline."""
+    return (json.dumps(value, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 _is_str = str.__instancecheck__  # JSON strings are never str subclasses
@@ -284,7 +297,7 @@ _NOTE_STATE = dict.fromkeys(_NOTE_FIELDS)
 
 def parse_bundle(raw: bytes) -> InputBundle:
     """Parse and fully validate a bundle file; errors name the offending record."""
-    data = _expect_object(_load_json(raw, "bundle"), "bundle")
+    data = _expect_object(read_json(raw, "bundle"), "bundle")
     _check_keys(data, _BUNDLE_FIELDS, "bundle")
     try:
         for field, kind in zip(_BUNDLE_FIELDS, (str, str, int, list)):
@@ -341,7 +354,7 @@ def canonical_bytes(bundle: InputBundle) -> bytes:
 
 def parse_taxonomy(raw: bytes, bundle: InputBundle) -> Taxonomy:
     """Parse a taxonomy file and validate it covers the bundle exactly once."""
-    data = _expect_object(_load_json(raw, "taxonomy"), "taxonomy")
+    data = _expect_object(read_json(raw, "taxonomy"), "taxonomy")
     if set(data.keys()) != {"clusters"}:
         raise MalformedSyntax("taxonomy must be an object with the single key 'clusters'")
     if not isinstance(data["clusters"], list) or not data["clusters"]:
@@ -381,4 +394,4 @@ def parse_taxonomy(raw: bytes, bundle: InputBundle) -> Taxonomy:
 
 def taxonomy_to_bytes(taxonomy: Taxonomy) -> bytes:
     """Stable human-readable serialization used for the taxonomy output artifact."""
-    return (json.dumps(taxonomy.to_json(), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return json_bytes(taxonomy.to_json())

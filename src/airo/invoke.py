@@ -14,9 +14,10 @@ import time
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .bundle import FrozenRecord, InputBundle, Taxonomy, parse_taxonomy
-from .errors import (ConfigInvalid, EmptyResponse, FixtureMissing, StageOutputInvalid,
-                     ToolkitError, Transport, read_utf8)
+from .bundle import (FrozenRecord, InputBundle, Taxonomy, expect_type, parse_taxonomy,
+                     read_json)
+from .errors import (ConfigInvalid, EmptyResponse, FixtureMissing, MalformedSyntax,
+                     StageOutputInvalid, ToolkitError, Transport, read_utf8)
 from .provenance import Interface, ModelConfig, Stage, utc_now_rfc3339
 from .template import PromptTemplate, RenderedPrompt, render
 
@@ -28,15 +29,16 @@ DEFAULT_BACKOFF_S = 0.5
 
 
 def config_from_file(path: Path) -> ModelConfig:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    def build(data) -> ModelConfig:
         if (type(data) is dict and data.get("interface") == Interface.OPENAI_COMPATIBLE.value
                 and data.get("endpoint") in (None, "")):
             data["endpoint"] = os.environ.get(ENV_ENDPOINT, "")
         return ModelConfig.from_json(data)
-    # RecursionError: JSON nested deeper than the decoder's recursion limit
-    except (ValueError, KeyError, TypeError, RecursionError) as err:
-        raise ConfigInvalid(f"{path}: {type(err).__name__}: {err}") from err
+
+    try:
+        return read_json(Path(path).read_bytes(), str(path), build)
+    except MalformedSyntax as err:
+        raise ConfigInvalid(str(err)) from err
 
 
 class Invocation(FrozenRecord):
@@ -78,6 +80,13 @@ def _read_stub_fixture(config: ModelConfig, fixtures: Mapping[str, str] | None,
     raise FixtureMissing(f"stub fixture not found: {name}")
 
 
+def _completion(data) -> tuple[str, str | None]:
+    """The content and finish reason of a decoded chat completion."""
+    choice = data["choices"][0]
+    return (expect_type(str, choice["message"]["content"] or "", "content"),
+            choice.get("finish_reason"))
+
+
 def _post_chat(config: ModelConfig, body: dict, api_key: str | None,
                urlopen: Callable) -> tuple[str, str | None]:
     import urllib.error
@@ -96,14 +105,10 @@ def _post_chat(config: ModelConfig, body: dict, api_key: str | None,
         raise Transport(f"HTTP {err.code} from {url}", status=err.code) from err
     except urllib.error.URLError as err:
         raise Transport(f"cannot reach {url}: {err.reason}") from err
-    try:
-        data = json.loads(payload.decode("utf-8"))
-        choice = data["choices"][0]
-        content = choice["message"]["content"] or ""
-        finish = choice.get("finish_reason")
-    except (ValueError, KeyError, IndexError, TypeError) as err:
+    try:  # read_json also refuses content that UTF-8 cannot carry: a lone surrogate
+        return read_json(payload, "body", _completion)
+    except MalformedSyntax as err:
         raise Transport(f"malformed completion response from {url}: {err}") from err
-    return content, finish
 
 
 def complete(prompt: RenderedPrompt, config: ModelConfig, *,

@@ -18,8 +18,9 @@ from functools import partial
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from .bundle import FrozenRecord, InputBundle, Record, canonical_bytes, expect_type, restore
-from .errors import InvalidLabel, MalformedSyntax
+from .bundle import (FrozenRecord, InputBundle, Record, canonical_bytes, expect_type, json_bytes,
+                     read_json, restore)
+from .errors import InvalidLabel
 
 if TYPE_CHECKING:
     from .invoke import Invocation
@@ -175,7 +176,7 @@ class InteractionLog(Record):
                 "records": [record.to_json() for record in self.records]}
 
     def to_bytes(self) -> bytes:
-        return (json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        return json_bytes(self.to_dict())
 
     def canonical_bytes(self) -> bytes:
         """Compact sorted-key form: the input to the log's own digest."""
@@ -184,14 +185,9 @@ class InteractionLog(Record):
 
 
 def parse_log(raw: bytes) -> InteractionLog:
-    try:
-        data = json.loads(raw.decode("utf-8"))
-        return InteractionLog(run_id=data["run_id"],
-                              created_at=expect_type(str, data["created_at"], "created_at"),
-                              records=[InvocationRecord.from_json(r) for r in data["records"]])
-    # RecursionError: JSON nested deeper than the decoder's recursion limit
-    except (ValueError, KeyError, TypeError, RecursionError) as err:
-        raise MalformedSyntax(f"interaction log unreadable: {err}") from err
+    return read_json(raw, "interaction log", lambda data: InteractionLog(
+        run_id=data["run_id"], created_at=expect_type(str, data["created_at"], "created_at"),
+        records=[InvocationRecord.from_json(r) for r in data["records"]]))
 
 
 def record_invocation(invocation: "Invocation", bundle: InputBundle,

@@ -8,13 +8,11 @@ stays verifiable against the artifacts it describes.
 
 from __future__ import annotations
 
-import json
 import re
 from enum import Enum
 from urllib.parse import urlsplit
 
-from .bundle import replace
-from .errors import MalformedSyntax
+from .bundle import read_json, replace
 from .provenance import Digest, InteractionLog, InvocationRecord, sha256_hex
 
 GENERALIZED_ENDPOINT = "generalized-endpoint"
@@ -48,15 +46,10 @@ class Tier(Enum):
 
 
 def parse_redacted_log(raw: bytes) -> InteractionLog:
-    try:
-        data = json.loads(raw.decode("utf-8"))
-        return InteractionLog(run_id=data["run_id"], created_at=None,
-                              tier=Tier.from_policy_dict(data["policy"]),
-                              redacted_from_sha256=Digest.from_json(data["redacted_from_sha256"]),
-                              records=[InvocationRecord.from_json(r) for r in data["records"]])
-    # RecursionError: JSON nested deeper than the decoder's recursion limit
-    except (ValueError, KeyError, TypeError, RecursionError) as err:
-        raise MalformedSyntax(f"redacted log unreadable: {err}") from err
+    return read_json(raw, "redacted log", lambda data: InteractionLog(
+        run_id=data["run_id"], created_at=None, tier=Tier.from_policy_dict(data["policy"]),
+        redacted_from_sha256=Digest.from_json(data["redacted_from_sha256"]),
+        records=[InvocationRecord.from_json(r) for r in data["records"]]))
 
 
 _IP_HOST_RE = re.compile(r"^[\d.:\[\]]+$")

@@ -12,13 +12,12 @@ digests alone (``manifest_json``), so verify rebuilds it instead of parsing it.
 
 from __future__ import annotations
 
-import json
 import zipfile
 from pathlib import Path
 
-from .bundle import canonical_bytes, expect_type, parse_bundle
-from .errors import (CrateUnreadable, DanglingEntity, MalformedSyntax, MissingSection,
-                     SourceMismatch, UnredactedLeak, read_utf8)
+from .bundle import canonical_bytes, expect_type, json_bytes, parse_bundle, read_json
+from .errors import (CrateUnreadable, DanglingEntity, MissingSection, SourceMismatch,
+                     UnredactedLeak)
 from .provenance import InvocationRecord, Interface, ModelConfig, Stage, parse_log, sha256_hex
 from .redact import GENERALIZED_ENDPOINT, Tier, check_redaction, parse_redacted_log
 
@@ -97,14 +96,11 @@ def build_card(run_path: Path, run_id: str) -> str:
         raise MissingSection("card section left empty: Model Configuration")
 
     sections_path = run.file(rundir.CARD_SECTIONS)
-    try:
-        sections = json.loads(read_utf8(sections_path)) if sections_path.is_file() else {}
-        narrative = {title: expect_type(str, sections.get(key, ""), key).strip()
-                     for key, title in _CARD_SECTION_TITLES.items()}
-    # not JSON, nested past the decoder's recursion limit, not an object, or not strings
-    except (ValueError, RecursionError, AttributeError, TypeError) as err:
-        raise MalformedSyntax(f"{sections_path}: not a JSON object of card sections ({err})"
-                              ) from err
+    # dict.get: anything but a JSON object is a TypeError, as a section not a string is
+    narrative = read_json(sections_path.read_bytes() if sections_path.is_file() else b"{}",
+                          str(sections_path), lambda sections: {
+                              title: expect_type(str, dict.get(sections, key, ""), key).strip()
+                              for key, title in _CARD_SECTION_TITLES.items()})
     for title, text in {**narrative, "Research Topic": bundle.title.strip()}.items():
         if not text:
             raise MissingSection(f"card section left empty: {title}")
@@ -219,7 +215,7 @@ def pack(run_path: Path, run_id: str, tier: Tier, out_path: Path | None = None) 
                              f"re-run redact")
 
     manifest = manifest_json(run_id, {name: sha256_hex(data).hex for name, data in members.items()})
-    members[MANIFEST_NAME] = (json.dumps(manifest, indent=2, ensure_ascii=False) + "\n").encode()
+    members[MANIFEST_NAME] = json_bytes(manifest)
 
     if out_path is None:
         out_path = run.file(rundir.CRATE_DIR) / f"{run_id}.crate.zip"
@@ -265,15 +261,6 @@ def read_crate_members(archive: Path) -> dict[str, bytes]:
         raise CrateUnreadable(f"cannot read archive {archive}: {err}") from err
 
 
-def decode_manifest(raw: bytes):
-    """The decoded ``ro-crate-metadata.json``; bytes that are not JSON are a MalformedSyntax."""
-    try:
-        return json.loads(raw.decode("utf-8"))
-    # UnicodeDecodeError is a ValueError; RecursionError: nesting past the decoder's limit
-    except (ValueError, RecursionError) as err:
-        raise MalformedSyntax(f"{MANIFEST_NAME} is not valid JSON: {err}") from err
-
-
 def recorded_digests(manifest) -> dict[str, str]:
     """``{@id: sha256}`` of every graph node of a decoded manifest that records a string
     digest under a string id; a manifest with no ``@graph`` list records none."""
@@ -286,4 +273,4 @@ def recorded_digests(manifest) -> dict[str, str]:
 def read_manifest(archive: Path) -> dict[str, str]:
     """The ``{@id: sha256}`` the crate's manifest records; a crate without one records none."""
     raw = read_crate_members(archive).get(MANIFEST_NAME)
-    return {} if raw is None else recorded_digests(decode_manifest(raw))
+    return {} if raw is None else read_json(raw, MANIFEST_NAME, recorded_digests)

@@ -7,14 +7,13 @@ against concurrent writers.
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
-from .bundle import Record
-from .errors import MalformedSyntax, PathExists, RunLocked, StageOrder
+from .bundle import Record, json_bytes, read_json
+from .errors import PathExists, RunLocked, StageOrder
 from .provenance import RUN_ID_RE, new_run, utc_now_rfc3339
 from .rocrate import SOURCES, STAGES
 
@@ -105,18 +104,11 @@ class RunDirectory:
         if not self.exists():
             raise StageOrder(f"{self.path} is not an initialized run directory "
                              f"(missing {STATE}); run 'airo init' first")
-        try:
-            return RunState.from_json(json.loads(self.state_path.read_text(encoding="utf-8")))
-        except (ValueError, KeyError, TypeError, RecursionError) as err:
-            # ValueError covers JSONDecodeError and UnicodeDecodeError, which is what
-            # a kill in the middle of save_state leaves behind; RecursionError is
-            # JSON nested deeper than the decoder's recursion limit
-            raise MalformedSyntax(f"{STATE} in {self.path} is not a readable run state: "
-                                  f"{err!r}") from err
+        return read_json(self.state_path.read_bytes(), f"{STATE} in {self.path}",
+                         RunState.from_json)
 
     def save_state(self, state: RunState) -> None:
-        self.state_path.write_text(json.dumps(state.to_json(), indent=2) + "\n",
-                                   encoding="utf-8")
+        self.state_path.write_bytes(json_bytes(state.to_json()))
 
     def require(self, stage: str) -> RunState:
         """State with all of ``stage``'s prerequisites complete, else StageOrder."""
@@ -199,10 +191,8 @@ def init_scaffold(path: Path, label: str, with_demo: bool = True) -> RunDirector
     package = resources.files("airo")
     for rel in (TAXONOMY_TMPL, SYNTHESIS_TMPL):  # the package keeps them at the same paths
         run.file(rel).write_text(package.joinpath(rel).read_text("utf-8"), encoding="utf-8")
-    run.file(CONFIG).write_text(json.dumps(DEFAULT_DEMO_CONFIG, indent=2) + "\n",
-                                encoding="utf-8")
-    run.file(CARD_SECTIONS).write_text(json.dumps(DEFAULT_CARD_SECTIONS, indent=2) + "\n",
-                                       encoding="utf-8")
+    run.file(CONFIG).write_bytes(json_bytes(DEFAULT_DEMO_CONFIG))
+    run.file(CARD_SECTIONS).write_bytes(json_bytes(DEFAULT_CARD_SECTIONS))
     if with_demo:
         run.file(BUNDLE).write_text(package.joinpath("demo/bundle.json").read_text("utf-8"),
                                     encoding="utf-8")

@@ -15,13 +15,13 @@ from pathlib import Path
 
 from .audit import (AuditStatus, DraftArtifact, audit_draft, inline_findings, parse_draft,
                     read_audit_csv)
-from .bundle import InputBundle, Record, canonical_bytes, parse_bundle, parse_taxonomy
+from .bundle import InputBundle, Record, canonical_bytes, parse_bundle, parse_taxonomy, read_json
 from .errors import SourceMismatch, ToolkitError
 from .provenance import InteractionLog, parse_log, sha256_hex
 from .redact import check_redaction, parse_redacted_log, redact
 from .rocrate import (MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER, card_narrative,
-                      card_record, decode_manifest, manifest_json, read_crate_members,
-                      recorded_digests, render_card)
+                      card_record, manifest_json, read_crate_members, recorded_digests,
+                      render_card)
 
 
 class CheckName(Enum):
@@ -148,7 +148,8 @@ def _hash_integrity(members: dict[str, bytes]) -> tuple[CheckResult, Interaction
                 if name not in members and name != REDACTED_LOG_MEMBER]  # _load names the log
     findings += [f"{name}: not a member pack writes" for name in members
                  if name not in PACKED_MEMBERS and name != MANIFEST_NAME]
-    manifest = _load(members, MANIFEST_NAME, decode_manifest, "manifest unusable", findings)
+    manifest = _load(members, MANIFEST_NAME, partial(read_json, what=MANIFEST_NAME),
+                     "manifest unusable", findings)
     digests = {name: sha256_hex(members[name]).hex for name in PACKED_MEMBERS if name in members}
     if manifest is not None:
         recorded = recorded_digests(manifest)

@@ -6,12 +6,13 @@ import pickle
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airo.audit import AuditRow, AuditStatus, ClaimEntry, DraftArtifact, InlineCitation
 from airo.bundle import (Cluster, FrozenInstanceError, FrozenRecord, InputBundle, NoteRecord,
-                         Taxonomy, canonical_bytes, parse_bundle, parse_taxonomy, replace)
+                         Taxonomy, canonical_bytes, json_bytes, parse_bundle, parse_taxonomy,
+                         read_json, replace)
 from airo.errors import (DoubleAssigned, MalformedSyntax, SchemaViolation, ToolkitError,
                          Uncovered, UnknownMember)
 from airo.invoke import Invocation
@@ -324,10 +325,34 @@ def test_empty_notes_rejected_before_canonicalization():
 
 
 def test_not_json_reports_offset():
-    with pytest.raises(MalformedSyntax, match="offset"):
+    with pytest.raises(MalformedSyntax, match=r"\(char 0\)"):
         parse_bundle(b"not json {")
-    with pytest.raises(MalformedSyntax, match="byte offset"):
+    with pytest.raises(MalformedSyntax, match="position 11"):
         parse_bundle(b'{"title": "\xff"}')
+
+
+@pytest.mark.parametrize("raw", [b'"\\ud800"', b'"x \\uDFFF"', b'{"\\udc00": 1}',
+                                 b'[["\\ud83d a"]]', b'"\\ude00\\ud83d"'],
+                         ids=["high", "low-upper-case", "key", "nested", "pair-reversed"])
+def test_read_json_refuses_a_lone_surrogate(raw):
+    with pytest.raises(MalformedSyntax, match="^value unreadable: .*surrogates not allowed$"):
+        read_json(raw, "value")
+
+
+def test_read_json_takes_a_surrogate_pair_and_an_escaped_backslash():
+    assert read_json(b'["\\ud83d\\ude00", "\\\\ud800"]', "value") == ["\U0001f600", "\\ud800"]
+
+
+JSON_TEXT = st.text(st.characters(codec="utf-8"))  # every code point but the surrogates
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | JSON_TEXT,
+    lambda values: st.lists(values) | st.dictionaries(JSON_TEXT, values), max_leaves=20)
+
+
+@given(JSON_VALUES)
+@example({"title": "caf\u00e9 \u4e2d \U0001f600", "typed": "\\ud800"})
+def test_json_bytes_read_back_as_the_value(value):
+    assert read_json(json_bytes(value), "value") == value
 
 
 def test_canonical_bytes_ignore_key_order_and_whitespace():

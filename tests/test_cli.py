@@ -416,6 +416,28 @@ def test_undecodable_json_run_file_is_an_error_not_a_traceback(demo_copy, capsys
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, name, key", [
+    (["taxonomy", "--stub", "taxonomy_demo"], rundir.BUNDLE, "title"),
+    (["taxonomy", "--stub", "taxonomy_demo"], rundir.CONFIG, "model_name"),
+    (["card"], rundir.CARD_SECTIONS, "disclosure"),
+], ids=["bundle", "config", "card-sections"])
+def test_lone_surrogate_in_a_run_file_is_an_error_before_any_call(demo_copy, capsys, command,
+                                                                   name, key):
+    # json.loads decodes the escape to a str that UTF-8 cannot encode, so the logged call,
+    # or the card, could not be written
+    run_dir, _ = demo_copy
+    path = run_dir / name
+    data = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**data, key: data[key] + "\ud800"}), encoding="utf-8")
+    log = (run_dir / rundir.INTERACTION_LOG).read_bytes()
+    capsys.readouterr()
+    assert cli.main(command + ["--run-dir", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert " unreadable: " in err and err.endswith("surrogates not allowed\n")
+    assert (run_dir / rundir.INTERACTION_LOG).read_bytes() == log  # no call was made
+
+
 def test_resolve_on_an_oversized_audit_csv_field_is_an_error(demo_copy, capsys):
     run_dir, _ = demo_copy
     csv_path = run_dir / rundir.AUDIT_CSV
@@ -494,6 +516,27 @@ def test_a_model_stage_that_logs_no_call_leaves_run_state_as_it_was(demo_copy, m
     files = [run.state_path, run.file(rundir.INTERACTION_LOG)]
     before = [path.read_bytes() for path in files]
     assert cli.main(["taxonomy", "--run-dir", str(run.path)]) == 3
+    assert [path.read_bytes() for path in files] == before
+
+
+def test_a_reply_holding_a_lone_surrogate_is_a_transport_error(demo_copy, monkeypatch,
+                                                                 capsys):
+    # json.loads decodes the escape to a str that UTF-8 cannot encode, so the call could not
+    # be logged: the reply is refused as malformed instead
+    reply = json.dumps({"choices": [{"message": {"content": "text \ud800"}}]}).encode()
+    monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout: io.BytesIO(reply))
+    monkeypatch.setattr("time.sleep", lambda _s: None)
+    run = rundir.RunDirectory(demo_copy[0])
+    config = json.loads(run.file(rundir.CONFIG).read_text())
+    config.update(interface="openai-compatible", endpoint="http://model.invalid/v1")
+    run.file(rundir.CONFIG).write_text(json.dumps(config))
+    files = [run.state_path, run.file(rundir.INTERACTION_LOG)]
+    before = [path.read_bytes() for path in files]
+    capsys.readouterr()
+    assert cli.main(["taxonomy", "--run-dir", str(run.path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("transport error: malformed completion response") and (
+        err.count("\n") == 1 and err.endswith("surrogates not allowed\n"))
     assert [path.read_bytes() for path in files] == before
 
 

@@ -173,6 +173,15 @@ def test_malformed_response_is_transport():
         complete(prompt, live_config(), urlopen=http, max_retries=0, sleep=lambda _s: None)
 
 
+@pytest.mark.parametrize("content", [5, "text \ud800"], ids=["a-number", "a-lone-surrogate"])
+def test_reply_content_that_is_no_utf8_text_is_transport(content):
+    # a lone surrogate escape decodes to a str that UTF-8 cannot carry
+    prompt = render(TAXONOMY_TMPL, bundle_with(1))
+    http = FakeHTTP([chat_payload(content)])
+    with pytest.raises(Transport, match="malformed completion response"):
+        complete(prompt, live_config(), urlopen=http, max_retries=0, sleep=lambda _s: None)
+
+
 def test_strip_code_fence():
     assert strip_code_fence("```json\n{\"a\": 1}\n```") == '{"a": 1}'
     assert strip_code_fence("  plain  ") == "plain"
@@ -211,7 +220,7 @@ def test_config_with_a_wrong_typed_value_is_invalid(tmp_path, field):
     from airo.rundir import DEFAULT_DEMO_CONFIG
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**DEFAULT_DEMO_CONFIG, field: WRONG_TYPED_CONFIG[field]}))
-    with pytest.raises(ConfigInvalid, match=f"TypeError: field '{field}'"):
+    with pytest.raises(ConfigInvalid, match=f"field '{field}' must be"):
         config_from_file(path)
 
 

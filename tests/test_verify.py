@@ -820,10 +820,10 @@ def test_non_string_raw_text_in_source_log_is_an_error(tmp_path, demo_run):
 
 # member -> (the check that reports it, the start of its finding)
 JSON_MEMBERS = {
-    "inputs/bundle.json": (CheckName.NOTES_INSPECTABLE, "bundle invalid: bundle is not"),
-    "outputs/taxonomy.json": (CheckName.STRUCTURE_CONFORMS, "taxonomy invalid: taxonomy is not"),
+    "inputs/bundle.json": (CheckName.NOTES_INSPECTABLE, "bundle invalid: bundle unreadable: "),
+    "outputs/taxonomy.json": (CheckName.STRUCTURE_CONFORMS, "taxonomy invalid: taxonomy unreadable: "),
     REDACTED_LOG_MEMBER: (CheckName.HASH_INTEGRITY, "redacted log unreadable: "),
-    MANIFEST_NAME: (CheckName.HASH_INTEGRITY, f"manifest unusable: {MANIFEST_NAME} is not"),
+    MANIFEST_NAME: (CheckName.HASH_INTEGRITY, f"manifest unusable: {MANIFEST_NAME} unreadable: "),
 }
 
 
@@ -839,6 +839,37 @@ def test_undecodable_json_member_is_a_finding(tmp_path, demo_run, capsys, name, 
     check, finding = JSON_MEMBERS[name]
     assert report.check(check).status is CheckStatus.FAIL
     assert any(f.startswith(finding) for f in report.check(check).findings)
+    capsys.readouterr()
+    assert cli.main(["verify", str(tampered)]) == 1
+    out, err = capsys.readouterr()
+    assert out.endswith("overall: FAIL\n") and err == ""
+
+
+# json.loads decodes a lone surrogate escape to a str that UTF-8 cannot encode, so hashing
+# the bundle or a retained raw text would raise: the reader refuses the member instead
+LONE_SURROGATE_MEMBERS = {
+    "bundle": ("demo_run", "inputs/bundle.json", CheckName.NOTES_INSPECTABLE,
+               "bundle invalid: bundle unreadable: ",
+               lambda data: data.update(title=data["title"] + "\ud800")),
+    "auditor-log-prompt": ("auditor_run", REDACTED_LOG_MEMBER, CheckName.HASH_INTEGRITY,
+                           "redacted log unreadable: ",
+                           lambda data: data["records"][0].update(
+                               prompt_text=data["records"][0]["prompt_text"] + "\udc00")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONE_SURROGATE_MEMBERS))
+def test_lone_surrogate_in_a_member_is_a_finding(tmp_path, request, capsys, case):
+    run, name, check, finding, edit = LONE_SURROGATE_MEMBERS[case]
+    _, crate = request.getfixturevalue(run)
+    data = json.loads(read_crate_members(crate)[name])
+    edit(data)
+    tampered = _crate_with_member(tmp_path, crate, name, json.dumps(data).encode())
+
+    report = verify_crate(tampered)
+    assert report.check(check).status is CheckStatus.FAIL
+    refused = [f for f in report.check(check).findings if f.startswith(finding)]
+    assert len(refused) == 1 and refused[0].endswith("surrogates not allowed")
     capsys.readouterr()
     assert cli.main(["verify", str(tampered)]) == 1
     out, err = capsys.readouterr()
