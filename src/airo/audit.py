@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from .bundle import ID_PATTERN, FrozenRecord, InputBundle, restore
+from .bundle import ID_PATTERN, FrozenRecord, InputBundle, restore_all
 from .errors import (AlreadySupported, IndexOutOfRange, MalformedChecklistEntry,
                      MalformedSyntax, MissingChecklist, MissingHeader)
 from enum import Enum
@@ -33,9 +33,7 @@ CHECKLIST_HEADING = "CLAIM CHECKLIST"
 HUMAN_CHECK_MARKER = "[NEEDS HUMAN CHECK]"
 
 _BULLET_RE = re.compile(r"^\s*[-*]\s+(.*)$")
-_TRAILING_IDS_RE = re.compile(r"\[([^\[\]]*)\]\s*$")
 _INLINE_CITATION_RE = re.compile(r"\(([^();]+);\s*([A-Za-z][A-Za-z0-9]*)\)")
-_ID_SEPARATOR_RE = re.compile(r"[\s,]+")
 
 
 class AuditStatus(Enum):
@@ -78,24 +76,38 @@ def _strip_heading(line: str) -> str:
     return line.strip().lstrip("#").strip()
 
 
-def _parse_bullet(content: str, line_number: int) -> ClaimEntry:
-    flagged = HUMAN_CHECK_MARKER in content
-    text = content.replace(HUMAN_CHECK_MARKER, " ")
-    ids: tuple[str, ...] = ()
-    match = _TRAILING_IDS_RE.search(text.rstrip())
-    if match:
-        tokens = [tok for tok in _ID_SEPARATOR_RE.split(match.group(1).strip()) if tok]
-        bad = [tok for tok in tokens if not ID_PATTERN.fullmatch(tok)]
-        if bad:
-            raise MalformedChecklistEntry(
-                f"trailing id group contains invalid token(s): {', '.join(bad)}", line_number)
-        ids = tuple(tokens)
-        text = text.rstrip()[: match.start()]
-    claim = " ".join(text.split())
-    if not claim:
-        raise MalformedChecklistEntry("checklist entry has no claim text", line_number)
-    return restore(ClaimEntry, {"claim": claim, "supporting_ids": ids,
-                                "needs_human_check": flagged})
+def _parse_checklist(lines: list[str], first_line_number: int) -> list[ClaimEntry]:
+    """The entries of the checklist lines, the first of which is line ``first_line_number``.
+
+    A bullet's ids are the tokens of its trailing id group: the text after its
+    last ``[``, when the bullet, markers taken out and trailing whitespace
+    stripped, ends at the first ``]`` after that ``[``.
+    """
+    states = []
+    for line_number, line in enumerate(lines, first_line_number):
+        match = _BULLET_RE.match(line)
+        if match is None:
+            if line.strip():
+                raise MalformedChecklistEntry(
+                    f"expected a '-' or '*' bullet, got: {line.strip()!r}", line_number)
+            continue
+        content = match[1]
+        flagged = HUMAN_CHECK_MARKER in content
+        text = (content.replace(HUMAN_CHECK_MARKER, " ") if flagged else content).rstrip()
+        ids: tuple[str, ...] = ()
+        start = text.rfind("[")
+        if text.endswith("]") and start >= 0 and text.find("]", start) == len(text) - 1:
+            ids = tuple(text[start + 1:-1].replace(",", " ").split())
+            if not all(map(ID_PATTERN.fullmatch, ids)):
+                bad = [tok for tok in ids if not ID_PATTERN.fullmatch(tok)]
+                raise MalformedChecklistEntry(
+                    f"trailing id group contains invalid token(s): {', '.join(bad)}", line_number)
+            text = text[:start]
+        claim = " ".join(text.split())
+        if not claim:
+            raise MalformedChecklistEntry("checklist entry has no claim text", line_number)
+        states.append({"claim": claim, "supporting_ids": ids, "needs_human_check": flagged})
+    return restore_all(ClaimEntry, states)
 
 
 def parse_draft(raw: str) -> DraftArtifact:
@@ -131,25 +143,15 @@ def parse_draft(raw: str) -> DraftArtifact:
     if block:
         paragraphs.append("\n".join(block))
 
-    entries: list[ClaimEntry] = []
-    for offset, line in enumerate(lines[checklist_index + 1:]):
-        line_number = checklist_index + 2 + offset
-        if not line.strip():
-            continue
-        match = _BULLET_RE.match(line)
-        if not match:
-            raise MalformedChecklistEntry(
-                f"expected a '-' or '*' bullet, got: {line.strip()!r}", line_number)
-        entries.append(_parse_bullet(match.group(1), line_number))
+    entries = _parse_checklist(lines[checklist_index + 1:], checklist_index + 2)
     if paragraphs and not entries:
         raise MissingChecklist("claim checklist has no entries")
 
-    citations = []
-    for p_index, paragraph in enumerate(paragraphs):
-        for match in _INLINE_CITATION_RE.finditer(paragraph):
-            citations.append(restore(InlineCitation, {
-                "citation": match.group(1).strip(), "note_id": match.group(2),
-                "paragraph": p_index, "offset": match.start()}))
+    citations = restore_all(InlineCitation, [
+        {"citation": match[1].strip(), "note_id": match[2], "paragraph": p_index,
+         "offset": match.start()}
+        for p_index, paragraph in enumerate(paragraphs)
+        for match in _INLINE_CITATION_RE.finditer(paragraph)])
 
     return DraftArtifact(body=tuple(paragraphs), checklist=tuple(entries),
                          inline_citations=tuple(citations))
@@ -162,20 +164,19 @@ def audit_draft(draft: DraftArtifact, bundle: InputBundle) -> list[AuditRow]:
     the bundle, then the no-ids case, then Supported.
     """
     known = bundle.known_ids
-    rows: list[AuditRow] = []
+    states = []
     for entry in draft.checklist:
         if entry.needs_human_check:
             status = AuditStatus.NEEDS_HUMAN_CHECK
-        elif not all(i in known for i in entry.supporting_ids):
+        elif not all(map(known.__contains__, entry.supporting_ids)):
             status = AuditStatus.INVENTED_CITATION
         elif not entry.supporting_ids:
             status = AuditStatus.UNSUPPORTED
         else:
             status = AuditStatus.SUPPORTED
-        rows.append(restore(AuditRow, {"claim": entry.claim,
-                                       "supporting_ids": entry.supporting_ids,
-                                       "status": status, "resolver_note": None}))
-    return rows
+        states.append({"claim": entry.claim, "supporting_ids": entry.supporting_ids,
+                       "status": status, "resolver_note": None})
+    return restore_all(AuditRow, states)
 
 
 def inline_findings(draft: DraftArtifact, bundle: InputBundle) -> tuple[list[str], list[str]]:
@@ -189,12 +190,12 @@ def inline_findings(draft: DraftArtifact, bundle: InputBundle) -> tuple[list[str
     errors = []
     info = []
     for cite in draft.inline_citations:
-        where = f"paragraph {cite.paragraph + 1}, offset {cite.offset}"
         if cite.note_id not in known:
-            errors.append(f"invented inline citation ({cite.citation}; {cite.note_id}) at {where}")
+            errors.append(f"invented inline citation ({cite.citation}; {cite.note_id}) at "
+                          f"paragraph {cite.paragraph + 1}, offset {cite.offset}")
         elif cite.note_id not in checklist_ids:
-            info.append(f"inline citation id {cite.note_id} not referenced by any "
-                        f"checklist claim ({where})")
+            info.append(f"inline citation id {cite.note_id} not referenced by any checklist "
+                        f"claim (paragraph {cite.paragraph + 1}, offset {cite.offset})")
     return errors, info
 
 
@@ -245,11 +246,11 @@ def write_audit_csv(rows: list[AuditRow]) -> bytes:
 
 def read_audit_csv(data: bytes) -> list[AuditRow]:
     """Parse an audit CSV back into rows."""
-    return [restore(AuditRow, {"claim": claim,
-                               "supporting_ids": tuple(filter(None, ids.split(";"))),
-                               "status": _STATUS_BY_VALUE[status],
-                               "resolver_note": note or None})
-            for claim, ids, status, note in read_audit_rows(data)]
+    return restore_all(AuditRow, [{"claim": claim,
+                                   "supporting_ids": tuple(filter(None, ids.split(";"))),
+                                   "status": _STATUS_BY_VALUE[status],
+                                   "resolver_note": note or None}
+                                  for claim, ids, status, note in read_audit_rows(data)])
 
 
 def resolve_audit_row(data: bytes, index: int, note: str) -> tuple[bytes, str | None]:

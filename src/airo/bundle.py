@@ -14,10 +14,13 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import deque
 from collections.abc import KeysView
 from enum import Enum
 from functools import partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring
+from operator import attrgetter, itemgetter
 
 from .errors import DoubleAssigned, MalformedSyntax, SchemaViolation, Uncovered, UnknownMember
 
@@ -25,7 +28,6 @@ from .errors import DoubleAssigned, MalformedSyntax, SchemaViolation, Uncovered,
 ID_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 _NOTE_FIELDS = ("id", "pid", "citation", "summary", "strengths", "limitations", "relation")
-_NOTE_KEYS = frozenset(_NOTE_FIELDS)
 _NOTE_REQUIRED_NONEMPTY = ("pid", "citation", "summary")
 _BUNDLE_FIELDS = ("title", "contribution", "target_words", "notes")
 _CLUSTER_FIELDS = ("name", "rationale", "member_ids")
@@ -180,6 +182,13 @@ def restore(cls, state: dict):
     return record
 
 
+def restore_all(cls, states: list[dict]) -> list:
+    """``[restore(cls, state) for state in states]``, in C-level passes."""
+    records = list(map(object.__new__, repeat(cls, len(states))))
+    deque(map(object.__setattr__, records, repeat("__dict__"), states), maxlen=0)  # consume
+    return records
+
+
 class NoteRecord(FrozenRecord):
     """One human-authored reading note; strengths/limitations/relation may be empty."""
 
@@ -289,10 +298,13 @@ def json_bytes(value) -> bytes:
 
 
 _is_str = str.__instancecheck__  # JSON strings are never str subclasses
+_is_dict = dict.__instancecheck__  # nor JSON objects dict subclasses
 # NoteRecord's interned field names in field order, the state __init__ leaves:
 # keys taken from the JSON text are equal but not identical, and attribute
 # reads on them take a slower path on Python 3.11.
 _NOTE_STATE = dict.fromkeys(_NOTE_FIELDS)
+_required_values = itemgetter(*_NOTE_REQUIRED_NONEMPTY)
+_id_value = itemgetter("id")
 
 
 def parse_bundle(raw: bytes) -> InputBundle:
@@ -305,27 +317,44 @@ def parse_bundle(raw: bytes) -> InputBundle:
     except TypeError as err:
         raise SchemaViolation(f"bundle: {err}") from None
 
-    notes = []
-    for index, item in enumerate(data["notes"]):
-        # For JSON input this one test is the same predicate as the checks
-        # below and NoteRecord's own, which only run to name what is wrong
-        # with a failing note.
-        if (type(item) is dict and item.keys() == _NOTE_KEYS
-                and all(map(_is_str, item.values()))
-                and item["pid"] and item["citation"] and item["summary"]
-                and ID_PATTERN.fullmatch(item["id"])):
-            notes.append(restore(NoteRecord, {**_NOTE_STATE, **item}))
-            continue
-        where = f"notes[{index}]"
-        _check_keys(_expect_object(item, where), _NOTE_FIELDS, where)
-        for key in _NOTE_FIELDS:
-            if not isinstance(item[key], str):
-                raise SchemaViolation(f"{where}: field '{key}' must be a string")
-        notes.append(NoteRecord(**item))
+    items = data["notes"]
+    # For JSON input these passes over the whole list are the same predicate as
+    # the checks below and NoteRecord's own, which only run to name the first
+    # failing note.
+    if not (all(map(_is_dict, items))
+            and all(map(_NOTE_STATE.keys().__eq__, map(dict.keys, items)))
+            and all(map(_is_str, chain.from_iterable(map(dict.values, items))))
+            and all(chain.from_iterable(map(_required_values, items)))
+            and all(map(ID_PATTERN.fullmatch, map(_id_value, items)))):
+        for index, item in enumerate(items):
+            where = f"notes[{index}]"
+            _check_keys(_expect_object(item, where), _NOTE_FIELDS, where)
+            for key in _NOTE_FIELDS:
+                if not isinstance(item[key], str):
+                    raise SchemaViolation(f"{where}: field '{key}' must be a string")
+            NoteRecord(**item)
+    notes = restore_all(NoteRecord, [{**_NOTE_STATE, **item} for item in items])
 
     # an empty note list and duplicate ids are refused by InputBundle
     return InputBundle(title=data["title"], contribution=data["contribution"],
                        target_words=data["target_words"], notes=tuple(notes))
+
+
+_note_strings = attrgetter(*_NOTE_FIELDS)
+# what json.dumps escapes: '"', '\\' and U+0000-U+001F, all ASCII; no other
+# character's UTF-8 bytes hold an ASCII byte
+_ESCAPED_BYTES = b'"\\' + bytes(range(0x20))
+
+
+def _holds_escapes(bundle: InputBundle) -> bool:
+    """Whether any string of ``bundle`` holds a character json.dumps escapes.
+
+    A function of its own so that the scan's copy of the text is freed before
+    ``canonical_bytes`` writes: held through the escaping path, it made that
+    path measurably slower."""
+    strings = "".join(chain((bundle.title, bundle.contribution),
+                            chain.from_iterable(map(_note_strings, bundle.notes)))).encode("utf-8")
+    return any(map(strings.__contains__, _ESCAPED_BYTES))  # one memchr per byte value
 
 
 _NOTE_FORMAT = ('{"citation":%s,"id":%s,"limitations":%s,"pid":%s,'
@@ -338,9 +367,19 @@ def canonical_bytes(bundle: InputBundle) -> bytes:
     Two bundles equal field-by-field yield identical bytes; this is the form
     all bundle digests are computed over. The bytes are those of
     ``json.dumps(..., sort_keys=True, separators=(",", ":"), ensure_ascii=False)``,
-    written directly: ``encode_basestring`` is the string escaper json.dumps
-    uses when ``ensure_ascii`` is off.
+    written directly. A bundle whose strings hold nothing JSON escapes writes
+    each string as itself; any other escapes each with ``encode_basestring``,
+    the string escaper json.dumps uses when ``ensure_ascii`` is off.
     """
+    if not _holds_escapes(bundle):  # f-strings join their parts without a formatting pass
+        notes = ",".join([
+            f'{{"citation":"{note.citation}","id":"{note.id}",'
+            f'"limitations":"{note.limitations}","pid":"{note.pid}",'
+            f'"relation":"{note.relation}","strengths":"{note.strengths}",'
+            f'"summary":"{note.summary}"}}' for note in bundle.notes])
+        return (f'{{"contribution":"{bundle.contribution}","notes":[{notes}],'
+                f'"target_words":{bundle.target_words},"title":"{bundle.title}"}}'
+                ).encode("utf-8")
     notes = ",".join(
         _NOTE_FORMAT % (encode_basestring(note.citation), encode_basestring(note.id),
                         encode_basestring(note.limitations), encode_basestring(note.pid),

@@ -7,7 +7,8 @@ One subcommand per stage keeps every provenance boundary explicit:
     airo verify <crate> [--source-log FILE]
 
 Exit codes: 0 success, 1 validation/verification failure or an unreadable
-path, 2 usage or environment error, 3 transport error.
+path, 2 usage or environment error (an argument that is not UTF-8, for every
+command but verify, among them), 3 transport error.
 
 Each handler imports the stage code it runs, so ``airo verify`` loads only
 the modules verification needs: no prompt, model-invocation or run-directory
@@ -331,6 +332,14 @@ def main(argv: list[str] | None = None) -> int:
     # anything but a command name first (-h, nothing, a typo) needs every subparser
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
+    # argv bytes that are not UTF-8 arrive as lone surrogates, which no file airo writes,
+    # its log above all, could hold; verify only reads the paths it is given
+    for arg in argv if args.handler is not cmd_verify else ():
+        try:
+            arg.encode("utf-8")
+        except UnicodeEncodeError:
+            print(f"error: argument {arg!r} is not UTF-8 text", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.handler(args)
     except Transport as err:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 from .audit import (AuditStatus, DraftArtifact, audit_draft, inline_findings, parse_draft,
@@ -101,6 +102,9 @@ def _structure_conforms(members: dict[str, bytes], bundle: InputBundle | None
     return _result(CheckName.STRUCTURE_CONFORMS, findings), draft
 
 
+_recomputable = attrgetter("claim", "supporting_ids", "status")
+
+
 def _claim_mapping(members: dict[str, bytes], bundle: InputBundle | None,
                    draft: DraftArtifact | None) -> CheckResult:
     """3. The recomputed audit matches the packed CSV; no invented ids in checklist or body."""
@@ -122,14 +126,13 @@ def _claim_mapping(members: dict[str, bytes], bundle: InputBundle | None,
         findings.append(f"audit row count mismatch: packed {len(packed)}, "
                         f"recomputed {len(recomputed)}")
     elif packed is not None:
-        for index, (old, new) in enumerate(zip(packed, recomputed)):
-            # resolver notes are human annotations; not recomputable
-            if (old.claim, old.supporting_ids, old.status) != \
-                    (new.claim, new.supporting_ids, new.status):
-                findings.append(f"audit row {index} differs from recomputation: packed "
-                                f"({old.claim!r}, {old.supporting_ids}, {old.status.value}) "
-                                f"vs recomputed ({new.claim!r}, {new.supporting_ids}, "
-                                f"{new.status.value})")
+        # resolver notes are human annotations; not recomputable
+        have, want = list(map(_recomputable, packed)), list(map(_recomputable, recomputed))
+        if have != want:  # name each row that differs
+            findings.extend(
+                f"audit row {index} differs from recomputation: packed ({old[0]!r}, {old[1]}, "
+                f"{old[2].value}) vs recomputed ({new[0]!r}, {new[1]}, {new[2].value})"
+                for index, (old, new) in enumerate(zip(have, want)) if old != new)
     return _result(CheckName.CLAIM_MAPPING, findings)
 
 

@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from airo.audit import (AuditRow, AuditStatus, CSV_HEADER, ClaimEntry, HUMAN_CHECK_MARKER,
-                        InlineCitation, audit_draft, inline_findings,
+from airo.audit import (AuditRow, AuditStatus, CHECKLIST_HEADING, CSV_HEADER, ClaimEntry,
+                        DRAFT_HEADER, HUMAN_CHECK_MARKER, InlineCitation, audit_draft,
+                        inline_findings,
                         parse_draft, read_audit_csv, read_audit_rows, resolve_audit_row,
                         write_audit_csv, write_audit_rows)
+from airo.bundle import ID_PATTERN
 from airo.errors import (AlreadySupported, IndexOutOfRange, MalformedChecklistEntry,
                          MalformedSyntax, MissingChecklist, MissingHeader)
 from strategies import audit_rows, draft_to_text, drafts
@@ -90,6 +93,85 @@ def test_bullet_without_ids_or_marker_still_parses():
     draft = parse_draft("RELATED WORK (DRAFT)\n\nBody.\n\nCLAIM CHECKLIST\n- bare claim\n")
     assert draft.checklist[0].supporting_ids == ()
     assert not draft.checklist[0].needs_human_check
+
+
+# The checklist parser as it was written before it became one pattern per line and str
+# methods: a regex per bullet for the bullet, one for the trailing id group and one for the
+# id separators. The parser must agree with it on every line.
+_REFERENCE_BULLET_RE = re.compile(r"^\s*[-*]\s+(.*)$")
+_REFERENCE_TRAILING_IDS_RE = re.compile(r"\[([^\[\]]*)\]\s*$")
+_REFERENCE_ID_SEPARATOR_RE = re.compile(r"[\s,]+")
+
+
+def _reference_bullet(content: str, line_number: int) -> ClaimEntry:
+    flagged = HUMAN_CHECK_MARKER in content
+    text = content.replace(HUMAN_CHECK_MARKER, " ")
+    ids: tuple[str, ...] = ()
+    match = _REFERENCE_TRAILING_IDS_RE.search(text.rstrip())
+    if match:
+        tokens = [tok for tok in _REFERENCE_ID_SEPARATOR_RE.split(match.group(1).strip()) if tok]
+        bad = [tok for tok in tokens if not ID_PATTERN.fullmatch(tok)]
+        if bad:
+            raise MalformedChecklistEntry(
+                f"trailing id group contains invalid token(s): {', '.join(bad)}", line_number)
+        ids = tuple(tokens)
+        text = text.rstrip()[: match.start()]
+    claim = " ".join(text.split())
+    if not claim:
+        raise MalformedChecklistEntry("checklist entry has no claim text", line_number)
+    return ClaimEntry(claim, ids, flagged)
+
+
+def reference_checklist(lines: list[str], checklist_index: int) -> list[ClaimEntry]:
+    entries = []
+    for offset, line in enumerate(lines[checklist_index + 1:]):
+        line_number = checklist_index + 2 + offset
+        if not line.strip():
+            continue
+        match = _REFERENCE_BULLET_RE.match(line)
+        if not match:
+            raise MalformedChecklistEntry(
+                f"expected a '-' or '*' bullet, got: {line.strip()!r}", line_number)
+        entries.append(_reference_bullet(match.group(1), line_number))
+    return entries
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\u3000", "\x1f", "\xa0"])
+_ID_TOKENS = st.sampled_from(["P1", "N00012", "a", "Z9", "1x", "a-b", "\u00e9", "[", "]", ""])
+
+
+@st.composite
+def _bullet_lines(draw) -> str:
+    """Checklist lines near the grammar's edges: markers, odd spacing, commas, bad tokens,
+    stray brackets and empty claims."""
+    words = draw(st.lists(st.sampled_from(["claim", "text.", "(P1)", "[x]", "a]", "[b",
+                                           HUMAN_CHECK_MARKER, "[NEEDS HUMAN", "", ","])
+                          | st.text(max_size=3), max_size=4))
+    line = draw(st.sampled_from(["- ", "* ", "  -  ", "\t*\t", "-", "*", "+ ", "", " "]))
+    line += draw(_SPACE).join(words)
+    if draw(st.booleans()):
+        separator = draw(st.sampled_from([",", ", ", " ", " ,\t", ",,", "\xa0"]))
+        line += draw(_SPACE) + "[" + draw(_SPACE) + separator.join(
+            draw(st.lists(_ID_TOKENS, max_size=3))) + draw(_SPACE) + "]"
+    return line + draw(st.sampled_from(["", " ", "\t", HUMAN_CHECK_MARKER,
+                                        " " + HUMAN_CHECK_MARKER, "\u3000"]))
+
+
+@settings(max_examples=500)
+@given(st.lists(_bullet_lines(), max_size=4))
+def test_checklist_parser_agrees_with_the_reference(bullets):
+    text = "\n".join([DRAFT_HEADER, CHECKLIST_HEADING, *bullets]) + "\n"
+    try:
+        expected = reference_checklist(text.splitlines(), 1)
+    except MalformedChecklistEntry as err:
+        with pytest.raises(MalformedChecklistEntry) as got:
+            parse_draft(text)
+        assert (str(got.value), got.value.line) == (str(err), err.line)
+    else:
+        checklist = parse_draft(text).checklist
+        assert checklist == tuple(expected)
+        for parsed, constructed in zip(checklist, expected, strict=True):
+            assert_same_record(parsed, constructed)
 
 
 def test_audit_statuses():

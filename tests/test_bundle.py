@@ -391,6 +391,56 @@ def test_canonical_bytes_equal_the_json_dumps_reference(bundle: InputBundle):
     assert canonical_bytes(bundle) == reference_canonical_bytes(bundle)
 
 
+# text json.dumps writes as itself: no quote, backslash or C0 control character
+_UNESCAPED = st.one_of(st.sampled_from("\x7f\u2028\u2029\u00e9\u4e2d\U0001f600"),
+                       st.characters(codec="utf-8", min_codepoint=0x20,
+                                     exclude_characters='"\\'))
+
+
+def bundle_json(bundle: InputBundle, ensure_ascii: bool) -> bytes:
+    """A bundle file holding ``bundle``; with ``ensure_ascii``, non-ASCII text is escaped."""
+    return json.dumps({"title": bundle.title, "contribution": bundle.contribution,
+                       "target_words": bundle.target_words,
+                       "notes": [{name: getattr(note, name) for name in note._fields}
+                                 for note in bundle.notes]},
+                      indent=1, ensure_ascii=ensure_ascii).encode("utf-8")
+
+
+@given(st.sampled_from([_UNESCAPED, _ESCAPE_HEAVY]).flatmap(lambda chars: bundles(chars)),
+       st.booleans())
+@example(InputBundle("caf\u00e9", "c", 100, (NoteRecord("P1", "p", "C", "s", "", "", ""),)), True)
+@example(InputBundle("t", 'a "quoted" \\ one', 100, (
+    NoteRecord("P1", "p", "C", "line\nbreak\ttab", "", "", ""),)), False)
+def test_parsed_bundles_canonical_bytes_equal_the_json_dumps_reference(bundle, ensure_ascii):
+    # the way the bytes are written follows from the strings, not from how the bundle was
+    # made: parsed from a file with or without escapes, built in code, or changed
+    raw = bundle_json(bundle, ensure_ascii)
+    parsed = parse_bundle(raw)
+    assert parsed == bundle
+    assert canonical_bytes(parsed) == reference_canonical_bytes(bundle)
+    for other in (InputBundle(*parsed._values()), replace(parsed), replace(parsed, title="t")):
+        assert canonical_bytes(other) == reference_canonical_bytes(other)
+
+
+def test_each_escaped_character_in_each_string_is_escaped_like_the_reference():
+    # one character json.dumps escapes, in any one string, turns the unescaped writing off
+    note = NoteRecord("P1", "pid", "Cite", "sum", "str", "lim", "rel")
+    plain = InputBundle("title", "contribution", 100, (note, replace(note, id="P2")))
+    assert canonical_bytes(plain) == reference_canonical_bytes(plain)
+    for char in '"\\' + "".join(map(chr, range(0x20))):
+        for field in ("title", "contribution"):
+            changed = replace(plain, **{field: f"a{char}b"})
+            assert canonical_bytes(changed) == reference_canonical_bytes(changed), (char, field)
+        for field in NoteRecord._fields:
+            value = "Q" + char if field == "id" else f"a{char}b"
+            try:
+                last = replace(note, **{"id": "P2", field: value})
+            except SchemaViolation:  # an id may hold no such character
+                continue
+            changed = replace(plain, notes=(note, last))
+            assert canonical_bytes(changed) == reference_canonical_bytes(changed), (char, field)
+
+
 def test_lone_surrogate_fails_like_the_reference():
     bundle = InputBundle(title="t", contribution="c", target_words=100, notes=(
         NoteRecord("P1", "pid1", "Cite 1", "half a pair: \ud800", "", "", ""),))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -667,6 +668,52 @@ def test_a_refused_resolve_leaves_the_table_and_its_history_as_they_were(demo_co
     assert cli.main(["resolve", index, "checked again"] + args) == 1
     assert capsys.readouterr().err.startswith(f"error: {error}")
     assert (audit_csv.read_bytes(), history.read_bytes()) == before
+
+
+def test_a_resolve_note_that_is_not_utf8_is_a_usage_error(demo_copy):
+    # argv bytes that are not UTF-8 reach airo as lone surrogates, which the table cannot hold
+    run_dir, _ = demo_copy
+    audit_csv, history = run_dir / rundir.AUDIT_CSV, run_dir / rundir.AUDIT_HISTORY
+    before = audit_csv.read_bytes(), history.exists()
+    child = subprocess.run([sys.executable, "-m", "airo.cli", "resolve", "5", b"note \xff",
+                            "--run-dir", str(run_dir)],
+                           env=_src_env(), capture_output=True, text=True)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.splitlines() == ["error: argument 'note \\udcff' is not UTF-8 text"]
+    assert (audit_csv.read_bytes(), history.exists()) == before
+
+
+def test_a_run_directory_path_that_is_not_utf8_is_refused_before_the_call(tmp_path, capsys,
+                                                                          monkeypatch):
+    # the call's record names the run's paths, so the log could not take a record of it
+    made = tmp_path / "run"
+    assert cli.main(["init", "demo", "--run-dir", str(made)]) == 0
+    run_dir = made.rename(tmp_path / "sx\udcff")  # the directory named b"sx\xff"
+    state = (run_dir / rundir.STATE).read_bytes()
+    monkeypatch.setattr("airo.invoke.run_taxonomy_stage", lambda *args, **kwargs: pytest.fail(
+        "the model was called"))
+    capsys.readouterr()
+    assert cli.main(["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run_dir)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: argument {str(run_dir)!r} is not UTF-8 text"]
+    assert not (run_dir / rundir.INTERACTION_LOG).exists()
+    assert not (run_dir / rundir.TAXONOMY_JSON).exists()
+    assert (run_dir / rundir.STATE).read_bytes() == state
+
+
+def test_verify_reads_a_crate_and_source_log_at_paths_that_are_not_utf8(demo_run, tmp_path):
+    # verify writes nothing, so the UTF-8 check other commands make does not apply to it
+    run_dir, crate = demo_run
+    directory = tmp_path / "sx\udcff"  # the directory named b"sx\xff"
+    directory.mkdir()
+    shutil.copy(crate, directory / "crate.zip")
+    shutil.copy(run_dir / rundir.INTERACTION_LOG, directory / "log.json")
+    child = subprocess.run([sys.executable, "-m", "airo.cli", "verify",
+                            os.fsencode(directory / "crate.zip"), "--source-log",
+                            os.fsencode(directory / "log.json")],
+                           env=_src_env(), capture_output=True, text=True)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert "SourceDerivation" in child.stdout and "overall: PASS" in child.stdout
 
 
 def test_draft_output_contains_required_headers(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from airo.bundle import Cluster
 from airo.provenance import (Digest, Interface, InvocationRecord, ModelConfig, Stage,
                              parse_log, sha256_hex)
 from airo.redact import parse_redacted_log
@@ -86,6 +87,30 @@ def test_a_wrong_typed_field_is_a_type_error_naming_it(record, field, value):
     data = {**record.to_json(), field: value}
     with pytest.raises(TypeError, match=f"field '{re.escape(field)}"):
         type(record).from_json(data)
+
+
+_STRING_LISTS = [(Cluster, {"name": "a", "rationale": "", "member_ids": ["P1"]}, "member_ids"),
+                 (InvocationRecord, _RECORD.to_json(), "source_paths"),
+                 (RunState, _STATE.to_json(), "completed")]
+_STRING_LIST_IDS = [f"{cls.__name__}.{field}" for cls, _, field in _STRING_LISTS]
+
+
+@pytest.mark.parametrize("cls, data, field", _STRING_LISTS, ids=_STRING_LIST_IDS)
+@pytest.mark.parametrize("items", [[5], ["a", None], ["a", "b", ["c"]], [True, "a"], ["a", {}]])
+def test_a_non_string_item_of_a_string_list_names_the_field(cls, data, field, items):
+    # the whole-list type pass only reads a good list; the item loop names a bad one
+    with pytest.raises(TypeError) as err:
+        cls.from_json({**data, field: items})
+    bad = next(item for item in items if type(item) is not str)
+    assert str(err.value) == f"field '{field}[]' must be str, got {type(bad).__name__}"
+
+
+@pytest.mark.parametrize("cls, data, field", _STRING_LISTS, ids=_STRING_LIST_IDS)
+def test_a_string_list_is_read_into_a_new_container_of_its_declared_kind(cls, data, field):
+    items = ["a", "b", "\u00e9"]
+    value = getattr(cls.from_json({**data, field: items}), field)
+    assert value == type(value)(items) and value is not items
+    assert type(value) is (list if cls is RunState else tuple)
 
 
 @pytest.mark.parametrize("cls", [ModelConfig, Digest, InvocationRecord, RunState])
