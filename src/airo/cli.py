@@ -8,7 +8,8 @@ One subcommand per stage keeps every provenance boundary explicit:
 
 Exit codes: 0 success, 1 validation/verification failure or an unreadable
 path, 2 usage or environment error (an argument that is not UTF-8, for every
-command but verify, among them), 3 transport error.
+command but verify, and an endpoint or API key a model call cannot carry among
+them), 3 transport error.
 
 Each handler imports the stage code it runs, so ``airo verify`` loads only
 the modules verification needs: no prompt, model-invocation or run-directory
@@ -26,8 +27,8 @@ from typing import TYPE_CHECKING
 
 # parse_bundle stays a module attribute: perfbench's traced-run test reads airo.cli.parse_bundle
 from .bundle import parse_bundle, replace
-from .errors import (FailedCall, FixtureMissing, RunLocked, StageOrder, ToolkitError, Transport,
-                     UnredactedLeak, read_utf8)
+from .errors import (CallRefused, FailedCall, FixtureMissing, RunLocked, StageOrder, ToolkitError,
+                     Transport, UnredactedLeak, read_utf8, utf8_text)
 from .redact import Tier
 
 if TYPE_CHECKING:
@@ -110,15 +111,14 @@ def _run_stage(args, work) -> int:
 def _model_stage(args, run: rundir.RunDirectory, state, produce):
     """One model stage's output; every interaction is logged, a failed one included.
 
-    ``produce(run, bundle, config, options)`` invokes the model with
-    ``options`` and returns ``(output bytes, invocation, summary)``.
+    ``produce(run, bundle, config, options)`` invokes the model with ``options`` and
+    returns ``(output bytes, the call's log record, summary)``.
     """
     import platform  # for the host name; no other command pays for the import
 
     from . import rundir
     from .invoke import config_from_file
-    from .provenance import (InteractionLog, Interface, parse_log, record_invocation,
-                             utc_now_rfc3339)
+    from .provenance import InteractionLog, Interface, parse_log, utc_now_rfc3339
     from .rocrate import MEMBERS, SOURCES, STAGES
     from .template import load_template
 
@@ -130,8 +130,11 @@ def _model_stage(args, run: rundir.RunDirectory, state, produce):
     config = config_from_file(Path(args.config) if args.config else run.file(rundir.CONFIG))
     if args.stub:
         config = replace(config, interface=Interface.OFFLINE_STUB, stub_fixture=args.stub)
+    host = platform.node()  # a host name no log could hold is not logged, as for none
     options = {"template": load_template(run.file(template_rel)),
-               "fixtures_dir": run.file(rundir.FIXTURES_DIR)}
+               "fixtures_dir": run.file(rundir.FIXTURES_DIR),
+               "paths": [str(run.file(rundir.BUNDLE)), str(run.file(template_rel))],
+               "host": host if host and utf8_text(host) else None}
     log_path = run.file(rundir.INTERACTION_LOG)
     log = (parse_log(log_path.read_bytes()) if log_path.is_file()
            else InteractionLog(run_id=state.run_id))
@@ -139,23 +142,19 @@ def _model_stage(args, run: rundir.RunDirectory, state, produce):
         # checked before the call, since the log could not take a record of it
         raise StageOrder(f"the last logged record started at {log.records[-1].started_at}, "
                          f"after the current time; no model call was made")
-    host = platform.node() or None
-    paths = [str(run.file(rundir.BUNDLE)), str(run.file(template_rel))]
 
-    def keep(invocation) -> None:
-        log.append(record_invocation(invocation, bundle, paths, host))
+    def keep(record) -> None:
+        log.append(record)
         log_path.write_bytes(log.to_bytes())
 
     try:
-        output, invocation, summary = produce(run, bundle, config, options)
+        output, record, summary = produce(run, bundle, config, options)
     except FailedCall as err:  # provenance totality: keep the interaction
-        keep(err.invocation)
+        keep(err.record)
         # redact and card read the log, so what they wrote from it lacks this record
         run.save_stale(state, "redact", "card")
         raise
-    keep(invocation)
-    if invocation.budget_exceeded:
-        print("warning: response was truncated at max_tokens", file=sys.stderr)
+    keep(record)
     return {output_rel: output}, f"wrote {output_rel}{summary}"
 
 
@@ -163,8 +162,8 @@ def _produce_taxonomy(run: rundir.RunDirectory, bundle, config: ModelConfig, opt
     from .bundle import taxonomy_to_bytes
     from .invoke import run_taxonomy_stage
 
-    taxonomy, invocation = run_taxonomy_stage(bundle, config, **options)
-    return taxonomy_to_bytes(taxonomy), invocation, f" ({len(taxonomy.clusters)} cluster(s))"
+    taxonomy, record = run_taxonomy_stage(bundle, config, **options)
+    return taxonomy_to_bytes(taxonomy), record, f" ({len(taxonomy.clusters)} cluster(s))"
 
 
 def _produce_draft(run: rundir.RunDirectory, bundle, config: ModelConfig, options: dict):
@@ -173,8 +172,8 @@ def _produce_draft(run: rundir.RunDirectory, bundle, config: ModelConfig, option
     from .invoke import run_synthesis_stage
 
     taxonomy = parse_taxonomy(run.file(rundir.TAXONOMY_JSON).read_bytes(), bundle)
-    text, invocation = run_synthesis_stage(bundle, taxonomy, config, **options)
-    return text.encode("utf-8"), invocation, ""
+    record = run_synthesis_stage(bundle, taxonomy, config, **options)
+    return record.response_text.encode("utf-8"), record, ""
 
 
 def _audit(args, run: rundir.RunDirectory, state):
@@ -335,9 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     # argv bytes that are not UTF-8 arrive as lone surrogates, which no file airo writes,
     # its log above all, could hold; verify only reads the paths it is given
     for arg in argv if args.handler is not cmd_verify else ():
-        try:
-            arg.encode("utf-8")
-        except UnicodeEncodeError:
+        if not utf8_text(arg):
             print(f"error: argument {arg!r} is not UTF-8 text", file=sys.stderr)
             return EXIT_USAGE
     try:
@@ -345,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     except Transport as err:
         print(f"transport error: {err}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (RunLocked, FixtureMissing) as err:
+    except (RunLocked, FixtureMissing, CallRefused) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ToolkitError as err:

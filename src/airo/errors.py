@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the file reader that raises one.
+"""Exception types shared across the toolkit, the file reader that raises one, and a UTF-8 test.
 
 Every failure a caller is expected to handle has a named class here; CLI
 exit codes are derived from these (see cli.py).
@@ -24,6 +24,15 @@ def read_utf8(path) -> str:
             return handle.read()
     except UnicodeDecodeError as err:
         raise MalformedSyntax(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
+
+
+def utf8_text(text: str) -> bool:
+    """Whether UTF-8 can carry the text: an OS string decoded with surrogateescape may not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 class SchemaViolation(ToolkitError):
@@ -62,13 +71,17 @@ class Transport(ToolkitError):
         self.status = status
 
 
-class FailedCall(ToolkitError):
-    """A model call completed but its response is unusable; carries the invocation for
-    provenance, so the call is logged all the same."""
+class CallRefused(ToolkitError):
+    """A string the call's request or log record would hold cannot be carried; none was made."""
 
-    def __init__(self, message: str, invocation):
+
+class FailedCall(ToolkitError):
+    """A model call completed but its response is unusable; carries the call's log record,
+    so the call is logged all the same."""
+
+    def __init__(self, message: str, record):
         super().__init__(message)
-        self.invocation = invocation
+        self.record = record
 
 
 class EmptyResponse(FailedCall):

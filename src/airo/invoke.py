@@ -1,8 +1,7 @@
 """Two-stage model invocation against an OpenAI-compatible endpoint or an offline stub.
 
-Every completed call yields an Invocation that the caller must hand to the
-provenance layer; stage helpers keep the invocation attached to errors so a
-failed parse never loses the interaction record.
+Every completed call yields the InvocationRecord that goes into the log; stage helpers
+keep the record attached to errors so a failed parse never loses the interaction.
 """
 
 from __future__ import annotations
@@ -10,22 +9,25 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import time
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Sequence
 
-from .bundle import (FrozenRecord, InputBundle, Taxonomy, expect_type, parse_taxonomy,
-                     read_json)
-from .errors import (ConfigInvalid, EmptyResponse, FixtureMissing, MalformedSyntax,
-                     StageOutputInvalid, ToolkitError, Transport, read_utf8)
-from .provenance import Interface, ModelConfig, Stage, utc_now_rfc3339
+from .bundle import InputBundle, Taxonomy, expect_type, parse_taxonomy, read_json
+from .errors import (CallRefused, ConfigInvalid, EmptyResponse, FixtureMissing, MalformedSyntax,
+                     StageOutputInvalid, ToolkitError, Transport, read_utf8, utf8_text)
+from .provenance import (Interface, InvocationRecord, ModelConfig, record_invocation,
+                         utc_now_rfc3339)
 from .template import PromptTemplate, RenderedPrompt, render
 
 ENV_API_KEY = "AIRO_API_KEY"
 ENV_ENDPOINT = "AIRO_ENDPOINT"
 
-DEFAULT_MAX_RETRIES = 2  # retries after the first attempt, Transport errors only
-DEFAULT_BACKOFF_S = 0.5
+MAX_RETRIES = 2  # retries after the first attempt, Transport errors only
+BACKOFF_S = 0.5
+# what http.client sends of a URL or a header value without raising: printable ASCII, no space
+_WIRE_TEXT_RE = re.compile(r"[!-~]*")
 
 
 def config_from_file(path: Path) -> ModelConfig:
@@ -39,17 +41,6 @@ def config_from_file(path: Path) -> ModelConfig:
         return read_json(Path(path).read_bytes(), str(path), build)
     except MalformedSyntax as err:
         raise ConfigInvalid(str(err)) from err
-
-
-class Invocation(FrozenRecord):
-    stage: Stage
-    prompt: RenderedPrompt
-    response_text: str
-    config: ModelConfig
-    started_at: str
-    ended_at: str
-    attempt: int
-    budget_exceeded: bool = False
 
 
 def build_request_body(prompt: RenderedPrompt, config: ModelConfig) -> dict:
@@ -66,20 +57,6 @@ def build_request_body(prompt: RenderedPrompt, config: ModelConfig) -> dict:
     return body
 
 
-def _read_stub_fixture(config: ModelConfig, fixtures: Mapping[str, str] | None,
-                       fixtures_dir: Path | None) -> str:
-    name = config.stub_fixture
-    if not name:
-        raise FixtureMissing("offline-stub config does not name a stub_fixture")
-    if fixtures is not None and name in fixtures:
-        return fixtures[name]
-    if fixtures_dir is not None:
-        path = Path(fixtures_dir) / f"{name}.txt"
-        if path.is_file():
-            return read_utf8(path)
-    raise FixtureMissing(f"stub fixture not found: {name}")
-
-
 def _completion(data) -> tuple[str, str | None]:
     """The content and finish reason of a decoded chat completion."""
     choice = data["choices"][0]
@@ -87,8 +64,8 @@ def _completion(data) -> tuple[str, str | None]:
             choice.get("finish_reason"))
 
 
-def _post_chat(config: ModelConfig, body: dict, api_key: str | None,
-               urlopen: Callable) -> tuple[str, str | None]:
+def _post_chat(config: ModelConfig, body: dict, api_key: str,
+               urlopen: Callable | None) -> tuple[str, str | None]:
     import urllib.error
     import urllib.request  # imported here so offline commands start without http.client
 
@@ -99,7 +76,7 @@ def _post_chat(config: ModelConfig, body: dict, api_key: str | None,
     request = urllib.request.Request(url, data=json.dumps(body).encode("utf-8"),
                                      headers=headers, method="POST")
     try:
-        with urlopen(request, timeout=120) as response:
+        with (urlopen or urllib.request.urlopen)(request, timeout=120) as response:
             payload = response.read()
     except urllib.error.HTTPError as err:
         raise Transport(f"HTTP {err.code} from {url}", status=err.code) from err
@@ -111,33 +88,37 @@ def _post_chat(config: ModelConfig, body: dict, api_key: str | None,
         raise Transport(f"malformed completion response from {url}: {err}") from err
 
 
-def complete(prompt: RenderedPrompt, config: ModelConfig, *,
-             fixtures: Mapping[str, str] | None = None,
-             fixtures_dir: Path | None = None,
-             api_key: str | None = None,
-             max_retries: int = DEFAULT_MAX_RETRIES,
-             backoff_s: float = DEFAULT_BACKOFF_S,
-             urlopen: Callable | None = None,
-             sleep: Callable[[float], None] | None = None) -> Invocation:
-    """Execute one model call and return its Invocation record.
-
-    Transport failures are retried at most ``max_retries`` times with fixed
-    backoff; an empty response raises EmptyResponse carrying the invocation.
-    """
+def complete(prompt: RenderedPrompt, config: ModelConfig, bundle: InputBundle, *,
+             fixtures_dir: Path | None = None, paths: Sequence[str] | None = None,
+             host: str | None = None, urlopen: Callable | None = None,
+             sleep: Callable[[float], None] | None = None) -> InvocationRecord:
+    """Make one model call, a stub one reading its fixture from ``fixtures_dir``, and return
+    its log record. Transport failures are retried MAX_RETRIES times with fixed backoff; an
+    empty response raises EmptyResponse carrying the record. A string the record or the
+    request could not carry is refused before the call, so a call made is always logged."""
+    # the texts need no check: fixtures are read as UTF-8 and replies go through read_json
+    for field, value in (*config.to_json().items(), *(("path", path) for path in paths or ())):
+        if type(value) is str and not utf8_text(value):
+            raise CallRefused(f"{field} {value!r} is not UTF-8 text; no model call was made")
     started = utc_now_rfc3339()
     if config.interface is Interface.OFFLINE_STUB:
-        text = _read_stub_fixture(config, fixtures, fixtures_dir)
+        if not config.stub_fixture:
+            raise FixtureMissing("offline-stub config does not name a stub_fixture")
+        path = Path(fixtures_dir) / f"{config.stub_fixture}.txt"
+        if not path.is_file():
+            raise FixtureMissing(f"stub fixture not found: {config.stub_fixture}")
+        text = read_utf8(path)
         attempt = 1
         # crude token proxy for the stub: whitespace-separated words
         truncated = len(text.split()) > config.max_tokens
         empty = f"stub fixture {config.stub_fixture!r} is empty"
     else:
+        key = os.environ.get(ENV_API_KEY, "")
+        for what, value in ((f"endpoint {config.endpoint!r}", config.endpoint), (ENV_API_KEY, key)):
+            if not _WIRE_TEXT_RE.fullmatch(value):  # the key is a secret, so it is not echoed
+                raise CallRefused(f"{what} is not printable ASCII without spaces; "
+                                  f"no model call was made")
         body = build_request_body(prompt, config)
-        key = api_key if api_key is not None else os.environ.get(ENV_API_KEY)
-        if urlopen is None:
-            import urllib.request
-            urlopen = urllib.request.urlopen
-        wait = sleep if sleep is not None else time.sleep
         attempt = 0
         while True:
             attempt += 1
@@ -145,18 +126,19 @@ def complete(prompt: RenderedPrompt, config: ModelConfig, *,
                 text, finish = _post_chat(config, body, key, urlopen)
                 break
             except Transport:
-                if attempt > max_retries:
+                if attempt > MAX_RETRIES:
                     raise
-                wait(backoff_s)
+                (sleep or time.sleep)(BACKOFF_S)
         truncated = finish == "length"
         empty = "model returned an empty completion"
     # the clock is logged as read: one that steps back during the call still leaves a record
-    invocation = Invocation(stage=prompt.stage, prompt=prompt, response_text=text, config=config,
-                            started_at=started, ended_at=utc_now_rfc3339(), attempt=attempt,
-                            budget_exceeded=truncated)
+    record = record_invocation(prompt.stage, prompt.text, text, config, bundle, started,
+                               utc_now_rfc3339(), attempt, paths, host)
+    if truncated:  # whether or not the reply then parses
+        print("warning: response was truncated at max_tokens", file=sys.stderr)
     if not text.strip():
-        raise EmptyResponse(empty, invocation=invocation)
-    return invocation
+        raise EmptyResponse(empty, record=record)
+    return record
 
 
 _FENCE_RE = re.compile(r"\A```[A-Za-z0-9_-]*\n(.*)\n```\Z", re.DOTALL)
@@ -170,20 +152,17 @@ def strip_code_fence(text: str) -> str:
 
 
 def run_taxonomy_stage(bundle: InputBundle, config: ModelConfig, *, template: PromptTemplate,
-                       **client_options) -> tuple[Taxonomy, Invocation]:
-    """Stage 1: cluster the bundle's papers. The invocation survives parse failures."""
-    invocation = complete(render(template, bundle), config, **client_options)
+                       **client_options) -> tuple[Taxonomy, InvocationRecord]:
+    """Stage 1: cluster the bundle's papers. The record survives parse failures."""
+    record = complete(render(template, bundle), config, bundle, **client_options)
     try:
-        taxonomy = parse_taxonomy(strip_code_fence(invocation.response_text).encode("utf-8"),
-                                  bundle)
+        taxonomy = parse_taxonomy(strip_code_fence(record.response_text).encode("utf-8"), bundle)
     except ToolkitError as err:
-        raise StageOutputInvalid(f"{type(err).__name__}: {err}", invocation=invocation) from err
-    return taxonomy, invocation
+        raise StageOutputInvalid(f"{type(err).__name__}: {err}", record=record) from err
+    return taxonomy, record
 
 
 def run_synthesis_stage(bundle: InputBundle, taxonomy: Taxonomy, config: ModelConfig, *,
-                        template: PromptTemplate,
-                        **client_options) -> tuple[str, Invocation]:
-    """Stage 2: draft the section. Returns raw text; interpretation is the audit's job."""
-    invocation = complete(render(template, bundle, taxonomy), config, **client_options)
-    return invocation.response_text, invocation
+                        template: PromptTemplate, **client_options) -> InvocationRecord:
+    """Stage 2: draft the section; the record's response_text is the raw draft, for audit."""
+    return complete(render(template, bundle, taxonomy), config, bundle, **client_options)

@@ -23,7 +23,6 @@ from .bundle import (FrozenRecord, InputBundle, Record, canonical_bytes, expect_
 from .errors import InvalidLabel
 
 if TYPE_CHECKING:
-    from .invoke import Invocation
     from .redact import Tier
 
 # Matched with fullmatch: a trailing newline is not part of a run id or digest.
@@ -190,24 +189,16 @@ def parse_log(raw: bytes) -> InteractionLog:
         records=[InvocationRecord.from_json(r) for r in data["records"]]))
 
 
-def record_invocation(invocation: "Invocation", bundle: InputBundle,
+def record_invocation(stage: Stage, prompt: str, response: str, config: ModelConfig,
+                      bundle: InputBundle, started_at: str, ended_at: str, attempt: int,
                       paths: Sequence[str] | None = None,
                       host: str | None = None) -> InvocationRecord:
-    """Bind an invocation to the bundle with a digest triple; retains raw texts."""
+    """A call's log record: its parts, bound to the bundle by a digest triple, raw texts kept."""
     return InvocationRecord(
-        stage=invocation.stage,
-        config=invocation.config,
-        prompt_sha256=sha256_of_text(invocation.prompt.text),
-        response_sha256=sha256_of_text(invocation.response_text),
-        bundle_sha256=sha256_hex(canonical_bytes(bundle)),
-        started_at=invocation.started_at,
-        ended_at=invocation.ended_at,
-        attempt=invocation.attempt,
-        prompt_text=invocation.prompt.text,
-        response_text=invocation.response_text,
-        source_paths=tuple(paths) if paths is not None else None,
-        host_id=host,
-    )
+        stage=stage, config=config, prompt_sha256=sha256_of_text(prompt),
+        response_sha256=sha256_of_text(response), bundle_sha256=sha256_hex(canonical_bytes(bundle)),
+        started_at=started_at, ended_at=ended_at, attempt=attempt, prompt_text=prompt,
+        response_text=response, source_paths=None if paths is None else tuple(paths), host_id=host)
 
 
 def new_run(label: str) -> str:

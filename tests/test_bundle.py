@@ -15,7 +15,6 @@ from airo.bundle import (Cluster, FrozenInstanceError, FrozenRecord, InputBundle
                          read_json, replace)
 from airo.errors import (DoubleAssigned, MalformedSyntax, SchemaViolation, ToolkitError,
                          Uncovered, UnknownMember)
-from airo.invoke import Invocation
 from airo.provenance import Digest, InteractionLog, Interface, InvocationRecord, ModelConfig, Stage
 from airo.rundir import RunState
 from airo.template import PromptTemplate, RenderedPrompt, TemplateCheck
@@ -265,8 +264,6 @@ RECORD_SAMPLES = {
     PromptTemplate: ((Stage.TAXONOMY, "body", "constraints", "spec"), Stage.SYNTHESIS),
     RenderedPrompt: ((Stage.TAXONOMY, "prompt"), Stage.SYNTHESIS),
     TemplateCheck: (("placeholders", True, "detail"), None),
-    Invocation: ((Stage.TAXONOMY, RenderedPrompt(Stage.TAXONOMY, "prompt"), "response", _CONFIG,
-                  _STARTED, _ENDED, 1, False), Stage.SYNTHESIS),
 }
 
 

@@ -701,6 +701,79 @@ def test_a_run_directory_path_that_is_not_utf8_is_refused_before_the_call(tmp_pa
     assert (run_dir / rundir.STATE).read_bytes() == state
 
 
+def test_a_host_name_that_is_not_utf8_is_not_logged(tmp_path, monkeypatch):
+    # platform.node() decodes uname bytes with surrogateescape, and no log could hold the
+    # result: the call is made and logged, its record naming no host
+    monkeypatch.setattr("platform.node", lambda: "box\udcff")
+    run = _init_before(tmp_path / "run", "taxonomy")
+    assert cli.main(["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run.path)]) == 0
+    record, = json.loads(run.file(rundir.INTERACTION_LOG).read_text())["records"]
+    assert "host_id" not in record and len(record["source_paths"]) == 2
+    assert run.load_state().completed == ["taxonomy"]
+
+
+# Environment strings that cannot go on the wire or into the log, under an openai-compatible
+# config with no endpoint of its own: (environment, extra argv, the error line's refusal)
+_WIRE = "is not printable ASCII without spaces"
+UNSENDABLE_ENVIRONMENT = {
+    "endpoint-not-utf8": ({"AIRO_ENDPOINT": "http://x\udcff.invalid/v1"}, [],
+                          "endpoint 'http://x\\udcff.invalid/v1' is not UTF-8 text"),
+    "endpoint-not-ascii": ({"AIRO_ENDPOINT": "http://127.0.0.1:9/v\u20ac"}, [],
+                           f"endpoint 'http://127.0.0.1:9/v\u20ac' {_WIRE}"),
+    "endpoint-with-a-space": ({"AIRO_ENDPOINT": "http://127.0.0.1:9/v 1"}, [],
+                              f"endpoint 'http://127.0.0.1:9/v 1' {_WIRE}"),
+    "key-not-utf8": ({"AIRO_ENDPOINT": "http://127.0.0.1:9/v1", "AIRO_API_KEY": "k\udcff"}, [],
+                     f"AIRO_API_KEY {_WIRE}"),
+    "key-not-latin1": ({"AIRO_ENDPOINT": "http://127.0.0.1:9/v1", "AIRO_API_KEY": "k\u20ac"}, [],
+                       f"AIRO_API_KEY {_WIRE}"),
+    "key-with-a-newline": ({"AIRO_ENDPOINT": "http://127.0.0.1:9/v1", "AIRO_API_KEY": "k\n"},
+                           [], f"AIRO_API_KEY {_WIRE}"),
+    # a stub call sends nothing, but its record holds the config's endpoint
+    "stub-endpoint-not-utf8": ({"AIRO_ENDPOINT": "http://x\udcff.invalid/v1"},
+                               ["--stub", "taxonomy_demo"],
+                               "endpoint 'http://x\\udcff.invalid/v1' is not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("case", UNSENDABLE_ENVIRONMENT)
+def test_an_environment_string_that_cannot_be_sent_is_refused_before_the_call(
+        tmp_path, capsys, monkeypatch, case):
+    environment, argv, error = UNSENDABLE_ENVIRONMENT[case]
+    monkeypatch.setattr("socket.create_connection", lambda *args, **kwargs: pytest.fail(
+        "a connection was opened"))
+    monkeypatch.delenv("AIRO_API_KEY", raising=False)
+    for name, value in environment.items():
+        monkeypatch.setenv(name, value)
+    run = _init_before(tmp_path / "run", "taxonomy")
+    config = json.loads(run.file(rundir.CONFIG).read_text())
+    config.update(interface="openai-compatible", endpoint="")
+    run.file(rundir.CONFIG).write_text(json.dumps(config))
+    state = run.state_path.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["taxonomy", *argv, "--run-dir", str(run.path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}; no model call was made\n")
+    assert not run.file(rundir.INTERACTION_LOG).exists()
+    assert not run.file(rundir.TAXONOMY_JSON).exists()
+    assert run.state_path.read_bytes() == state
+
+
+def test_a_truncated_reply_that_does_not_parse_warns_and_is_logged(tmp_path, capsys):
+    run = _init_before(tmp_path / "run", "taxonomy")
+    cut = '{"clusters": [{"name": "methods", "rationale": "these papers share one method and'
+    (run.file(rundir.FIXTURES_DIR) / "cut.txt").write_text(cut, encoding="utf-8")
+    config = json.loads(run.file(rundir.CONFIG).read_text())
+    config["max_tokens"] = 5  # the cut-off reply is 12 words
+    run.file(rundir.CONFIG).write_text(json.dumps(config))
+    capsys.readouterr()
+    assert cli.main(["taxonomy", "--stub", "cut", "--run-dir", str(run.path)]) == 1
+    warning, error = capsys.readouterr().err.splitlines()
+    assert warning == "warning: response was truncated at max_tokens"
+    assert error.startswith("error: StageOutputInvalid: MalformedSyntax: ")
+    record, = json.loads(run.file(rundir.INTERACTION_LOG).read_text())["records"]
+    assert (record["stage"], record["response_text"]) == ("taxonomy", cut)
+    assert "taxonomy" not in run.load_state().completed
+
+
 def test_verify_reads_a_crate_and_source_log_at_paths_that_are_not_utf8(demo_run, tmp_path):
     # verify writes nothing, so the UTF-8 check other commands make does not apply to it
     run_dir, crate = demo_run

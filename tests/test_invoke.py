@@ -9,8 +9,10 @@ import pytest
 from airo.bundle import Taxonomy
 from airo.errors import (ConfigInvalid, EmptyResponse, FixtureMissing, StageOutputInvalid,
                          Transport)
-from airo.invoke import (Interface, ModelConfig, build_request_body, complete,
-                         run_synthesis_stage, run_taxonomy_stage, strip_code_fence)
+from airo.invoke import (BACKOFF_S, ENV_API_KEY, MAX_RETRIES, Interface, ModelConfig,
+                         build_request_body, complete, run_synthesis_stage, run_taxonomy_stage,
+                         strip_code_fence)
+from airo.provenance import Stage, sha256_of_text
 from airo.template import render
 
 from test_template import SYNTHESIS_TMPL, TAXONOMY_TMPL, bundle_with, taxonomy_for
@@ -21,6 +23,13 @@ def stub_config(fixture: str = "fx", **overrides) -> ModelConfig:
                   top_p=1.0, max_tokens=1200, stub_fixture=fixture)
     fields.update(overrides)
     return ModelConfig(**fields)
+
+
+def fixtures(tmp_path, **texts) -> dict:
+    """Stub options naming a fixtures directory under tmp_path that holds ``texts``."""
+    for name, text in texts.items():
+        (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+    return {"fixtures_dir": tmp_path}
 
 
 def live_config(**overrides) -> ModelConfig:
@@ -75,42 +84,50 @@ def test_config_range_validation():
         live_config(endpoint="")
 
 
-def test_stub_complete_is_a_lookup():
-    prompt = render(TAXONOMY_TMPL, bundle_with(2))
-    invocation = complete(prompt, stub_config(), fixtures={"fx": "fixture text"})
-    assert invocation.response_text == "fixture text"
-    assert invocation.ended_at >= invocation.started_at
-    assert invocation.attempt == 1
-    assert invocation.config == stub_config()  # echoed unmodified
+def test_stub_complete_is_a_lookup(tmp_path):
+    bundle = bundle_with(2)
+    prompt = render(TAXONOMY_TMPL, bundle)
+    record = complete(prompt, stub_config(), bundle, **fixtures(tmp_path, fx="fixture text"))
+    assert record.response_text == "fixture text"
+    assert record.ended_at >= record.started_at
+    assert record.attempt == 1
+    assert record.config == stub_config()  # echoed unmodified
+    assert (record.stage, record.prompt_text) == (Stage.TAXONOMY, prompt.text)
 
 
-def test_stub_determinism_modulo_timestamps():
-    prompt = render(TAXONOMY_TMPL, bundle_with(2))
-    a = complete(prompt, stub_config(), fixtures={"fx": "same"})
-    b = complete(prompt, stub_config(), fixtures={"fx": "same"})
-    assert (a.response_text, a.config, a.attempt, a.budget_exceeded) == \
-           (b.response_text, b.config, b.attempt, b.budget_exceeded)
+def test_stub_determinism_modulo_timestamps(tmp_path, capsys):
+    bundle = bundle_with(2)
+    prompt = render(TAXONOMY_TMPL, bundle)
+    a = complete(prompt, stub_config(), bundle, **fixtures(tmp_path, fx="same"))
+    b = complete(prompt, stub_config(), bundle, **fixtures(tmp_path, fx="same"))
+    same = lambda r: (r.response_text, r.config, r.attempt, r.prompt_sha256,  # noqa: E731
+                      r.response_sha256, r.bundle_sha256)
+    assert same(a) == same(b)
+    assert capsys.readouterr().err == ""  # neither reply was truncated
 
 
-def test_stub_missing_fixture():
-    prompt = render(TAXONOMY_TMPL, bundle_with(1))
+def test_stub_missing_fixture(tmp_path):
+    bundle = bundle_with(1)
+    prompt = render(TAXONOMY_TMPL, bundle)
     with pytest.raises(FixtureMissing, match="nope"):
-        complete(prompt, stub_config("nope"), fixtures={})
+        complete(prompt, stub_config("nope"), bundle, **fixtures(tmp_path))
 
 
-def test_stub_budget_flag():
-    prompt = render(TAXONOMY_TMPL, bundle_with(1))
-    invocation = complete(prompt, stub_config(max_tokens=1),
-                          fixtures={"fx": "many words beyond the budget"})
-    assert invocation.budget_exceeded
+def test_stub_budget_flag(tmp_path, capsys):
+    bundle = bundle_with(1)
+    prompt = render(TAXONOMY_TMPL, bundle)
+    complete(prompt, stub_config(max_tokens=1), bundle,
+             **fixtures(tmp_path, fx="many words beyond the budget"))
+    assert capsys.readouterr().err == "warning: response was truncated at max_tokens\n"
 
 
-def test_stub_empty_response_keeps_invocation():
-    prompt = render(TAXONOMY_TMPL, bundle_with(1))
+def test_stub_empty_response_keeps_invocation(tmp_path):
+    bundle = bundle_with(1)
+    prompt = render(TAXONOMY_TMPL, bundle)
     with pytest.raises(EmptyResponse) as err:
-        complete(prompt, stub_config(), fixtures={"fx": "   "})
-    assert err.value.invocation is not None
-    assert err.value.invocation.response_text == "   "
+        complete(prompt, stub_config(), bundle, **fixtures(tmp_path, fx="   "))
+    assert err.value.record is not None
+    assert err.value.record.response_text == "   "
 
 
 def test_request_body_carries_exact_config_values():
@@ -125,11 +142,13 @@ def test_request_body_carries_exact_config_values():
     assert "seed" in build_request_body(prompt, live_config(seed=7))
 
 
-def test_live_complete_success_and_wire_format():
-    prompt = render(TAXONOMY_TMPL, bundle_with(1))
+def test_live_complete_success_and_wire_format(monkeypatch):
+    monkeypatch.setenv(ENV_API_KEY, "k")
+    bundle = bundle_with(1)
+    prompt = render(TAXONOMY_TMPL, bundle)
     http = FakeHTTP([chat_payload("hello")])
-    invocation = complete(prompt, live_config(), urlopen=http, api_key="k")
-    assert invocation.response_text == "hello"
+    record = complete(prompt, live_config(), bundle, urlopen=http)
+    assert record.response_text == "hello"
     request = http.requests[0]
     assert request.full_url == "https://api.example.test/v1/chat/completions"
     assert request.get_header("Authorization") == "Bearer k"
@@ -137,49 +156,54 @@ def test_live_complete_success_and_wire_format():
     assert sent["temperature"] == 0.2 and sent["top_p"] == 1.0 and sent["max_tokens"] == 1200
 
 
-def test_live_finish_reason_length_sets_budget_flag():
-    prompt = render(TAXONOMY_TMPL, bundle_with(1))
+def test_live_finish_reason_length_sets_budget_flag(capsys):
+    bundle = bundle_with(1)
+    prompt = render(TAXONOMY_TMPL, bundle)
     http = FakeHTTP([chat_payload("truncated...", finish="length")])
-    invocation = complete(prompt, live_config(), urlopen=http)
-    assert invocation.budget_exceeded
+    complete(prompt, live_config(), bundle, urlopen=http)
+    assert capsys.readouterr().err == "warning: response was truncated at max_tokens\n"
 
 
 def test_http_500_retried_then_transport():
-    prompt = render(TAXONOMY_TMPL, bundle_with(1))
+    bundle = bundle_with(1)
+    prompt = render(TAXONOMY_TMPL, bundle)
     error = urllib.error.HTTPError("u", 500, "boom", None, io.BytesIO(b""))
-    http = FakeHTTP([error, error, error])
+    http = FakeHTTP([error] * (MAX_RETRIES + 1))
     sleeps = []
     with pytest.raises(Transport) as err:
-        complete(prompt, live_config(), urlopen=http, max_retries=2,
-                 backoff_s=0.01, sleep=sleeps.append)
+        complete(prompt, live_config(), bundle, urlopen=http, sleep=sleeps.append)
     assert err.value.status == 500
-    assert len(http.requests) == 3  # first attempt + two retries
-    assert sleeps == [0.01, 0.01]
+    assert MAX_RETRIES == 2 and len(http.requests) == 3  # first attempt + two retries
+    assert sleeps == [BACKOFF_S, BACKOFF_S]
 
 
 def test_transport_recovers_within_retry_budget():
-    prompt = render(TAXONOMY_TMPL, bundle_with(1))
+    bundle = bundle_with(1)
+    prompt = render(TAXONOMY_TMPL, bundle)
     error = urllib.error.URLError("refused")
     http = FakeHTTP([error, chat_payload("ok")])
-    invocation = complete(prompt, live_config(), urlopen=http, sleep=lambda _s: None)
-    assert invocation.response_text == "ok"
-    assert invocation.attempt == 2
+    record = complete(prompt, live_config(), bundle, urlopen=http, sleep=lambda _s: None)
+    assert record.response_text == "ok"
+    assert record.attempt == 2
 
 
 def test_malformed_response_is_transport():
-    prompt = render(TAXONOMY_TMPL, bundle_with(1))
-    http = FakeHTTP([b"{\"wrong\": true}"])
+    bundle = bundle_with(1)
+    prompt = render(TAXONOMY_TMPL, bundle)
+    http = FakeHTTP([b"{\"wrong\": true}"] * (MAX_RETRIES + 1))
     with pytest.raises(Transport, match="malformed"):
-        complete(prompt, live_config(), urlopen=http, max_retries=0, sleep=lambda _s: None)
+        complete(prompt, live_config(), bundle, urlopen=http, sleep=lambda _s: None)
+    assert len(http.requests) == MAX_RETRIES + 1  # a malformed reply is retried as well
 
 
 @pytest.mark.parametrize("content", [5, "text \ud800"], ids=["a-number", "a-lone-surrogate"])
 def test_reply_content_that_is_no_utf8_text_is_transport(content):
     # a lone surrogate escape decodes to a str that UTF-8 cannot carry
-    prompt = render(TAXONOMY_TMPL, bundle_with(1))
-    http = FakeHTTP([chat_payload(content)])
+    bundle = bundle_with(1)
+    prompt = render(TAXONOMY_TMPL, bundle)
+    http = FakeHTTP([chat_payload(content)] * (MAX_RETRIES + 1))
     with pytest.raises(Transport, match="malformed completion response"):
-        complete(prompt, live_config(), urlopen=http, max_retries=0, sleep=lambda _s: None)
+        complete(prompt, live_config(), bundle, urlopen=http, sleep=lambda _s: None)
 
 
 def test_strip_code_fence():
@@ -189,9 +213,10 @@ def test_strip_code_fence():
 
 def test_api_key_read_from_environment(monkeypatch):
     monkeypatch.setenv("AIRO_API_KEY", "env-key")
-    prompt = render(TAXONOMY_TMPL, bundle_with(1))
+    bundle = bundle_with(1)
+    prompt = render(TAXONOMY_TMPL, bundle)
     http = FakeHTTP([chat_payload("ok")])
-    complete(prompt, live_config(), urlopen=http)
+    complete(prompt, live_config(), bundle, urlopen=http)
     assert http.requests[0].get_header("Authorization") == "Bearer env-key"
 
 
@@ -233,48 +258,49 @@ def test_config_as_an_array_of_pairs_is_invalid(tmp_path):
         config_from_file(path)
 
 
-def test_run_taxonomy_stage_parses_clusters():
+def test_run_taxonomy_stage_parses_clusters(tmp_path):
     bundle = bundle_with(4)
     response = json.dumps({"clusters": [
         {"name": "a", "rationale": "r", "member_ids": ["P1", "P2"]},
         {"name": "b", "rationale": "r", "member_ids": ["P3", "P4"]}]})
-    taxonomy, invocation = run_taxonomy_stage(bundle, stub_config(), template=TAXONOMY_TMPL,
-                                              fixtures={"fx": response})
+    taxonomy, record = run_taxonomy_stage(bundle, stub_config(), template=TAXONOMY_TMPL,
+                                          **fixtures(tmp_path, fx=response))
     assert isinstance(taxonomy, Taxonomy)
     assert len(taxonomy.clusters) == 2
-    assert invocation.response_text == response
+    assert record.response_text == response
 
 
-def test_run_taxonomy_stage_invented_id_fails_with_invocation():
+def test_run_taxonomy_stage_invented_id_fails_with_invocation(tmp_path):
     bundle = bundle_with(2)
     response = json.dumps({"clusters": [
         {"name": "a", "rationale": "r", "member_ids": ["P1", "P2", "P99"]}]})
     with pytest.raises(StageOutputInvalid, match="UnknownMember") as err:
         run_taxonomy_stage(bundle, stub_config(), template=TAXONOMY_TMPL,
-                           fixtures={"fx": response})
-    assert err.value.invocation is not None
-    assert err.value.invocation.response_text == response
+                           **fixtures(tmp_path, fx=response))
+    assert err.value.record is not None
+    assert err.value.record.response_text == response
 
 
-def test_run_taxonomy_stage_prose_is_malformed():
+def test_run_taxonomy_stage_prose_is_malformed(tmp_path):
     with pytest.raises(StageOutputInvalid, match="MalformedSyntax"):
         run_taxonomy_stage(bundle_with(2), stub_config(), template=TAXONOMY_TMPL,
-                           fixtures={"fx": "I grouped the papers thematically."})
+                           **fixtures(tmp_path, fx="I grouped the papers thematically."))
 
 
-def test_run_synthesis_stage_returns_raw_text():
+def test_run_synthesis_stage_returns_raw_text(tmp_path):
     bundle = bundle_with(2)
     draft = "RELATED WORK (DRAFT)\n\nbody\n\nCLAIM CHECKLIST\n- claim [P1]\n"
-    text, invocation = run_synthesis_stage(bundle, taxonomy_for(bundle), stub_config(),
-                                           template=SYNTHESIS_TMPL, fixtures={"fx": draft})
-    assert "RELATED WORK (DRAFT)" in text
-    assert "CLAIM CHECKLIST" in text
-    assert invocation.stage.value == "synthesis"
+    record = run_synthesis_stage(bundle, taxonomy_for(bundle), stub_config(),
+                                 template=SYNTHESIS_TMPL, **fixtures(tmp_path, fx=draft))
+    assert "RELATED WORK (DRAFT)" in record.response_text
+    assert "CLAIM CHECKLIST" in record.response_text
+    assert record.stage.value == "synthesis"
+    assert record.response_sha256 == sha256_of_text(draft)
 
 
-def test_run_synthesis_stage_does_not_interpret_content():
+def test_run_synthesis_stage_does_not_interpret_content(tmp_path):
     bundle = bundle_with(2)
     broken = "no headers at all"
-    text, _ = run_synthesis_stage(bundle, taxonomy_for(bundle), stub_config(),
-                                  template=SYNTHESIS_TMPL, fixtures={"fx": broken})
-    assert text == broken  # failure surfaces at audit, not here
+    record = run_synthesis_stage(bundle, taxonomy_for(bundle), stub_config(),
+                                 template=SYNTHESIS_TMPL, **fixtures(tmp_path, fx=broken))
+    assert record.response_text == broken  # failure surfaces at audit, not here

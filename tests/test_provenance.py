@@ -7,7 +7,7 @@ import pytest
 from airo.bundle import canonical_bytes, parse_bundle
 from airo.errors import InvalidLabel, MalformedSyntax
 from airo.invoke import Interface, ModelConfig, complete
-from airo.provenance import (Digest, InteractionLog, InvocationRecord, new_run, parse_log,
+from airo.provenance import (Digest, InteractionLog, InvocationRecord, Stage, new_run, parse_log,
                              record_invocation, sha256_hex, sha256_of_text)
 from airo.template import render
 
@@ -42,35 +42,44 @@ def test_digest_hex_with_a_trailing_newline_is_rejected():
         Digest(hex="a" * 64 + "\n")
     log = json.loads(InteractionLog(run_id="ro-x").to_bytes())
     bundle = parse_bundle(make_raw([NOTE]))
-    record = record_invocation(invocation_for(bundle), bundle).to_json()
+    record = record_for(bundle).to_json()
     record["bundle_sha256"]["hex"] += "\n"
     log["records"] = [record]
     with pytest.raises(MalformedSyntax, match="digest hex"):
         parse_log(json.dumps(log).encode())
 
 
-def invocation_for(bundle, prompt_fixture="fixture response"):
-    prompt = render(TAXONOMY_TMPL, bundle)
-    return complete(prompt, stub_config(), fixtures={"fx": prompt_fixture})
+def record_for(bundle, prompt_bundle=None, paths=None, host=None):
+    """The record of a taxonomy call on ``bundle``, prompted with ``prompt_bundle`` if given."""
+    prompt = render(TAXONOMY_TMPL, prompt_bundle or bundle)
+    return record_invocation(Stage.TAXONOMY, prompt.text, "fixture response", stub_config(),
+                             bundle, "2026-01-01T00:00:00Z", "2026-01-01T00:00:01Z", 1, paths,
+                             host)
 
 
-def test_record_invocation_hashes_prompt_response_bundle():
+def test_record_invocation_hashes_prompt_response_bundle(tmp_path):
     bundle = parse_bundle(make_raw([NOTE]))
-    invocation = invocation_for(bundle)
-    record = record_invocation(invocation, bundle, paths=["/tmp/bundle.json"], host="box")
-    assert record.prompt_sha256 == sha256_of_text(invocation.prompt.text)
+    prompt = render(TAXONOMY_TMPL, bundle)
+    (tmp_path / "fx.txt").write_text("fixture response", encoding="utf-8")
+    record = complete(prompt, stub_config(), bundle, fixtures_dir=tmp_path,
+                      paths=["/tmp/bundle.json"], host="box")
+    assert record.prompt_sha256 == sha256_of_text(prompt.text)
     assert record.response_sha256 == sha256_of_text("fixture response")
     assert record.bundle_sha256 == sha256_hex(canonical_bytes(bundle))
-    assert record.prompt_text == invocation.prompt.text
+    assert record.prompt_text == prompt.text
     assert record.source_paths == ("/tmp/bundle.json",)
     assert record.host_id == "box"
     assert record.linkage_findings() == []
+    # complete builds its record with record_invocation, from the call's parts
+    assert record == record_invocation(Stage.TAXONOMY, prompt.text, "fixture response",
+                                       stub_config(), bundle, record.started_at,
+                                       record.ended_at, 1, ["/tmp/bundle.json"], "box")
 
 
 def test_identical_interactions_identical_digest_triples():
     bundle = parse_bundle(make_raw([NOTE]))
-    a = record_invocation(invocation_for(bundle), bundle)
-    b = record_invocation(invocation_for(bundle), bundle)
+    a = record_for(bundle)
+    b = record_for(bundle)
     triple = lambda r: (r.prompt_sha256, r.response_sha256, r.bundle_sha256)  # noqa: E731
     assert triple(a) == triple(b)
 
@@ -78,8 +87,8 @@ def test_identical_interactions_identical_digest_triples():
 def test_bundle_edit_changes_bundle_digest():
     original = parse_bundle(make_raw([NOTE]))
     edited = parse_bundle(make_raw([dict(NOTE, summary=NOTE["summary"] + "!")]))
-    rec_a = record_invocation(invocation_for(original), original)
-    rec_b = record_invocation(invocation_for(original), edited)
+    rec_a = record_for(original)
+    rec_b = record_for(edited, prompt_bundle=original)
     assert rec_a.bundle_sha256 != rec_b.bundle_sha256
     # direct re-hash oracle
     assert rec_b.bundle_sha256 == sha256_hex(canonical_bytes(edited))
@@ -87,7 +96,7 @@ def test_bundle_edit_changes_bundle_digest():
 
 def test_linkage_findings_detect_tampered_text():
     bundle = parse_bundle(make_raw([NOTE]))
-    record = record_invocation(invocation_for(bundle), bundle)
+    record = record_for(bundle)
     tampered = InvocationRecord.from_json(
         {**record.to_json(), "response_text": "someone edited this"})
     assert any("response_text" in f for f in tampered.linkage_findings())
@@ -121,7 +130,7 @@ def test_run_id_with_a_trailing_newline_is_rejected():
 
 def test_log_append_only_ordering():
     bundle = parse_bundle(make_raw([NOTE]))
-    record = record_invocation(invocation_for(bundle), bundle)
+    record = record_for(bundle)
     log = InteractionLog(run_id="ro-x")
     log.append(record)
     early = InvocationRecord.from_json(
@@ -135,7 +144,7 @@ def test_log_append_only_ordering():
 def test_log_serialization_round_trip():
     bundle = parse_bundle(make_raw([NOTE]))
     log = InteractionLog(run_id="ro-x")
-    log.append(record_invocation(invocation_for(bundle), bundle, paths=["p"], host="h"))
+    log.append(record_for(bundle, paths=["p"], host="h"))
     parsed = parse_log(log.to_bytes())
     assert parsed.run_id == log.run_id
     assert parsed.created_at == log.created_at
@@ -161,7 +170,7 @@ def test_parse_log_rejects_a_head_timestamp_that_is_not_a_string(created_at):
 def test_parse_log_rejects_a_record_without_timestamps(missing):
     bundle = parse_bundle(make_raw([NOTE]))
     log = InteractionLog(run_id="ro-x")
-    log.append(record_invocation(invocation_for(bundle), bundle))
+    log.append(record_for(bundle))
     data = log.to_dict()
     del data["records"][0][missing]
     with pytest.raises(MalformedSyntax):
@@ -172,7 +181,7 @@ def test_canonical_log_bytes_configuration_is_covered():
     # the config is part of the hashed serialization, not separately digested
     bundle = parse_bundle(make_raw([NOTE]))
     log = InteractionLog(run_id="ro-x", created_at="2026-01-01T00:00:00Z")
-    log.append(record_invocation(invocation_for(bundle), bundle))
+    log.append(record_for(bundle))
     record = log.records[0]
     changed = ModelConfig.from_json({**record.config.to_json(), "model_name": "other"})
     other = InteractionLog(run_id="ro-x", created_at="2026-01-01T00:00:00Z")
