@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING
 
 # parse_bundle stays a module attribute: perfbench's traced-run test reads airo.cli.parse_bundle
 from .bundle import parse_bundle, replace
-from .errors import (CallRefused, FailedCall, FixtureMissing, RunLocked, StageOrder, ToolkitError,
-                     Transport, UnredactedLeak, read_utf8, utf8_text)
+from .errors import (CallRefused, FixtureMissing, RunLocked, ToolkitError, Transport,
+                     UnredactedLeak, read_utf8, utf8_text)
 from .redact import Tier
 
 if TYPE_CHECKING:
@@ -111,14 +111,15 @@ def _run_stage(args, work) -> int:
 def _model_stage(args, run: rundir.RunDirectory, state, produce):
     """One model stage's output; every interaction is logged, a failed one included.
 
-    ``produce(run, bundle, config, options)`` invokes the model with ``options`` and
-    returns ``(output bytes, the call's log record, summary)``.
+    ``produce(run, bundle, config, options)`` invokes the model with ``options``, whose
+    ``log`` ``invoke.complete`` appends the call's record to, and returns ``(output bytes,
+    summary)``. The log is written here once it gained a record, whatever follows the call.
     """
     import platform  # for the host name; no other command pays for the import
 
     from . import rundir
     from .invoke import config_from_file
-    from .provenance import InteractionLog, Interface, parse_log, utc_now_rfc3339
+    from .provenance import InteractionLog, Interface
     from .rocrate import MEMBERS, SOURCES, STAGES
     from .template import load_template
 
@@ -130,31 +131,22 @@ def _model_stage(args, run: rundir.RunDirectory, state, produce):
     config = config_from_file(Path(args.config) if args.config else run.file(rundir.CONFIG))
     if args.stub:
         config = replace(config, interface=Interface.OFFLINE_STUB, stub_fixture=args.stub)
+    log_path = run.file(rundir.INTERACTION_LOG)
+    log = (run.read_log(state.run_id) if log_path.exists()
+           else InteractionLog(run_id=state.run_id))
     host = platform.node()  # a host name no log could hold is not logged, as for none
     options = {"template": load_template(run.file(template_rel)),
                "fixtures_dir": run.file(rundir.FIXTURES_DIR),
                "paths": [str(run.file(rundir.BUNDLE)), str(run.file(template_rel))],
-               "host": host if host and utf8_text(host) else None}
-    log_path = run.file(rundir.INTERACTION_LOG)
-    log = (parse_log(log_path.read_bytes()) if log_path.is_file()
-           else InteractionLog(run_id=state.run_id))
-    if log.records and log.records[-1].started_at > utc_now_rfc3339():
-        # checked before the call, since the log could not take a record of it
-        raise StageOrder(f"the last logged record started at {log.records[-1].started_at}, "
-                         f"after the current time; no model call was made")
-
-    def keep(record) -> None:
-        log.append(record)
-        log_path.write_bytes(log.to_bytes())
-
+               "host": host if host and utf8_text(host) else None, "log": log}
+    logged = len(log.records)
     try:
-        output, record, summary = produce(run, bundle, config, options)
-    except FailedCall as err:  # provenance totality: keep the interaction
-        keep(err.record)
-        # redact and card read the log, so what they wrote from it lacks this record
-        run.save_stale(state, "redact", "card")
-        raise
-    keep(record)
+        output, summary = produce(run, bundle, config, options)
+    finally:  # provenance totality: a call made is kept, whatever happens after it
+        if len(log.records) > logged:
+            # redact and card read the log, so what they wrote from it lacks this record
+            run.save_stale(state, "redact", "card")
+            log_path.write_bytes(log.to_bytes())
     return {output_rel: output}, f"wrote {output_rel}{summary}"
 
 
@@ -162,8 +154,8 @@ def _produce_taxonomy(run: rundir.RunDirectory, bundle, config: ModelConfig, opt
     from .bundle import taxonomy_to_bytes
     from .invoke import run_taxonomy_stage
 
-    taxonomy, record = run_taxonomy_stage(bundle, config, **options)
-    return taxonomy_to_bytes(taxonomy), record, f" ({len(taxonomy.clusters)} cluster(s))"
+    taxonomy = run_taxonomy_stage(bundle, config, **options)
+    return taxonomy_to_bytes(taxonomy), f" ({len(taxonomy.clusters)} cluster(s))"
 
 
 def _produce_draft(run: rundir.RunDirectory, bundle, config: ModelConfig, options: dict):
@@ -173,7 +165,7 @@ def _produce_draft(run: rundir.RunDirectory, bundle, config: ModelConfig, option
 
     taxonomy = parse_taxonomy(run.file(rundir.TAXONOMY_JSON).read_bytes(), bundle)
     record = run_synthesis_stage(bundle, taxonomy, config, **options)
-    return record.response_text.encode("utf-8"), record, ""
+    return record.response_text.encode("utf-8"), ""
 
 
 def _audit(args, run: rundir.RunDirectory, state):
@@ -218,11 +210,10 @@ def cmd_resolve(args) -> int:
 
 def _redact(args, run: rundir.RunDirectory, state):
     from . import rundir
-    from .provenance import parse_log
     from .redact import check_redaction, redact
 
     tier = Tier(args.tier)
-    redacted = redact(parse_log(run.file(rundir.INTERACTION_LOG).read_bytes()), tier)
+    redacted = redact(run.read_log(state.run_id), tier)
     findings = check_redaction(redacted, tier)
     for finding in findings:
         print(f"redaction finding: {finding}", file=sys.stderr)

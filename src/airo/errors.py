@@ -75,21 +75,12 @@ class CallRefused(ToolkitError):
     """A string the call's request or log record would hold cannot be carried; none was made."""
 
 
-class FailedCall(ToolkitError):
-    """A model call completed but its response is unusable; carries the call's log record,
-    so the call is logged all the same."""
-
-    def __init__(self, message: str, record):
-        super().__init__(message)
-        self.record = record
+class EmptyResponse(ToolkitError):
+    """Model returned no usable text; the call is logged all the same."""
 
 
-class EmptyResponse(FailedCall):
-    """Model returned no usable text."""
-
-
-class StageOutputInvalid(FailedCall):
-    """Stage response could not be parsed."""
+class StageOutputInvalid(ToolkitError):
+    """Stage response could not be parsed; the call is logged all the same."""
 
 
 class FixtureMissing(ToolkitError):
@@ -149,7 +140,7 @@ class CrateUnreadable(ToolkitError):
 
 
 class SourceMismatch(ToolkitError):
-    """A log belongs to another run than the crate or run it is checked or packed with."""
+    """A log belongs to another run than the crate or run it is read, checked or packed for."""
 
 
 # --- run directory / CLI ---

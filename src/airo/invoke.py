@@ -1,7 +1,7 @@
 """Two-stage model invocation against an OpenAI-compatible endpoint or an offline stub.
 
-Every completed call yields the InvocationRecord that goes into the log; stage helpers
-keep the record attached to errors so a failed parse never loses the interaction.
+``complete`` appends each call it makes to the run's log before anything reads the reply,
+so an unusable reply, or any error after the call, never loses the interaction.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from typing import Callable, Sequence
 
 from .bundle import InputBundle, Taxonomy, expect_type, parse_taxonomy, read_json
 from .errors import (CallRefused, ConfigInvalid, EmptyResponse, FixtureMissing, MalformedSyntax,
-                     StageOutputInvalid, ToolkitError, Transport, read_utf8, utf8_text)
-from .provenance import (Interface, InvocationRecord, ModelConfig, record_invocation,
-                         utc_now_rfc3339)
+                     StageOrder, StageOutputInvalid, ToolkitError, Transport, read_utf8,
+                     utf8_text)
+from .provenance import (InteractionLog, Interface, InvocationRecord, ModelConfig,
+                         record_invocation, utc_now_rfc3339)
 from .template import PromptTemplate, RenderedPrompt, render
 
 ENV_API_KEY = "AIRO_API_KEY"
@@ -89,18 +90,23 @@ def _post_chat(config: ModelConfig, body: dict, api_key: str,
 
 
 def complete(prompt: RenderedPrompt, config: ModelConfig, bundle: InputBundle, *,
-             fixtures_dir: Path | None = None, paths: Sequence[str] | None = None,
-             host: str | None = None, urlopen: Callable | None = None,
+             log: InteractionLog, fixtures_dir: Path | None = None,
+             paths: Sequence[str] | None = None, host: str | None = None,
+             urlopen: Callable | None = None,
              sleep: Callable[[float], None] | None = None) -> InvocationRecord:
-    """Make one model call, a stub one reading its fixture from ``fixtures_dir``, and return
-    its log record. Transport failures are retried MAX_RETRIES times with fixed backoff; an
-    empty response raises EmptyResponse carrying the record. A string the record or the
-    request could not carry is refused before the call, so a call made is always logged."""
+    """Make one model call, a stub one reading its fixture from ``fixtures_dir``, append its
+    record to ``log`` and return it. Transport failures are retried MAX_RETRIES times with
+    fixed backoff; an empty response is logged, then raises EmptyResponse. A string the record
+    or the request could not carry, and a log whose last record started after now, are
+    refused before the call, so a call made is always logged."""
     # the texts need no check: fixtures are read as UTF-8 and replies go through read_json
     for field, value in (*config.to_json().items(), *(("path", path) for path in paths or ())):
         if type(value) is str and not utf8_text(value):
             raise CallRefused(f"{field} {value!r} is not UTF-8 text; no model call was made")
-    started = utc_now_rfc3339()
+    started = utc_now_rfc3339()  # the one reading that both orders and dates the record
+    if log.records and log.records[-1].started_at > started:
+        raise StageOrder(f"the last logged record started at {log.records[-1].started_at}, "
+                         f"after the current time; no model call was made")
     if config.interface is Interface.OFFLINE_STUB:
         if not config.stub_fixture:
             raise FixtureMissing("offline-stub config does not name a stub_fixture")
@@ -134,10 +140,11 @@ def complete(prompt: RenderedPrompt, config: ModelConfig, bundle: InputBundle, *
     # the clock is logged as read: one that steps back during the call still leaves a record
     record = record_invocation(prompt.stage, prompt.text, text, config, bundle, started,
                                utc_now_rfc3339(), attempt, paths, host)
+    log.append(record)  # cannot fail: started was checked against the log before the call
     if truncated:  # whether or not the reply then parses
         print("warning: response was truncated at max_tokens", file=sys.stderr)
     if not text.strip():
-        raise EmptyResponse(empty, record=record)
+        raise EmptyResponse(empty)
     return record
 
 
@@ -152,14 +159,13 @@ def strip_code_fence(text: str) -> str:
 
 
 def run_taxonomy_stage(bundle: InputBundle, config: ModelConfig, *, template: PromptTemplate,
-                       **client_options) -> tuple[Taxonomy, InvocationRecord]:
-    """Stage 1: cluster the bundle's papers. The record survives parse failures."""
+                       **client_options) -> Taxonomy:
+    """Stage 1: cluster the bundle's papers. The call is logged before its reply is parsed."""
     record = complete(render(template, bundle), config, bundle, **client_options)
     try:
-        taxonomy = parse_taxonomy(strip_code_fence(record.response_text).encode("utf-8"), bundle)
+        return parse_taxonomy(strip_code_fence(record.response_text).encode("utf-8"), bundle)
     except ToolkitError as err:
-        raise StageOutputInvalid(f"{type(err).__name__}: {err}", record=record) from err
-    return taxonomy, record
+        raise StageOutputInvalid(f"{type(err).__name__}: {err}") from err
 
 
 def run_synthesis_stage(bundle: InputBundle, taxonomy: Taxonomy, config: ModelConfig, *,

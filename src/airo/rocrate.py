@@ -18,7 +18,7 @@ from pathlib import Path
 from .bundle import canonical_bytes, expect_type, json_bytes, parse_bundle, read_json
 from .errors import (CrateUnreadable, DanglingEntity, MissingSection, SourceMismatch,
                      UnredactedLeak)
-from .provenance import InvocationRecord, Interface, ModelConfig, Stage, parse_log, sha256_hex
+from .provenance import InvocationRecord, Interface, ModelConfig, Stage, sha256_hex
 from .redact import GENERALIZED_ENDPOINT, Tier, check_redaction, parse_redacted_log
 
 ROCRATE_CONTEXT = "https://w3id.org/ro/crate/1.1/context"
@@ -89,7 +89,7 @@ def build_card(run_path: Path, run_id: str) -> str:
 
     run = rundir.RunDirectory(Path(run_path))
     bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
-    log = parse_log(run.file(rundir.INTERACTION_LOG).read_bytes())
+    log = run.read_log(run_id)
     draft_path = run.file(rundir.DRAFT_MD)
     record = card_record(log.records, draft_path.read_bytes() if draft_path.is_file() else None)
     if record is None:

@@ -13,8 +13,8 @@ from functools import partial
 from pathlib import Path
 
 from .bundle import Record, json_bytes, read_json
-from .errors import PathExists, RunLocked, StageOrder
-from .provenance import RUN_ID_RE, new_run, utc_now_rfc3339
+from .errors import PathExists, RunLocked, SourceMismatch, StageOrder
+from .provenance import RUN_ID_RE, InteractionLog, new_run, parse_log, utc_now_rfc3339
 from .rocrate import SOURCES, STAGES
 
 CONFIG = "config.json"
@@ -109,6 +109,15 @@ class RunDirectory:
 
     def save_state(self, state: RunState) -> None:
         self.state_path.write_bytes(json_bytes(state.to_json()))
+
+    def read_log(self, run_id: str) -> InteractionLog:
+        """The run's private log; one of another run is a SourceMismatch, since every stage
+        reading it, a model stage appending to it included, would take its calls for ours."""
+        log = parse_log(self.file(INTERACTION_LOG).read_bytes())
+        if log.run_id != run_id:
+            raise SourceMismatch(f"{INTERACTION_LOG} is the log of run {log.run_id}, "
+                                 f"not of run {run_id}")
+        return log
 
     def require(self, stage: str) -> RunState:
         """State with all of ``stage``'s prerequisites complete, else StageOrder."""

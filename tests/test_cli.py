@@ -227,6 +227,128 @@ def test_a_clock_that_steps_back_during_a_call_is_logged_as_read(tmp_path, monke
     assert cli.main(["verify", str(crate), "--source-log", source_log]) == 0
 
 
+def test_a_clock_that_steps_back_before_the_call_is_refused_with_no_call_made(
+        tmp_path, monkeypatch, capsys):
+    # the call's one start reading is checked against the log before the call, so a clock
+    # that steps back after the stage's setup refuses the call instead of losing it
+    run = _init_before(tmp_path / "run", "draft")
+    last = json.loads(run.file(rundir.INTERACTION_LOG).read_text())["records"][-1]
+    monkeypatch.setattr("airo.provenance.utc_now_rfc3339", lambda: last["started_at"])
+    monkeypatch.setattr("airo.invoke.utc_now_rfc3339", lambda: "2000-01-01T00:00:00Z")
+    files = [run.file(rundir.INTERACTION_LOG), run.state_path]
+    before = [path.read_bytes() for path in files]
+    capsys.readouterr()
+    assert cli.main(["draft", "--stub", "synthesis_demo", "--run-dir", str(run.path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: StageOrder: ") and err.count("\n") == 1
+    assert err.endswith("; no model call was made\n")
+    assert [path.read_bytes() for path in files] == before
+    assert not run.file(rundir.LOCK).exists()
+    assert not run.file(rundir.DRAFT_MD).exists()
+
+
+def _raise_in(name: str):
+    """A setup that makes the function at ``name`` raise the exception it is given."""
+    def setup(monkeypatch, run, exc):
+        def raising(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(name, raising, raising=False)
+    return setup
+
+
+def _raise_in_the_truncation_warning(monkeypatch, run, exc):
+    config = json.loads(run.file(rundir.CONFIG).read_text())
+    config["max_tokens"] = 20  # both demo fixtures are longer than 20 words
+    run.file(rundir.CONFIG).write_text(json.dumps(config))
+    _raise_in("airo.invoke.print")(monkeypatch, run, exc)
+
+
+def _raise_in_the_draft_encode(monkeypatch, run, exc):
+    from airo import invoke
+    from airo.bundle import replace
+
+    class Unencodable(str):
+        def encode(self, *args, **kwargs):
+            raise exc
+
+    stage = invoke.run_synthesis_stage
+    monkeypatch.setattr(invoke, "run_synthesis_stage", lambda *args, **kwargs: replace(
+        (record := stage(*args, **kwargs)), response_text=Unencodable(record.response_text)))
+
+
+# a point after a completed call -> (the stage, a setup that raises an exception there)
+AFTER_THE_CALL = {
+    "truncation-warning": ("taxonomy", _raise_in_the_truncation_warning),
+    "strip_code_fence": ("taxonomy", _raise_in("airo.invoke.strip_code_fence")),
+    "parse_taxonomy": ("taxonomy", _raise_in("airo.invoke.parse_taxonomy")),
+    "taxonomy_to_bytes": ("taxonomy", _raise_in("airo.bundle.taxonomy_to_bytes")),
+    "draft-encode": ("draft", _raise_in_the_draft_encode),
+}
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("point", AFTER_THE_CALL)
+def test_an_exception_after_the_call_leaves_the_call_logged(demo_copy, monkeypatch, point, exc):
+    stage, setup = AFTER_THE_CALL[point]
+    record_stage = MODEL_STAGES[stage][2]
+    run = rundir.RunDirectory(demo_copy[0])
+    setup(monkeypatch, run, exc("raised after the call"))
+    with pytest.raises(exc, match="raised after the call"):
+        cli.main([stage, "--stub", f"{record_stage}_demo", "--run-dir", str(run.path)])
+    records = json.loads(run.file(rundir.INTERACTION_LOG).read_text())["records"]
+    assert len(records) == 3 and records[-1]["stage"] == record_stage
+    # redact and card read the log, so what they wrote from it lacks the new record
+    assert run.load_state().completed == ["taxonomy", "draft", "audit"]
+    assert not run.file(rundir.LOCK).exists()
+
+
+def test_an_output_that_cannot_be_written_after_the_call_makes_redact_and_card_wait(
+        demo_copy, capsys):
+    run = rundir.RunDirectory(demo_copy[0])
+    output = run.file(rundir.TAXONOMY_JSON)
+    output.unlink()
+    output.mkdir()  # a directory where the stage writes its output
+    capsys.readouterr()
+    assert cli.main(["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run.path)]) == 1
+    assert capsys.readouterr().err == f"error: {output}: Is a directory\n"
+    records = json.loads(run.file(rundir.INTERACTION_LOG).read_text())["records"]
+    assert len(records) == 3 and records[-1]["stage"] == "taxonomy"
+    assert run.load_state().completed == ["taxonomy", "draft", "audit"]
+
+
+def test_a_directory_at_the_log_path_is_refused_before_the_call(tmp_path, monkeypatch, capsys):
+    run = _init_before(tmp_path / "run", "taxonomy")
+    log_path = run.file(rundir.INTERACTION_LOG)
+    log_path.mkdir()
+    monkeypatch.setattr("airo.invoke.complete", lambda *args, **kwargs: pytest.fail(
+        "the model was called"))
+    capsys.readouterr()
+    assert cli.main(["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run.path)]) == 1
+    assert capsys.readouterr().err == f"error: {log_path}: Is a directory\n"
+    assert run.load_state().completed == []
+
+
+def test_a_log_of_another_run_is_refused_before_the_call_and_by_redact_and_card(
+        demo_run, tmp_path, capsys):
+    # each would take the other run's calls for this run's: a model stage would append to
+    # that log, and redact and card would write the other run's calls under this run's id
+    other_log = (demo_run[0] / rundir.INTERACTION_LOG).read_bytes()
+    run_pipeline(tmp_path / "second", label="second")
+    run = rundir.RunDirectory(tmp_path / "second")
+    run.file(rundir.INTERACTION_LOG).write_bytes(other_log)
+    files = [run.file(rundir.INTERACTION_LOG), run.state_path, run.file(rundir.REDACTED_LOG),
+             run.file(rundir.CARD_MD), run.file(rundir.TAXONOMY_JSON), run.file(rundir.DRAFT_MD)]
+    before = [path.read_bytes() for path in files]
+    for argv in (["taxonomy", "--stub", "taxonomy_demo"], ["draft", "--stub", "synthesis_demo"],
+                 ["redact"], ["card"]):
+        capsys.readouterr()
+        assert cli.main(argv + ["--run-dir", str(run.path)]) == 1, argv
+        assert capsys.readouterr().err == (
+            f"error: SourceMismatch: {rundir.INTERACTION_LOG} is the log of run ro-demo, "
+            f"not of run ro-second\n")
+        assert [path.read_bytes() for path in files] == before
+
+
 @pytest.mark.parametrize("stage", sorted(MODEL_STAGES))
 def test_truncated_response_warns_and_completes(tmp_path, capsys, stage):
     _, output, record_stage, _ = MODEL_STAGES[stage]

@@ -7,12 +7,12 @@ import urllib.error
 import pytest
 
 from airo.bundle import Taxonomy
-from airo.errors import (ConfigInvalid, EmptyResponse, FixtureMissing, StageOutputInvalid,
-                         Transport)
+from airo.errors import (ConfigInvalid, EmptyResponse, FixtureMissing, StageOrder,
+                         StageOutputInvalid, Transport)
 from airo.invoke import (BACKOFF_S, ENV_API_KEY, MAX_RETRIES, Interface, ModelConfig,
                          build_request_body, complete, run_synthesis_stage, run_taxonomy_stage,
                          strip_code_fence)
-from airo.provenance import Stage, sha256_of_text
+from airo.provenance import InteractionLog, Stage, record_invocation, sha256_of_text
 from airo.template import render
 
 from test_template import SYNTHESIS_TMPL, TAXONOMY_TMPL, bundle_with, taxonomy_for
@@ -30,6 +30,11 @@ def fixtures(tmp_path, **texts) -> dict:
     for name, text in texts.items():
         (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
     return {"fixtures_dir": tmp_path}
+
+
+def new_log() -> InteractionLog:
+    """An empty private log for ``complete`` to append its record to."""
+    return InteractionLog(run_id="ro-test")
 
 
 def live_config(**overrides) -> ModelConfig:
@@ -87,7 +92,10 @@ def test_config_range_validation():
 def test_stub_complete_is_a_lookup(tmp_path):
     bundle = bundle_with(2)
     prompt = render(TAXONOMY_TMPL, bundle)
-    record = complete(prompt, stub_config(), bundle, **fixtures(tmp_path, fx="fixture text"))
+    log = new_log()
+    record = complete(prompt, stub_config(), bundle, log=log,
+                      **fixtures(tmp_path, fx="fixture text"))
+    assert log.records == [record]  # complete logs the call it returns
     assert record.response_text == "fixture text"
     assert record.ended_at >= record.started_at
     assert record.attempt == 1
@@ -98,8 +106,8 @@ def test_stub_complete_is_a_lookup(tmp_path):
 def test_stub_determinism_modulo_timestamps(tmp_path, capsys):
     bundle = bundle_with(2)
     prompt = render(TAXONOMY_TMPL, bundle)
-    a = complete(prompt, stub_config(), bundle, **fixtures(tmp_path, fx="same"))
-    b = complete(prompt, stub_config(), bundle, **fixtures(tmp_path, fx="same"))
+    a = complete(prompt, stub_config(), bundle, log=new_log(), **fixtures(tmp_path, fx="same"))
+    b = complete(prompt, stub_config(), bundle, log=new_log(), **fixtures(tmp_path, fx="same"))
     same = lambda r: (r.response_text, r.config, r.attempt, r.prompt_sha256,  # noqa: E731
                       r.response_sha256, r.bundle_sha256)
     assert same(a) == same(b)
@@ -110,13 +118,13 @@ def test_stub_missing_fixture(tmp_path):
     bundle = bundle_with(1)
     prompt = render(TAXONOMY_TMPL, bundle)
     with pytest.raises(FixtureMissing, match="nope"):
-        complete(prompt, stub_config("nope"), bundle, **fixtures(tmp_path))
+        complete(prompt, stub_config("nope"), bundle, log=new_log(), **fixtures(tmp_path))
 
 
 def test_stub_budget_flag(tmp_path, capsys):
     bundle = bundle_with(1)
     prompt = render(TAXONOMY_TMPL, bundle)
-    complete(prompt, stub_config(max_tokens=1), bundle,
+    complete(prompt, stub_config(max_tokens=1), bundle, log=new_log(),
              **fixtures(tmp_path, fx="many words beyond the budget"))
     assert capsys.readouterr().err == "warning: response was truncated at max_tokens\n"
 
@@ -124,10 +132,24 @@ def test_stub_budget_flag(tmp_path, capsys):
 def test_stub_empty_response_keeps_invocation(tmp_path):
     bundle = bundle_with(1)
     prompt = render(TAXONOMY_TMPL, bundle)
-    with pytest.raises(EmptyResponse) as err:
-        complete(prompt, stub_config(), bundle, **fixtures(tmp_path, fx="   "))
-    assert err.value.record is not None
-    assert err.value.record.response_text == "   "
+    log = new_log()
+    with pytest.raises(EmptyResponse):
+        complete(prompt, stub_config(), bundle, log=log, **fixtures(tmp_path, fx="   "))
+    assert log.records[-1] is not None
+    assert log.records[-1].response_text == "   "
+
+
+def test_a_log_record_started_after_now_refuses_the_call(tmp_path):
+    # the log takes records in start order, and the start complete checks is the one it logs
+    bundle = bundle_with(1)
+    prompt = render(TAXONOMY_TMPL, bundle)
+    future = "2999-01-01T00:00:00Z"
+    log = InteractionLog(run_id="ro-test", records=[record_invocation(
+        Stage.TAXONOMY, prompt.text, "earlier", stub_config(), bundle, future, future, 1)])
+    http = FakeHTTP([])
+    with pytest.raises(StageOrder, match=f"started at {future}, .*; no model call was made"):
+        complete(prompt, live_config(), bundle, log=log, urlopen=http)
+    assert http.requests == [] and len(log.records) == 1
 
 
 def test_request_body_carries_exact_config_values():
@@ -147,7 +169,7 @@ def test_live_complete_success_and_wire_format(monkeypatch):
     bundle = bundle_with(1)
     prompt = render(TAXONOMY_TMPL, bundle)
     http = FakeHTTP([chat_payload("hello")])
-    record = complete(prompt, live_config(), bundle, urlopen=http)
+    record = complete(prompt, live_config(), bundle, log=new_log(), urlopen=http)
     assert record.response_text == "hello"
     request = http.requests[0]
     assert request.full_url == "https://api.example.test/v1/chat/completions"
@@ -160,7 +182,7 @@ def test_live_finish_reason_length_sets_budget_flag(capsys):
     bundle = bundle_with(1)
     prompt = render(TAXONOMY_TMPL, bundle)
     http = FakeHTTP([chat_payload("truncated...", finish="length")])
-    complete(prompt, live_config(), bundle, urlopen=http)
+    complete(prompt, live_config(), bundle, log=new_log(), urlopen=http)
     assert capsys.readouterr().err == "warning: response was truncated at max_tokens\n"
 
 
@@ -170,9 +192,11 @@ def test_http_500_retried_then_transport():
     error = urllib.error.HTTPError("u", 500, "boom", None, io.BytesIO(b""))
     http = FakeHTTP([error] * (MAX_RETRIES + 1))
     sleeps = []
+    log = new_log()
     with pytest.raises(Transport) as err:
-        complete(prompt, live_config(), bundle, urlopen=http, sleep=sleeps.append)
+        complete(prompt, live_config(), bundle, log=log, urlopen=http, sleep=sleeps.append)
     assert err.value.status == 500
+    assert log.records == []  # no reply, so no call to log
     assert MAX_RETRIES == 2 and len(http.requests) == 3  # first attempt + two retries
     assert sleeps == [BACKOFF_S, BACKOFF_S]
 
@@ -182,7 +206,8 @@ def test_transport_recovers_within_retry_budget():
     prompt = render(TAXONOMY_TMPL, bundle)
     error = urllib.error.URLError("refused")
     http = FakeHTTP([error, chat_payload("ok")])
-    record = complete(prompt, live_config(), bundle, urlopen=http, sleep=lambda _s: None)
+    record = complete(prompt, live_config(), bundle, log=new_log(), urlopen=http,
+                      sleep=lambda _s: None)
     assert record.response_text == "ok"
     assert record.attempt == 2
 
@@ -192,7 +217,8 @@ def test_malformed_response_is_transport():
     prompt = render(TAXONOMY_TMPL, bundle)
     http = FakeHTTP([b"{\"wrong\": true}"] * (MAX_RETRIES + 1))
     with pytest.raises(Transport, match="malformed"):
-        complete(prompt, live_config(), bundle, urlopen=http, sleep=lambda _s: None)
+        complete(prompt, live_config(), bundle, log=new_log(), urlopen=http,
+                 sleep=lambda _s: None)
     assert len(http.requests) == MAX_RETRIES + 1  # a malformed reply is retried as well
 
 
@@ -203,7 +229,8 @@ def test_reply_content_that_is_no_utf8_text_is_transport(content):
     prompt = render(TAXONOMY_TMPL, bundle)
     http = FakeHTTP([chat_payload(content)] * (MAX_RETRIES + 1))
     with pytest.raises(Transport, match="malformed completion response"):
-        complete(prompt, live_config(), bundle, urlopen=http, sleep=lambda _s: None)
+        complete(prompt, live_config(), bundle, log=new_log(), urlopen=http,
+                 sleep=lambda _s: None)
 
 
 def test_strip_code_fence():
@@ -216,7 +243,7 @@ def test_api_key_read_from_environment(monkeypatch):
     bundle = bundle_with(1)
     prompt = render(TAXONOMY_TMPL, bundle)
     http = FakeHTTP([chat_payload("ok")])
-    complete(prompt, live_config(), bundle, urlopen=http)
+    complete(prompt, live_config(), bundle, log=new_log(), urlopen=http)
     assert http.requests[0].get_header("Authorization") == "Bearer env-key"
 
 
@@ -263,27 +290,29 @@ def test_run_taxonomy_stage_parses_clusters(tmp_path):
     response = json.dumps({"clusters": [
         {"name": "a", "rationale": "r", "member_ids": ["P1", "P2"]},
         {"name": "b", "rationale": "r", "member_ids": ["P3", "P4"]}]})
-    taxonomy, record = run_taxonomy_stage(bundle, stub_config(), template=TAXONOMY_TMPL,
-                                          **fixtures(tmp_path, fx=response))
+    log = new_log()
+    taxonomy = run_taxonomy_stage(bundle, stub_config(), template=TAXONOMY_TMPL, log=log,
+                                  **fixtures(tmp_path, fx=response))
     assert isinstance(taxonomy, Taxonomy)
     assert len(taxonomy.clusters) == 2
-    assert record.response_text == response
+    assert log.records[-1].response_text == response
 
 
 def test_run_taxonomy_stage_invented_id_fails_with_invocation(tmp_path):
     bundle = bundle_with(2)
     response = json.dumps({"clusters": [
         {"name": "a", "rationale": "r", "member_ids": ["P1", "P2", "P99"]}]})
-    with pytest.raises(StageOutputInvalid, match="UnknownMember") as err:
-        run_taxonomy_stage(bundle, stub_config(), template=TAXONOMY_TMPL,
+    log = new_log()
+    with pytest.raises(StageOutputInvalid, match="UnknownMember"):
+        run_taxonomy_stage(bundle, stub_config(), template=TAXONOMY_TMPL, log=log,
                            **fixtures(tmp_path, fx=response))
-    assert err.value.record is not None
-    assert err.value.record.response_text == response
+    assert log.records[-1] is not None
+    assert log.records[-1].response_text == response
 
 
 def test_run_taxonomy_stage_prose_is_malformed(tmp_path):
     with pytest.raises(StageOutputInvalid, match="MalformedSyntax"):
-        run_taxonomy_stage(bundle_with(2), stub_config(), template=TAXONOMY_TMPL,
+        run_taxonomy_stage(bundle_with(2), stub_config(), template=TAXONOMY_TMPL, log=new_log(),
                            **fixtures(tmp_path, fx="I grouped the papers thematically."))
 
 
@@ -291,7 +320,8 @@ def test_run_synthesis_stage_returns_raw_text(tmp_path):
     bundle = bundle_with(2)
     draft = "RELATED WORK (DRAFT)\n\nbody\n\nCLAIM CHECKLIST\n- claim [P1]\n"
     record = run_synthesis_stage(bundle, taxonomy_for(bundle), stub_config(),
-                                 template=SYNTHESIS_TMPL, **fixtures(tmp_path, fx=draft))
+                                 template=SYNTHESIS_TMPL, log=new_log(),
+                                 **fixtures(tmp_path, fx=draft))
     assert "RELATED WORK (DRAFT)" in record.response_text
     assert "CLAIM CHECKLIST" in record.response_text
     assert record.stage.value == "synthesis"
@@ -302,5 +332,6 @@ def test_run_synthesis_stage_does_not_interpret_content(tmp_path):
     bundle = bundle_with(2)
     broken = "no headers at all"
     record = run_synthesis_stage(bundle, taxonomy_for(bundle), stub_config(),
-                                 template=SYNTHESIS_TMPL, **fixtures(tmp_path, fx=broken))
+                                 template=SYNTHESIS_TMPL, log=new_log(),
+                                 **fixtures(tmp_path, fx=broken))
     assert record.response_text == broken  # failure surfaces at audit, not here

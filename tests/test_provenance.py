@@ -61,8 +61,10 @@ def test_record_invocation_hashes_prompt_response_bundle(tmp_path):
     bundle = parse_bundle(make_raw([NOTE]))
     prompt = render(TAXONOMY_TMPL, bundle)
     (tmp_path / "fx.txt").write_text("fixture response", encoding="utf-8")
-    record = complete(prompt, stub_config(), bundle, fixtures_dir=tmp_path,
+    log = InteractionLog(run_id="ro-x")
+    record = complete(prompt, stub_config(), bundle, log=log, fixtures_dir=tmp_path,
                       paths=["/tmp/bundle.json"], host="box")
+    assert log.records == [record]
     assert record.prompt_sha256 == sha256_of_text(prompt.text)
     assert record.response_sha256 == sha256_of_text("fixture response")
     assert record.bundle_sha256 == sha256_hex(canonical_bytes(bundle))
