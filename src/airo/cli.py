@@ -247,15 +247,11 @@ def _print_check(check: CheckResult) -> None:
 
 
 def cmd_verify(args) -> int:
-    from .verify import CheckStatus, read_crate_members, source_derivation, verify_members
+    from .verify import CheckStatus, verify_crate
 
-    members = read_crate_members(Path(args.crate))  # once, for the escrow check as well
-    report = verify_members(members)
+    report = verify_crate(Path(args.crate), args.source_log)
     for check in report.checks:
         _print_check(check)
-    if args.source_log:  # read only now, so a SourceMismatch still shows the checks above
-        report.checks.append(source_derivation(members, Path(args.source_log)))
-        _print_check(report.checks[-1])
     print(f"overall: {report.overall.value.upper()}")
     return EXIT_OK if report.overall is CheckStatus.PASS else EXIT_FAILURE
 

@@ -140,7 +140,7 @@ class CrateUnreadable(ToolkitError):
 
 
 class SourceMismatch(ToolkitError):
-    """A log belongs to another run than the crate or run it is read, checked or packed for."""
+    """``read_log`` or ``pack`` met a log of another run than the one it reads or packs."""
 
 
 # --- run directory / CLI ---

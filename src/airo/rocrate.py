@@ -75,12 +75,11 @@ _CARD_SECTION_TITLES = {
 
 def card_record(records: list[InvocationRecord], draft: bytes | None) -> InvocationRecord | None:
     """The record whose configuration the card states: the last synthesis call whose response
-    is ``draft`` (failed and re-run calls may sit on either side of it), else the last
-    synthesis call; None when the log holds none."""
-    synthesis = [record for record in records if record.stage is Stage.SYNTHESIS]
+    is ``draft`` (failed and re-run calls may sit on either side of it); None when no logged
+    call wrote it."""
     digest = sha256_hex(draft) if draft is not None else None
-    return next((record for record in reversed(synthesis) if record.response_sha256 == digest),
-                synthesis[-1] if synthesis else None)
+    return next((record for record in reversed(records)
+                 if record.stage is Stage.SYNTHESIS and record.response_sha256 == digest), None)
 
 
 def build_card(run_path: Path, run_id: str) -> str:
@@ -90,10 +89,10 @@ def build_card(run_path: Path, run_id: str) -> str:
     run = rundir.RunDirectory(Path(run_path))
     bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
     log = run.read_log(run_id)
-    draft_path = run.file(rundir.DRAFT_MD)
-    record = card_record(log.records, draft_path.read_bytes() if draft_path.is_file() else None)
+    record = card_record(log.records, run.file(rundir.DRAFT_MD).read_bytes())
     if record is None:
-        raise MissingSection("card section left empty: Model Configuration")
+        raise MissingSection(f"card section left empty: Model Configuration, since no logged "
+                             f"synthesis call wrote {rundir.DRAFT_MD}")
 
     sections_path = run.file(rundir.CARD_SECTIONS)
     # dict.get: anything but a JSON object is a TypeError, as a section not a string is

@@ -1,10 +1,11 @@
 """Offline verification of a packed crate.
 
-Five checks run in a fixed order; every content problem is a Fail finding,
-never an exception, so a tampered crate still produces a complete report.
-Sub-checks that a redaction tier makes impossible (re-hashing raw texts in a
-reviewer-tier log) are recorded as skipped findings without failing the
-check. Verification never touches the network and never re-invokes a model.
+Five checks run in a fixed order, then the escrow check when given a private source
+log; every disagreement is a Fail finding, never an exception, so a tampered
+crate still produces a complete report. Sub-checks that a redaction tier makes
+impossible (re-hashing raw texts in a reviewer-tier log) are recorded as skipped
+findings without failing the check. Verification never touches the network and
+never re-invokes a model.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 from .audit import (AuditStatus, DraftArtifact, audit_draft, inline_findings, parse_draft,
                     read_audit_csv)
 from .bundle import InputBundle, Record, canonical_bytes, parse_bundle, parse_taxonomy, read_json
-from .errors import SourceMismatch, ToolkitError
+from .errors import ToolkitError
 from .provenance import InteractionLog, parse_log, sha256_hex
 from .redact import check_redaction, parse_redacted_log, redact
 from .rocrate import (MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER, card_narrative,
@@ -184,7 +185,8 @@ def _hash_integrity(members: dict[str, bytes]) -> tuple[CheckResult, Interaction
 
 def _input_derivation(members: dict[str, bytes], bundle: InputBundle | None,
                       redacted: InteractionLog | None) -> CheckResult:
-    """5. Every log record binds to the packed bundle's hash; the card re-renders from both."""
+    """5. Every log record binds to the packed bundle's hash, a synthesis record wrote the
+    draft, and the card re-renders from the bundle and that record."""
     if bundle is None:
         return _result(CheckName.INPUT_DERIVATION,
                        ["cannot derive bundle hash: bundle unavailable"])
@@ -199,9 +201,8 @@ def _input_derivation(members: dict[str, bytes], bundle: InputBundle | None,
                             f"does not match packed bundle {expected.hex}")
     card = _load(members, "card.md", bytes.decode, "card.md unreadable", findings)
     record = card_record(redacted.records, members.get("outputs/draft.md"))
-    if card is not None and record is None:
-        held = "no synthesis record" if redacted.records else "no records"
-        findings.append(f"card.md: the redacted log holds {held} to back its configuration")
+    if record is None:
+        findings.append("no synthesis record in the redacted log wrote outputs/draft.md")
     elif card is not None:
         facts = (redacted.run_id, bundle.title, expected.hex, record.config)
         derived = render_card(*facts, card_narrative(card, render_card(*facts, {})))
@@ -212,44 +213,18 @@ def _input_derivation(members: dict[str, bytes], bundle: InputBundle | None,
     return _result(CheckName.INPUT_DERIVATION, findings)
 
 
-def verify_crate(archive: Path) -> VerificationReport:
-    """Run the five-step inspection over a packed crate, read once."""
-    return verify_members(read_crate_members(archive))  # CrateUnreadable is the only exception
-
-
-def verify_members(members: dict[str, bytes]) -> VerificationReport:
-    """``verify_crate`` over the members already read from a crate."""
-    notes, bundle = _notes_inspectable(members)
-    structure, draft = _structure_conforms(members, bundle)
-    claims = _claim_mapping(members, bundle, draft)
-    hashes, redacted = _hash_integrity(members)
-    derivation = _input_derivation(members, bundle, redacted)
-    return VerificationReport(checks=[notes, structure, claims, hashes, derivation])
-
-
-def verify_against_source(archive: Path, source_log_path: Path) -> CheckResult:
-    """Escrow check: does the private unredacted log match the crate's redacted log?
-
-    Raises SourceMismatch when the log clearly belongs to a different run
-    (run id or record count differ); finer disagreements are Fail findings.
-    """
-    return source_derivation(read_crate_members(archive), source_log_path)
-
-
-def source_derivation(members: dict[str, bytes], source_log_path: Path) -> CheckResult:
-    """``verify_against_source`` over the members already read from a crate: the source log,
-    redacted at the crate log's tier, must equal the crate log field for field."""
-    if REDACTED_LOG_MEMBER not in members:
-        raise SourceMismatch("crate has no redacted interaction log")
-    redacted = parse_redacted_log(members[REDACTED_LOG_MEMBER])
-    source = parse_log(Path(source_log_path).read_bytes())
-
+def _source_derivation(redacted: InteractionLog | None, source: InteractionLog) -> CheckResult:
+    """6. The escrow check: the private source log, redacted at the crate log's tier, equals
+    the crate's log field for field."""
+    if redacted is None:
+        return _result(CheckName.SOURCE_DERIVATION,
+                       ["cannot compare the source log: redacted log unavailable"])
     if source.run_id != redacted.run_id:
-        raise SourceMismatch(f"run id mismatch: crate {redacted.run_id}, "
-                             f"source {source.run_id}")
+        return _result(CheckName.SOURCE_DERIVATION, [
+            f"run id mismatch: crate {redacted.run_id}, source {source.run_id}"])
     if len(source.records) != len(redacted.records):
-        raise SourceMismatch(f"record count mismatch: crate {len(redacted.records)}, "
-                             f"source {len(source.records)}")
+        return _result(CheckName.SOURCE_DERIVATION, [
+            f"record count mismatch: crate {len(redacted.records)}, source {len(source.records)}"])
 
     expected = redact(source, redacted.tier)
     findings: list[str] = []
@@ -263,3 +238,30 @@ def source_derivation(members: dict[str, bytes], source_log_path: Path) -> Check
         findings.append(f"source log canonical hash {expected.redacted_from_sha256.hex} does not "
                         f"match redacted_from_sha256 {redacted.redacted_from_sha256.hex}")
     return _result(CheckName.SOURCE_DERIVATION, findings)
+
+
+def verify_crate(archive: Path, source_log: Path | str | None = None) -> VerificationReport:
+    """The five checks over a crate read once, and the escrow check against ``source_log``;
+    only a source log (read first) or an archive that cannot be read raises."""
+    source = parse_log(Path(source_log).read_bytes()) if source_log is not None else None
+    return verify_members(read_crate_members(archive), source)
+
+
+def verify_members(members: dict[str, bytes],
+                   source_log: InteractionLog | None = None) -> VerificationReport:
+    """``verify_crate`` over the members already read from a crate and the parsed source log."""
+    notes, bundle = _notes_inspectable(members)
+    structure, draft = _structure_conforms(members, bundle)
+    claims = _claim_mapping(members, bundle, draft)
+    hashes, redacted = _hash_integrity(members)
+    derivation = _input_derivation(members, bundle, redacted)
+    escrow = [_source_derivation(redacted, source_log)] if source_log is not None else []
+    return VerificationReport(checks=[notes, structure, claims, hashes, derivation, *escrow])
+
+
+def verify_against_source(archive: Path, source_log: Path | str) -> CheckResult:
+    """The escrow check alone, over one read and one parse of the crate's log."""
+    source = parse_log(Path(source_log).read_bytes())
+    redacted = _load(read_crate_members(archive), REDACTED_LOG_MEMBER, parse_redacted_log,
+                     None, [])
+    return _source_derivation(redacted, source)

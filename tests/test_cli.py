@@ -390,16 +390,65 @@ def test_card_and_pack_read_run_state_once_before_marking_complete(demo_copy, mo
 
 
 def test_verify_with_a_source_log_reads_the_crate_once(demo_run, monkeypatch, capsys):
+    # one verify_crate reads the archive and parses the crate's log once for all six checks
     import airo.verify
     run_dir, crate = demo_run
-    reads = []
+    reads, calls = [], []
     read_crate_members = airo.verify.read_crate_members
     monkeypatch.setattr(airo.verify, "read_crate_members",
                         lambda archive: reads.append(archive) or read_crate_members(archive))
+    for name in ("verify_crate", "parse_redacted_log"):
+        real = getattr(airo.verify, name)
+        monkeypatch.setattr(airo.verify, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
     assert cli.main(["verify", str(crate), "--source-log",
                      str(run_dir / rundir.INTERACTION_LOG)]) == 0
     assert reads == [crate]
+    assert sorted(calls) == ["parse_redacted_log", "verify_crate"]
     assert "PASS    SourceDerivation" in capsys.readouterr().out
+
+
+def _another_runs_log(tmp_path, run_dir):
+    run_pipeline(tmp_path / "other", label="other")
+    return (tmp_path / "other" / rundir.INTERACTION_LOG,
+            "run id mismatch: crate ro-demo, source ro-other")
+
+
+def _log_with_a_record_dropped(tmp_path, run_dir):
+    data = json.loads((run_dir / rundir.INTERACTION_LOG).read_bytes())
+    count = len(data["records"])
+    data["records"] = data["records"][1:]
+    dropped = tmp_path / "dropped.json"
+    dropped.write_text(json.dumps(data))
+    return dropped, f"record count mismatch: crate {count}, source {count - 1}"
+
+
+@pytest.mark.parametrize("source", [_another_runs_log, _log_with_a_record_dropped],
+                         ids=["another-run", "record-dropped"])
+def test_a_source_log_that_disagrees_is_a_sixth_failed_check(tmp_path, demo_run, capsys,
+                                                             source):
+    run_dir, crate = demo_run
+    log, finding = source(tmp_path, run_dir)
+    capsys.readouterr()
+    assert cli.main(["verify", str(crate), "--source-log", str(log)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines if not line.startswith(" ")] == [
+        "PASS"] * 5 + ["FAIL", "overall:"]
+    assert lines[-3:] == ["FAIL    SourceDerivation", f"        - {finding}", "overall: FAIL"]
+
+
+def test_card_refuses_a_hand_edited_draft(demo_copy, capsys):
+    run_dir, _ = demo_copy
+    draft = run_dir / rundir.DRAFT_MD
+    text = draft.read_text(encoding="utf-8")
+    draft.write_text(text.replace("a complementary stance", "a different stance", 1),
+                     encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["card", "--run-dir", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MissingSection: ") and rundir.DRAFT_MD in err
 
 
 def test_draft_file_rehashes_to_the_logged_response(tmp_path):

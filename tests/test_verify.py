@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from airo import cli, rundir
-from airo.errors import CrateUnreadable, MalformedSyntax, SourceMismatch, ToolkitError
+from airo.errors import CrateUnreadable, MalformedSyntax, ToolkitError
 from airo.provenance import parse_log, sha256_hex
 from airo.rocrate import (MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER,
                           read_crate_members, write_zip_deterministic)
@@ -29,6 +29,9 @@ CLAIM CHECKLIST
 - Claim with real support [P1]
 - Claim citing an id outside the bundle [P9]
 """
+
+
+DRAFT_NOT_LOGGED = "no synthesis record in the redacted log wrote outputs/draft.md"
 
 
 def statuses(report):
@@ -158,7 +161,22 @@ def test_draft_byte_flip_fails_hash_and_claim_mapping(tmp_path, demo_run):
     assert result[CheckName.CLAIM_MAPPING] is CheckStatus.FAIL
     assert result[CheckName.NOTES_INSPECTABLE] is CheckStatus.PASS
     assert result[CheckName.STRUCTURE_CONFORMS] is CheckStatus.PASS
-    assert result[CheckName.INPUT_DERIVATION] is CheckStatus.PASS
+    assert result[CheckName.INPUT_DERIVATION] is CheckStatus.FAIL  # no logged call wrote it
+    assert report.check(CheckName.INPUT_DERIVATION).findings == [DRAFT_NOT_LOGGED]
+    assert report.overall is CheckStatus.FAIL
+
+
+def test_resealed_hand_edited_draft_fails_input_derivation(tmp_path, demo_run):
+    # one word of the prose edited after the run, the manifest digest recomputed: every
+    # other check passes, but no logged synthesis call returned these bytes
+    _, crate = demo_run
+    draft = read_crate_members(crate)["outputs/draft.md"]
+    edited = draft.replace(b"a complementary stance", b"a different stance", 1)
+    assert edited != draft
+    report = verify_crate(_crate_with_member(tmp_path, crate, "outputs/draft.md", edited))
+    assert [(check.name, check.findings) for check in report.checks
+            if check.status is CheckStatus.FAIL] == [
+        (CheckName.INPUT_DERIVATION, [DRAFT_NOT_LOGGED])]
     assert report.overall is CheckStatus.FAIL
 
 
@@ -376,8 +394,7 @@ def test_log_with_no_records_backs_no_card(tmp_path, demo_run):
     report = verify_crate(_crate_with_log(tmp_path, crate, lambda data: data.update(records=[])))
     derivation = report.check(CheckName.INPUT_DERIVATION)
     assert derivation.status is CheckStatus.FAIL
-    assert derivation.findings == [
-        "card.md: the redacted log holds no records to back its configuration"]
+    assert derivation.findings == [DRAFT_NOT_LOGGED]
     assert report.overall is CheckStatus.FAIL
 
 
@@ -385,8 +402,7 @@ def test_log_without_the_synthesis_record_backs_no_card(tmp_path, demo_run):
     _, crate = demo_run
     report = verify_crate(_crate_with_log(tmp_path, crate,
                                           lambda data: data.update(records=data["records"][:1])))
-    assert report.check(CheckName.INPUT_DERIVATION).findings == [
-        "card.md: the redacted log holds no synthesis record to back its configuration"]
+    assert report.check(CheckName.INPUT_DERIVATION).findings == [DRAFT_NOT_LOGGED]
     assert report.overall is CheckStatus.FAIL
 
 
@@ -608,8 +624,9 @@ def test_verify_against_source_different_run(tmp_path, demo_run):
     _, crate = demo_run
     other = run_pipeline(tmp_path / "other", label="other")
     other_log = tmp_path / "other" / rundir.INTERACTION_LOG
-    with pytest.raises(SourceMismatch):
-        verify_against_source(crate, other_log)
+    result = verify_against_source(crate, other_log)
+    assert result.status is CheckStatus.FAIL
+    assert result.findings == ["run id mismatch: crate ro-demo, source ro-other"]
 
 
 def test_verify_against_source_edited_response(tmp_path, demo_run):
