@@ -140,7 +140,7 @@ class CrateUnreadable(ToolkitError):
 
 
 class SourceMismatch(ToolkitError):
-    """``read_log`` or ``pack`` met a log of another run than the one it reads or packs."""
+    """A log of another run than the one read or packed, or a draft that no call in it wrote."""
 
 
 # --- run directory / CLI ---
@@ -154,4 +154,4 @@ class PathExists(ToolkitError):
 
 
 class RunLocked(ToolkitError):
-    """Another process holds the run directory lock."""
+    """The run's lock is held: by another process, or another open file of this one."""

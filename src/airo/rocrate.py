@@ -73,13 +73,12 @@ _CARD_SECTION_TITLES = {
 }
 
 
-def card_record(records: list[InvocationRecord], draft: bytes | None) -> InvocationRecord | None:
+def card_record(records: list[InvocationRecord], draft_hex: str | None) -> InvocationRecord | None:
     """The record whose configuration the card states: the last synthesis call whose response
-    is ``draft`` (failed and re-run calls may sit on either side of it); None when no logged
-    call wrote it."""
-    digest = sha256_hex(draft) if draft is not None else None
-    return next((record for record in reversed(records)
-                 if record.stage is Stage.SYNTHESIS and record.response_sha256 == digest), None)
+    has the draft's SHA-256 hex ``draft_hex`` (failed and re-run calls may sit on either side
+    of it); None when no logged call wrote the draft."""
+    return next((record for record in reversed(records) if record.stage is Stage.SYNTHESIS
+                 and record.response_sha256.hex == draft_hex), None)
 
 
 def build_card(run_path: Path, run_id: str) -> str:
@@ -89,7 +88,7 @@ def build_card(run_path: Path, run_id: str) -> str:
     run = rundir.RunDirectory(Path(run_path))
     bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
     log = run.read_log(run_id)
-    record = card_record(log.records, run.file(rundir.DRAFT_MD).read_bytes())
+    record = card_record(log.records, sha256_hex(run.file(rundir.DRAFT_MD).read_bytes()).hex)
     if record is None:
         raise MissingSection(f"card section left empty: Model Configuration, since no logged "
                              f"synthesis call wrote {rundir.DRAFT_MD}")
@@ -194,7 +193,7 @@ def write_zip_deterministic(path: Path, members: dict[str, bytes]) -> None:
 def pack(run_path: Path, run_id: str, tier: Tier, out_path: Path | None = None) -> Path:
     """Package the run ``run_id`` at ``tier``; deterministic by construction. A redacted log
     that ``check_redaction`` faults for ``tier`` is an UnredactedLeak, and one that names
-    another run is a SourceMismatch."""
+    another run, or holds no synthesis call that wrote the draft, is a SourceMismatch."""
     from . import rundir
 
     run = rundir.RunDirectory(Path(run_path))
@@ -213,8 +212,11 @@ def pack(run_path: Path, run_id: str, tier: Tier, out_path: Path | None = None) 
         raise SourceMismatch(f"redacted log is of run {redacted.run_id}, not {run_id}; "
                              f"re-run redact")
 
-    manifest = manifest_json(run_id, {name: sha256_hex(data).hex for name, data in members.items()})
-    members[MANIFEST_NAME] = json_bytes(manifest)
+    digests = {name: sha256_hex(data).hex for name, data in members.items()}
+    if card_record(redacted.records, digests[_DRAFT]) is None:  # an edit after card
+        raise SourceMismatch(f"no synthesis record in the redacted log wrote {_DRAFT}; "
+                             f"re-run draft and the stages after it")
+    members[MANIFEST_NAME] = json_bytes(manifest_json(run_id, digests))
 
     if out_path is None:
         out_path = run.file(rundir.CRATE_DIR) / f"{run_id}.crate.zip"

@@ -1,14 +1,14 @@
 """Run directory layout, state file, and stage-order enforcement.
 
 Stage completion is recorded in run.json; downstream commands trust the
-state file, not the mere presence of output files. A lock file guards
-against concurrent writers.
+state file, not the mere presence of output files. A lock on ``.lock``, which
+the operating system drops when its holder ends however it ends, keeps writers apart.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import partial
 from pathlib import Path
 
@@ -16,6 +16,17 @@ from .bundle import Record, json_bytes, read_json
 from .errors import PathExists, RunLocked, SourceMismatch, StageOrder
 from .provenance import RUN_ID_RE, InteractionLog, new_run, parse_log, utc_now_rfc3339
 from .rocrate import SOURCES, STAGES
+
+try:  # flock, not lockf, whose locks never conflict within one process
+    from fcntl import LOCK_EX, LOCK_NB, flock
+
+    def _hold(handle: int) -> None:
+        flock(handle, LOCK_EX | LOCK_NB)
+except ImportError:  # Windows, whose byte-range lock also ends with its holder's process
+    from msvcrt import LK_NBLCK, locking
+
+    def _hold(handle: int) -> None:
+        locking(handle, LK_NBLCK, 1)
 
 CONFIG = "config.json"
 CARD_SECTIONS = "card_sections.json"
@@ -151,38 +162,22 @@ class RunDirectory:
 
     @contextmanager
     def lock(self):
-        lock_path = self.file(LOCK)
-        try:
-            handle = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RunLocked(_lock_holder(lock_path)) from None
-        try:
-            os.write(handle, str(os.getpid()).encode())
-            os.close(handle)
+        """Hold the run's lock for the ``with`` block. A lock held through another open file,
+        in this process or another, is RunLocked naming the PID its holder wrote. ``.lock``
+        is never unlinked, since a process that still had it open would lock another file."""
+        if not self.exists():
+            self.load_state()  # its StageOrder: a directory that is no run gets no .lock
+        with open(os.open(self.file(LOCK), os.O_RDWR | os.O_CREAT, 0o666), "r+b", 0) as handle:
+            try:
+                _hold(handle.fileno())
+            except (BlockingIOError, PermissionError):  # flock's EWOULDBLOCK, msvcrt's EACCES
+                holder = "another process"  # the holder may not have written its PID yet
+                with suppress(OSError, ValueError):  # Windows refuses to read a locked byte
+                    holder = f"PID {int(handle.read(11))}"
+                raise RunLocked(f"run directory is locked by {holder} "
+                                f"({self.file(LOCK)})") from None
+            handle.write(b"%-10d\n" % os.getpid())  # fixed width, so no truncate is needed
             yield
-        finally:
-            lock_path.unlink(missing_ok=True)
-
-
-def _lock_holder(lock_path: Path) -> str:
-    """Name the PID a lock holds and, on POSIX, whether it still runs; the
-    lock itself is left alone, since only the operator can tell it is stale."""
-    try:
-        pid = int(lock_path.read_bytes())
-    except (OSError, ValueError):  # removed since, or not yet written by its holder
-        pid = 0
-    if not 0 < pid < 2**31:  # 0 and negatives name process groups; pid_t is 32-bit
-        return f"run directory is locked by another process ({lock_path} exists)"
-    if os.name != "posix":  # os.kill would terminate the process, not probe it
-        return f"run directory is locked by PID {pid} ({lock_path} exists)"
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return (f"run directory is locked by PID {pid}, which is not running; if no airo "
-                f"command is using this run, the lock is stale: delete {lock_path}")
-    except PermissionError:  # the process exists but belongs to another user
-        pass
-    return f"run directory is locked by PID {pid}, which is still running ({lock_path} exists)"
 
 
 def init_scaffold(path: Path, label: str, with_demo: bool = True) -> RunDirectory:

@@ -200,7 +200,8 @@ def _input_derivation(members: dict[str, bytes], bundle: InputBundle | None,
             findings.append(f"log record {index}: bundle_sha256 {record.bundle_sha256.hex} "
                             f"does not match packed bundle {expected.hex}")
     card = _load(members, "card.md", bytes.decode, "card.md unreadable", findings)
-    record = card_record(redacted.records, members.get("outputs/draft.md"))
+    draft = members.get("outputs/draft.md")
+    record = card_record(redacted.records, None if draft is None else sha256_hex(draft).hex)
     if record is None:
         findings.append("no synthesis record in the redacted log wrote outputs/draft.md")
     elif card is not None:

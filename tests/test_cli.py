@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,9 +14,19 @@ from pathlib import Path
 import pytest
 
 from airo import cli, rundir
+from airo.errors import RunLocked
 from airo.redact import BUILTIN_SHAPES
 
 from conftest import PIPELINE, PRIVATE_ONLY_FIELDS, UNDECODABLE_JSON, run_pipeline
+
+
+def _lock_released(run_dir: Path) -> bool:
+    """Whether the run's lock can be taken: a descriptor a command leaked would still hold it."""
+    try:
+        with rundir.RunDirectory(run_dir).lock():
+            return True
+    except RunLocked:
+        return False
 
 
 def test_init_creates_run_and_validates(tmp_path, capsys):
@@ -154,7 +165,7 @@ def test_failed_taxonomy_keeps_state_but_logs_interaction(tmp_path, capsys, stag
     run = _init_before(tmp_path / "run", stage)
     (run.file(rundir.FIXTURES_DIR) / "broken.txt").write_text(broken)
     assert cli.main([stage, "--stub", "broken", "--run-dir", str(run.path)]) == 1
-    assert not run.file(rundir.LOCK).exists()  # a failing stage releases its lock
+    assert _lock_released(run.path)  # a failing stage releases its lock
     state = run.load_state()
     assert stage not in state.completed
     assert not run.file(output).exists()
@@ -206,7 +217,7 @@ def test_a_model_stage_after_a_log_record_dated_past_now_makes_no_call(tmp_path,
     assert run.file(rundir.INTERACTION_LOG).read_bytes() == before
     assert not run.file(output).exists()
     assert run.load_state().completed == completed and stage not in completed
-    assert not run.file(rundir.LOCK).exists()
+    assert _lock_released(run.path)
 
 
 def test_a_clock_that_steps_back_during_a_call_is_logged_as_read(tmp_path, monkeypatch):
@@ -243,7 +254,7 @@ def test_a_clock_that_steps_back_before_the_call_is_refused_with_no_call_made(
     assert err.startswith("error: StageOrder: ") and err.count("\n") == 1
     assert err.endswith("; no model call was made\n")
     assert [path.read_bytes() for path in files] == before
-    assert not run.file(rundir.LOCK).exists()
+    assert _lock_released(run.path)
     assert not run.file(rundir.DRAFT_MD).exists()
 
 
@@ -299,7 +310,7 @@ def test_an_exception_after_the_call_leaves_the_call_logged(demo_copy, monkeypat
     assert len(records) == 3 and records[-1]["stage"] == record_stage
     # redact and card read the log, so what they wrote from it lacks the new record
     assert run.load_state().completed == ["taxonomy", "draft", "audit"]
-    assert not run.file(rundir.LOCK).exists()
+    assert _lock_released(run.path)
 
 
 def test_an_output_that_cannot_be_written_after_the_call_makes_redact_and_card_wait(
@@ -650,7 +661,7 @@ def test_unreadable_run_state_is_an_error_not_a_traceback(tmp_path, capsys, comm
     assert cli.main(command + ["--run-dir", str(run_dir)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and rundir.STATE in err
-    assert not (run_dir / rundir.LOCK).exists()
+    assert _lock_released(run_dir)
 
 
 def test_transport_error_exit_code(tmp_path, monkeypatch, capsys):
@@ -715,43 +726,87 @@ def test_a_reply_holding_a_lone_surrogate_is_a_transport_error(demo_copy, monkey
 def test_lock_prevents_concurrent_writers(tmp_path, capsys):
     run_dir = tmp_path / "run"
     cli.main(["init", "demo", "--run-dir", str(run_dir)])
-    (run_dir / rundir.LOCK).write_text(str(os.getpid()))  # a holder that is surely running
-    capsys.readouterr()
-    assert cli.main(["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run_dir)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: run directory is locked by PID {os.getpid()}")
-    if os.name == "posix":
-        assert "which is still running" in err
-    assert (run_dir / rundir.LOCK).read_text() == str(os.getpid())
-    (run_dir / rundir.LOCK).unlink()
-    assert cli.main(["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run_dir)]) == 0
-    assert not (run_dir / rundir.LOCK).exists()
+    argv = ["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run_dir)]
+    with rundir.RunDirectory(run_dir).lock():  # a holder that is surely running
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (f"error: run directory is locked by PID "
+                                           f"{os.getpid()} ({run_dir / rundir.LOCK})\n")
+        assert (run_dir / rundir.LOCK).read_bytes() == b"%-10d\n" % os.getpid()
+        assert not (run_dir / rundir.TAXONOMY_JSON).exists()
+    assert cli.main(argv) == 0
+    assert _lock_released(run_dir)
 
 
-@pytest.mark.skipif(os.name != "posix", reason="liveness is probed with os.kill(pid, 0)")
-def test_stale_lock_names_a_pid_that_is_not_running(tmp_path, capsys):
+# a child that takes the run's lock, says so, and holds it until it is killed
+_HOLD_THE_LOCK = ("import sys, time\nfrom airo.rundir import RunDirectory\n"
+                  "with RunDirectory(sys.argv[1]).lock():\n"
+                  "    print('held', flush=True)\n    time.sleep(60)\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="SIGKILL and SIGTERM are POSIX signals")
+def test_a_killed_holder_leaves_no_stale_lock(tmp_path, capsys):
+    # the operating system drops the lock with its holder, however the holder ends
+    import signal
+
     run_dir = tmp_path / "run"
     cli.main(["init", "demo", "--run-dir", str(run_dir)])
-    exited = subprocess.Popen([sys.executable, "-c", "pass"])
-    exited.wait()
-    (run_dir / rundir.LOCK).write_text(str(exited.pid))
-    capsys.readouterr()
-    assert cli.main(["audit", "--run-dir", str(run_dir)]) == 2
-    err = capsys.readouterr().err
-    assert f"locked by PID {exited.pid}, which is not running" in err
-    assert "stale" in err and str(run_dir / rundir.LOCK) in err
-    assert (run_dir / rundir.LOCK).read_text() == str(exited.pid)  # detected, never removed
+    argv = ["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run_dir)]
+    for signum in (signal.SIGKILL, signal.SIGTERM):
+        holder = subprocess.Popen([sys.executable, "-c", _HOLD_THE_LOCK, str(run_dir)],
+                                  env=_src_env(), stdout=subprocess.PIPE, text=True)
+        try:
+            assert holder.stdout.readline() == "held\n"
+            capsys.readouterr()
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert re.match(rf"error: run directory is locked by PID {holder.pid}\b", err)
+            holder.send_signal(signum)
+            assert holder.wait(timeout=30) == -signum
+        finally:
+            holder.kill()
+            holder.wait(timeout=30)
+            holder.stdout.close()
+        assert cli.main(argv) == 0, signum.name
 
 
 @pytest.mark.parametrize("content", ["", "not a pid", "-1", "0"])
 def test_lock_without_a_pid_still_refuses(tmp_path, capsys, content):
     run_dir = tmp_path / "run"
     cli.main(["init", "demo", "--run-dir", str(run_dir)])
-    (run_dir / rundir.LOCK).write_text(content)
-    capsys.readouterr()
-    assert cli.main(["card", "--run-dir", str(run_dir)]) == 2
-    assert "locked by another process" in capsys.readouterr().err
-    assert (run_dir / rundir.LOCK).read_text() == content
+    with rundir.RunDirectory(run_dir).lock():
+        (run_dir / rundir.LOCK).write_text(content)  # the holder's PID overwritten
+        capsys.readouterr()
+        assert cli.main(["card", "--run-dir", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run directory is locked by ")
+        if not content.lstrip("-").isdigit():
+            assert "locked by another process" in err
+        assert (run_dir / rundir.LOCK).read_text() == content
+
+
+@pytest.mark.parametrize("content", [b"", b"not a pid", b"-1", b"0", b"%d" % os.getpid(),
+                                     b"4194304 and more bytes than a PID takes\n"],
+                         ids=["empty", "garbage", "negative", "zero", "this-pid", "long"])
+def test_a_lock_file_with_no_holder_does_not_block(tmp_path, content):
+    run_dir = tmp_path / "run"
+    cli.main(["init", "demo", "--run-dir", str(run_dir)])
+    (run_dir / rundir.LOCK).write_bytes(content)
+    assert cli.main(["taxonomy", "--stub", "taxonomy_demo", "--run-dir", str(run_dir)]) == 0
+    assert (run_dir / rundir.LOCK).read_bytes().startswith(b"%-10d\n" % os.getpid())
+    assert _lock_released(run_dir)
+
+
+@pytest.mark.parametrize("command", [["taxonomy", "--stub", "taxonomy_demo"], ["audit"],
+                                     ["resolve", "0", "checked"], ["pack"]],
+                         ids=lambda command: command[0])
+def test_a_command_in_a_directory_that_is_no_run_writes_nothing_there(tmp_path, capsys,
+                                                                      command):
+    assert cli.main(command + ["--run-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (f"error: StageOrder: {tmp_path} is not an initialized "
+                                       f"run directory (missing {rundir.STATE}); run 'airo "
+                                       f"init' first\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_resolve_twice_keeps_history(tmp_path, capsys):
@@ -1050,7 +1105,7 @@ def test_a_refused_stage_leaves_its_outputs_and_run_state_as_they_were(demo_copy
     capsys.readouterr()
     assert cli.main(command + ["--run-dir", str(run.path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {error}: ")
-    assert not run.file(rundir.LOCK).exists()
+    assert _lock_released(run.path)
     assert [path.read_bytes() for path in files] == before
 
 

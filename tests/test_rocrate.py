@@ -23,7 +23,7 @@ from airo.rocrate import (MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER, SO
                           read_manifest, render_card, write_zip_deterministic)
 from airo.verify import CheckName, verify_crate
 
-from conftest import run_id_of, run_pipeline
+from conftest import PIPELINE, run_id_of, run_pipeline
 
 CARD_SECTIONS = ("Run ID", "Research Topic", "Model Configuration", "Artifacts Released",
                  "Intended Use", "Human Oversight", "Disclosure", "Limitations",
@@ -246,6 +246,43 @@ def test_pack_refuses_a_redacted_log_of_another_run(demo_copy):
     assert cli.main(["pack", "--run-dir", str(run_dir)]) == 1
     assert sorted(crates.iterdir()) == before
 
+
+def test_pack_refuses_a_draft_edited_after_card(demo_copy, capsys):
+    # card read the draft before the edit, and the edit marks no stage stale: without the
+    # refusal the crate would fail InputDerivation, since no logged call wrote this draft
+    run_dir, crate = demo_copy
+    draft = run_dir / rundir.DRAFT_MD
+    edited = draft.read_bytes().replace(b"a complementary stance", b"a different stance", 1)
+    assert edited != draft.read_bytes()
+    draft.write_bytes(edited)
+    crate.unlink()
+    state = (run_dir / rundir.STATE).read_bytes()
+    capsys.readouterr()
+    assert cli.main(["pack", "--tier", "reviewer", "--run-dir", str(run_dir)]) == 1
+    assert capsys.readouterr().err == (
+        "error: SourceMismatch: no synthesis record in the redacted log wrote outputs/draft.md; "
+        "re-run draft and the stages after it\n")
+    assert list((run_dir / rundir.CRATE_DIR).iterdir()) == []
+    assert (run_dir / rundir.STATE).read_bytes() == state
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2(a): STAGES fixes each CreateAction's "
+                                       "position at 0 and 1, whatever the log holds")
+def test_each_create_action_names_the_record_that_wrote_its_result(tmp_path):
+    # a failed taxonomy attempt before the good one moves every later call down the log
+    run_dir = tmp_path / "run"
+    assert cli.main(["init", "demo", "--run-dir", str(run_dir)]) == 0
+    (run_dir / rundir.FIXTURES_DIR / "bad.txt").write_text("not json")
+    assert cli.main(["taxonomy", "--stub", "bad", "--run-dir", str(run_dir)]) == 1
+    for step in PIPELINE[1:]:
+        assert cli.main(step + ["--run-dir", str(run_dir)]) == 0, step
+    members = read_crate_members(run_dir / rundir.CRATE_DIR / "ro-demo.crate.zip")
+    records = json.loads(members[REDACTED_LOG_MEMBER])["records"]
+    positions = {node["@id"]: node["position"]
+                 for node in json.loads(members[MANIFEST_NAME])["@graph"] if "position" in node}
+    assert records[positions["#taxonomy-invocation"]]["stage"] == "taxonomy"
+    synthesis = records[positions["#synthesis-invocation"]]
+    assert synthesis["stage"] == "synthesis"
+    assert synthesis["response_sha256"]["hex"] == sha256_hex(members["outputs/draft.md"]).hex
 
 def _hash_findings(crate: Path) -> list[str]:
     findings = verify_crate(crate).check(CheckName.HASH_INTEGRITY).findings

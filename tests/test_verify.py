@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from airo import cli, rundir
 from airo.errors import CrateUnreadable, MalformedSyntax, ToolkitError
 from airo.provenance import parse_log, sha256_hex
+from airo.redact import Tier
 from airo.rocrate import (MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER,
                           read_crate_members, write_zip_deterministic)
 from airo.verify import (CheckName, CheckStatus, VerificationReport, verify_against_source,
@@ -767,6 +768,21 @@ def test_public_crate_whose_log_leaks_fails_hash_integrity(tmp_path):
     assert [check.name for check in report.checks if check.status is CheckStatus.FAIL] == [
         CheckName.HASH_INTEGRITY]
 
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: no member states the tier the crate "
+                                       "was packed at, so verify trusts the log's own label")
+def test_public_crate_whose_log_is_relabelled_auditor_fails(tmp_path):
+    # the raw texts put back under an auditor policy: the log agrees with the tier it claims
+    run_dir = tmp_path / "run"
+    crate = run_pipeline(run_dir, label="public-demo", tier="public")
+    private = parse_log((run_dir / rundir.INTERACTION_LOG).read_bytes())
+
+    def relabel(data):
+        data["policy"] = Tier.AUDITOR.policy_dict()
+        for record, source in zip(data["records"], private.records, strict=True):
+            record.update(prompt_text=source.prompt_text, response_text=source.response_text)
+
+    assert verify_crate(_crate_with_log(tmp_path, crate, relabel)).overall is CheckStatus.FAIL
 
 @pytest.mark.parametrize("field", sorted(PRIVATE_ONLY_FIELDS))
 def test_private_field_in_crate_log_is_a_finding(tmp_path, demo_run, field):
