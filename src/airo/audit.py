@@ -233,11 +233,6 @@ def _read_audit_table(data: bytes) -> tuple[list[str], list[tuple[list[str], int
     return lines, rows
 
 
-def read_audit_rows(data: bytes) -> list[list[str]]:
-    """An audit CSV's checked data rows, each as its four cells; blank lines are skipped."""
-    return [fields for fields, _, _ in _read_audit_table(data)[1]]
-
-
 def write_audit_csv(rows: list[AuditRow]) -> bytes:
     """The audit CSV of ``rows``; ids joined with ';' inside the cited_ids field."""
     return write_audit_rows([[row.claim, ";".join(row.supporting_ids), row.status.value,
@@ -245,12 +240,13 @@ def write_audit_csv(rows: list[AuditRow]) -> bytes:
 
 
 def read_audit_csv(data: bytes) -> list[AuditRow]:
-    """Parse an audit CSV back into rows."""
+    """Parse an audit CSV back into rows; blank lines are skipped."""
     return restore_all(AuditRow, [{"claim": claim,
                                    "supporting_ids": tuple(filter(None, ids.split(";"))),
                                    "status": _STATUS_BY_VALUE[status],
                                    "resolver_note": note or None}
-                                  for claim, ids, status, note in read_audit_rows(data)])
+                                  for (claim, ids, status, note), _, _
+                                  in _read_audit_table(data)[1]])
 
 
 def resolve_audit_row(data: bytes, index: int, note: str) -> tuple[bytes, str | None]:

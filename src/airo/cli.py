@@ -188,24 +188,19 @@ def _audit(args, run: rundir.RunDirectory, state):
             f"wrote {rundir.AUDIT_CSV} ({len(rows)} row(s): {summary})")
 
 
-def cmd_resolve(args) -> int:
+def _resolve(args, run: rundir.RunDirectory, state):
     from . import rundir
     from .audit import resolve_audit_row
     from .provenance import utc_now_rfc3339
 
-    run = rundir.RunDirectory(Path(args.run_dir))
-    with run.lock():  # resolve completes no stage, so it runs outside run_stage
-        run.require("resolve")
-        audit_csv = run.file(rundir.AUDIT_CSV)
-        data, previous = resolve_audit_row(audit_csv.read_bytes(), args.index, args.note)
-        audit_csv.write_bytes(data)
-        # append-only history of resolutions; stays local to the run directory
-        entry = {"at": utc_now_rfc3339(), "index": args.index,
-                 "note": args.note, "previous": previous}
-        with run.file(rundir.AUDIT_HISTORY).open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
-        print(f"recorded resolver note on row {args.index}")
-    return EXIT_OK
+    data, previous = resolve_audit_row(run.file(rundir.AUDIT_CSV).read_bytes(), args.index,
+                                       args.note)
+    # append-only history of resolutions; stays local to the run directory
+    entry = {"at": utc_now_rfc3339(), "index": args.index, "note": args.note,
+             "previous": previous}
+    with run.file(rundir.AUDIT_HISTORY).open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
+    return {rundir.AUDIT_CSV: data}, f"recorded resolver note on row {args.index}"
 
 
 def _redact(args, run: rundir.RunDirectory, state):
@@ -227,17 +222,18 @@ def _card(args, run: rundir.RunDirectory, state):
     from . import rundir
     from .rocrate import build_card
 
-    card = build_card(run.path, state.run_id).encode("utf-8")
+    card = build_card(run, state.run_id).encode("utf-8")
     return {rundir.CARD_MD: card}, f"wrote {rundir.CARD_MD}"
 
 
 def _pack(args, run: rundir.RunDirectory, state):
+    from . import rundir
     from .rocrate import pack
 
     # pack writes the crate itself, after every check passed, wherever --output names
-    out = Path(args.output) if args.output else None
-    crate_path = pack(run.path, state.run_id, Tier(args.tier), out_path=out)
-    return {}, f"packed crate: {crate_path}"
+    out = (Path(args.output) if args.output
+           else run.file(rundir.CRATE_DIR) / f"{state.run_id}.crate.zip")
+    return {}, f"packed crate: {pack(run, state.run_id, Tier(args.tier), out)}"
 
 
 def _print_check(check: CheckResult) -> None:
@@ -281,7 +277,7 @@ COMMANDS = {
               "run stage 2: draft the section", _MODEL_OPTIONS),
     "audit": (partial(_run_stage, work=_audit), "compute the claim audit table from the draft",
               (_RUN_DIR,)),
-    "resolve": (cmd_resolve, "attach a resolver note to an audit row", (
+    "resolve": (partial(_run_stage, work=_resolve), "attach a resolver note to an audit row", (
         _RUN_DIR, _option("index", type=int, help="audit row index (0-based)"),
         _option("note", help="resolver note text"))),
     "card": (partial(_run_stage, work=_card), "build the inspection card (card.md)", (_RUN_DIR,)),

@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import zipfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .bundle import canonical_bytes, expect_type, json_bytes, parse_bundle, read_json
 from .errors import (CrateUnreadable, DanglingEntity, MissingSection, SourceMismatch,
                      UnredactedLeak)
 from .provenance import InvocationRecord, Interface, ModelConfig, Stage, sha256_hex
 from .redact import GENERALIZED_ENDPOINT, Tier, check_redaction, parse_redacted_log
+
+if TYPE_CHECKING:
+    from .rundir import RunDirectory
 
 ROCRATE_CONTEXT = "https://w3id.org/ro/crate/1.1/context"
 ROCRATE_CONFORMS_TO = "https://w3id.org/ro/crate/1.1"
@@ -43,7 +47,7 @@ MEMBERS = {
 PACKED_MEMBERS = tuple(MEMBERS)
 SOURCES = {name: source or name for name, (source, _, _) in MEMBERS.items()}
 (_TAXONOMY_TMPL, _SYNTHESIS_TMPL, _BUNDLE, _TAXONOMY, _DRAFT, _AUDIT, REDACTED_LOG_MEMBER,
- _) = MEMBERS
+ _CARD) = MEMBERS
 
 # stage -> (the stages it requires, and for a stage the manifest records, its CreateAction:
 # @id, name, object members, result members, and its call's record in the packed log)
@@ -63,7 +67,8 @@ STAGES = {
 _ROLE_DESCRIPTIONS = {"code": "prompt template used by the workflow", "data": "run artifact",
                       "provenance": "provenance material for the run"}
 
-# card_sections.json key -> the title of its section in the card, in card order
+CARD_SECTIONS = "card_sections.json"
+# CARD_SECTIONS key -> the title of its section in the card, in card order
 _CARD_SECTION_TITLES = {
     "intended_use": "Intended Use",
     "human_oversight": "Human Oversight",
@@ -81,19 +86,16 @@ def card_record(records: list[InvocationRecord], draft_hex: str | None) -> Invoc
                  and record.response_sha256.hex == draft_hex), None)
 
 
-def build_card(run_path: Path, run_id: str) -> str:
+def build_card(run: RunDirectory, run_id: str) -> str:
     """``render_card`` over the run directory; every section must be nonempty."""
-    from . import rundir  # only build_card and pack read a run directory; verify never does
-
-    run = rundir.RunDirectory(Path(run_path))
-    bundle = parse_bundle(run.file(rundir.BUNDLE).read_bytes())
+    bundle = parse_bundle(run.file(SOURCES[_BUNDLE]).read_bytes())
     log = run.read_log(run_id)
-    record = card_record(log.records, sha256_hex(run.file(rundir.DRAFT_MD).read_bytes()).hex)
+    record = card_record(log.records, sha256_hex(run.file(SOURCES[_DRAFT]).read_bytes()).hex)
     if record is None:
         raise MissingSection(f"card section left empty: Model Configuration, since no logged "
-                             f"synthesis call wrote {rundir.DRAFT_MD}")
+                             f"synthesis call wrote {SOURCES[_DRAFT]}")
 
-    sections_path = run.file(rundir.CARD_SECTIONS)
+    sections_path = run.file(CARD_SECTIONS)
     # dict.get: anything but a JSON object is a TypeError, as a section not a string is
     narrative = read_json(sections_path.read_bytes() if sections_path.is_file() else b"{}",
                           str(sections_path), lambda sections: {
@@ -106,11 +108,21 @@ def build_card(run_path: Path, run_id: str) -> str:
                        record.config, narrative)
 
 
+def config_block(config: ModelConfig) -> str:
+    """The card's lines stating ``config``; ``pack`` finds them in the card it ships."""
+    # one card serves every tier, so it states what every tier's log backs, never a host
+    endpoint = "(none)" if config.interface is Interface.OFFLINE_STUB else GENERALIZED_ENDPOINT
+    return "\n".join([f"- Interface: {config.interface.value}",
+                      f"- Model: {config.model_name}",
+                      f"- Temperature: {config.temperature}",
+                      f"- Top-p: {config.top_p}",
+                      f"- Max tokens: {config.max_tokens}",
+                      f"- Endpoint: {endpoint}"])
+
+
 def render_card(run_id: str, title: str, bundle_digest_hex: str, config: ModelConfig,
                 narrative: dict[str, str]) -> str:
     """The card's Markdown, then ``narrative``'s ``{title: text}`` sections; pure formatting."""
-    # one card serves every tier, so it states what every tier's log backs, never a host
-    endpoint = "(none)" if config.interface is Interface.OFFLINE_STUB else GENERALIZED_ENDPOINT
     lines = [
         "# AI Research Object Inspection Card",
         "",
@@ -120,12 +132,7 @@ def render_card(run_id: str, title: str, bundle_digest_hex: str, config: ModelCo
         "",
         "## Model Configuration",
         "",
-        f"- Interface: {config.interface.value}",
-        f"- Model: {config.model_name}",
-        f"- Temperature: {config.temperature}",
-        f"- Top-p: {config.top_p}",
-        f"- Max tokens: {config.max_tokens}",
-        f"- Endpoint: {endpoint}",
+        config_block(config),
         f"- Input bundle SHA-256: `{bundle_digest_hex}`",
         "",
         "## Artifacts Released",
@@ -190,14 +197,11 @@ def write_zip_deterministic(path: Path, members: dict[str, bytes]) -> None:
             archive.writestr(info, members[name])
 
 
-def pack(run_path: Path, run_id: str, tier: Tier, out_path: Path | None = None) -> Path:
-    """Package the run ``run_id`` at ``tier``; deterministic by construction. A redacted log
-    that ``check_redaction`` faults for ``tier`` is an UnredactedLeak, and one that names
-    another run, or holds no synthesis call that wrote the draft, is a SourceMismatch."""
-    from . import rundir
-
-    run = rundir.RunDirectory(Path(run_path))
-
+def pack(run: RunDirectory, run_id: str, tier: Tier, out_path: Path) -> Path:
+    """Package the run ``run_id`` at ``tier`` into ``out_path``; deterministic by construction.
+    A redacted log that ``check_redaction`` faults for ``tier`` is an UnredactedLeak, and one
+    that names another run, or holds no synthesis call that wrote the draft and whose
+    configuration the card states, is a SourceMismatch."""
     missing = [source for source in SOURCES.values() if not run.file(source).is_file()]
     if missing:
         raise DanglingEntity(f"run directory is missing required file(s): {', '.join(missing)}")
@@ -213,15 +217,16 @@ def pack(run_path: Path, run_id: str, tier: Tier, out_path: Path | None = None) 
                              f"re-run redact")
 
     digests = {name: sha256_hex(data).hex for name, data in members.items()}
-    if card_record(redacted.records, digests[_DRAFT]) is None:  # an edit after card
+    record = card_record(redacted.records, digests[_DRAFT])
+    if record is None:  # an edit after card
         raise SourceMismatch(f"no synthesis record in the redacted log wrote {_DRAFT}; "
                              f"re-run draft and the stages after it")
+    if f"\n{config_block(record.config)}\n".encode() not in members[_CARD]:  # a swap after card
+        raise SourceMismatch(f"{_CARD} does not state the configuration of the synthesis "
+                             f"record that wrote {_DRAFT}; re-run draft and the stages after it")
     members[MANIFEST_NAME] = json_bytes(manifest_json(run_id, digests))
-
-    if out_path is None:
-        out_path = run.file(rundir.CRATE_DIR) / f"{run_id}.crate.zip"
-    write_zip_deterministic(Path(out_path), members)
-    return Path(out_path)
+    write_zip_deterministic(out_path, members)
+    return out_path
 
 
 def read_crate_members(archive: Path) -> dict[str, bytes]:

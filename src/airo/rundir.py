@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .bundle import Record, json_bytes, read_json
 from .errors import PathExists, RunLocked, SourceMismatch, StageOrder
-from .provenance import RUN_ID_RE, InteractionLog, new_run, parse_log, utc_now_rfc3339
-from .rocrate import SOURCES, STAGES
+from .provenance import RUN_ID_RE, InteractionLog, new_run, parse_log
+from .rocrate import CARD_SECTIONS, SOURCES, STAGES
 
 try:  # flock, not lockf, whose locks never conflict within one process
     from fcntl import LOCK_EX, LOCK_NB, flock
@@ -29,7 +29,6 @@ except ImportError:  # Windows, whose byte-range lock also ends with its holder'
         locking(handle, LK_NBLCK, 1)
 
 CONFIG = "config.json"
-CARD_SECTIONS = "card_sections.json"
 STATE = "run.json"
 LOCK = ".lock"
 TEMPLATES_DIR = "templates"
@@ -88,8 +87,6 @@ DEFAULT_DEMO_CONFIG = {
 
 class RunState(Record):
     run_id: str
-    label: str
-    created_at: str
     completed: list[str] = partial(list)
 
     def __post_init__(self):
@@ -146,12 +143,15 @@ class RunDirectory:
         this run replaces, and return the message. A ``work`` that raises completes nothing."""
         with self.lock():
             state = self.require(stage)
-            outputs, message = work(state)
+            outputs, message = work(state)  # a work that saves ``state`` leaves it as saved
             for relative, data in outputs.items():
                 self.file(relative).write_bytes(data)
-            if stage not in state.completed:
-                state.completed.append(stage)
-            self.save_stale(state, *_dependents(stage))
+            stale = _dependents(stage)
+            completed = [done for done in state.completed if done not in stale]
+            completed += [] if stage in completed else [stage]
+            if completed != state.completed:  # a second resolve in a row changes nothing
+                state.completed = completed
+                self.save_state(state)
         return message
 
     def save_stale(self, state: RunState, *stages: str) -> None:
@@ -205,5 +205,5 @@ def init_scaffold(path: Path, label: str, with_demo: bool = True) -> RunDirector
                 package.joinpath(f"demo/fixtures/{name}.txt").read_text("utf-8"),
                 encoding="utf-8")
 
-    run.save_state(RunState(run_id=run_id, label=label, created_at=utc_now_rfc3339()))
+    run.save_state(RunState(run_id=run_id))
     return run

@@ -55,12 +55,6 @@ class VerificationReport(Record):
             return CheckStatus.FAIL
         return CheckStatus.PASS
 
-    def check(self, name: CheckName) -> CheckResult:
-        for result in self.checks:
-            if result.name is name:
-                return result
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {"overall": self.overall.value, "checks": [c.to_json() for c in self.checks]}
 

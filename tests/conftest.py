@@ -60,6 +60,11 @@ def run_pipeline(run_dir: Path, label: str = "demo", tier: str = "reviewer",
     return run.file(rundir.CRATE_DIR) / f"{state.run_id}.crate.zip"
 
 
+def check_of(report, name):
+    """The result of check ``name`` among ``report.checks``; KeyError when it did not run."""
+    return {check.name: check for check in report.checks}[name]
+
+
 def run_id_of(run_dir: Path) -> str:
     """The run id in ``run_dir``'s run.json, which ``build_card`` and ``pack`` are given."""
     return rundir.RunDirectory(run_dir).load_state().run_id

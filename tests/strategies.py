@@ -136,7 +136,7 @@ def invocation_records(draw, redacted: bool = False) -> InvocationRecord:
         source_paths=private.get("source_paths"), host_id=private.get("host_id"))
 
 
-run_states = st.builds(RunState, run_id=run_ids, label=_json_text, created_at=_timestamps,
+run_states = st.builds(RunState, run_id=run_ids,
                        completed=st.lists(st.sampled_from(["taxonomy", "draft", "audit",
                                                            "redact", "card", "pack"]),
                                           unique=True))

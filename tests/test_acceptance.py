@@ -25,7 +25,7 @@ from airo.rocrate import (MANIFEST_NAME, build_card, manifest_json, pack, read_c
                           read_manifest, write_zip_deterministic)
 from airo.template import Stage
 from airo.verify import CheckName, CheckStatus, verify_crate
-from conftest import run_id_of, run_pipeline
+from conftest import check_of, run_id_of, run_pipeline
 from strategies import audit_rows, bundles, draft_to_text, drafts
 from test_rocrate import card_sections
 from test_verify import INVENTED_DRAFT
@@ -110,7 +110,7 @@ def test_c3_tamper_detection(tmp_path, demo_run):
             out = tmp_path / "tampered.zip"
             write_zip_deterministic(out, tampered)
             report = verify_crate(out)
-            assert report.check(CheckName.HASH_INTEGRITY).status is CheckStatus.FAIL, \
+            assert check_of(report, CheckName.HASH_INTEGRITY).status is CheckStatus.FAIL, \
                 f"flip at {name}:{position} went undetected"
             cases += 1
     assert cases >= 100
@@ -126,7 +126,7 @@ def test_c4_citation_closure(tmp_path):
     assert "P9" in invented[0].supporting_ids
 
     report = verify_crate(crate)
-    claim_check = report.check(CheckName.CLAIM_MAPPING)
+    claim_check = check_of(report, CheckName.CLAIM_MAPPING)
     assert claim_check.status is CheckStatus.FAIL
     assert any("InventedCitation" in finding for finding in claim_check.findings)
 
@@ -187,10 +187,10 @@ def test_c5_redaction_completeness():
 def test_c6_packing_determinism(demo_copy):
     run_dir, _ = demo_copy
     digests = set()
-    run_id = run_id_of(run_dir)
+    run, run_id = rundir.RunDirectory(run_dir), run_id_of(run_dir)
     for repetition in range(5):
         out = run_dir / f"repack-{repetition}.zip"
-        digests.add(sha256_hex(pack(run_dir, run_id, Tier.REVIEWER, out_path=out).read_bytes()).hex)
+        digests.add(sha256_hex(pack(run, run_id, Tier.REVIEWER, out).read_bytes()).hex)
     assert len(digests) == 1
 
 
@@ -224,7 +224,7 @@ def test_c7_parser_round_trips():
 @criterion(8, "inspection card emits all nine sections with the demo configuration")
 def test_c8_card_completeness(demo_run):
     run_dir, _ = demo_run
-    markdown = build_card(run_dir, run_id_of(run_dir))
+    markdown = build_card(rundir.RunDirectory(run_dir), run_id_of(run_dir))
     sections = card_sections(markdown)
     assert len(sections) == 9
     for title, text in sections.items():
@@ -252,7 +252,7 @@ def test_c9_manifest_conformance(tmp_path, demo_run, auditor_run):
         del members[victim]
         out = tmp_path / "dropped.zip"
         write_zip_deterministic(out, members)
-        hash_check = verify_crate(out).check(CheckName.HASH_INTEGRITY)
+        hash_check = check_of(verify_crate(out), CheckName.HASH_INTEGRITY)
         assert hash_check.status is CheckStatus.FAIL
         assert [f for f in hash_check.findings if not f.startswith("skipped:")] == [
             f"{victim} missing from crate"]

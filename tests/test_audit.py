@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from airo.audit import (AuditRow, AuditStatus, CHECKLIST_HEADING, CSV_HEADER, ClaimEntry,
                         DRAFT_HEADER, HUMAN_CHECK_MARKER, InlineCitation, audit_draft,
                         inline_findings,
-                        parse_draft, read_audit_csv, read_audit_rows, resolve_audit_row,
+                        parse_draft, read_audit_csv, resolve_audit_row,
                         write_audit_csv, write_audit_rows)
 from airo.bundle import ID_PATTERN
 from airo.errors import (AlreadySupported, IndexOutOfRange, MalformedChecklistEntry,
@@ -270,15 +270,21 @@ def test_csv_quotes_commas():
     assert back[0].supporting_ids == ("P1",)
 
 
+def _audit_rows(cells: list[list[str]]) -> list[AuditRow]:
+    """The rows ``read_audit_csv`` reads from a table whose data rows have ``cells``."""
+    return [AuditRow(claim, tuple(filter(None, ids.split(";"))), AuditStatus(status),
+                     note or None) for claim, ids, status, note in cells]
+
+
 def test_resolve_row_records_note_without_status_change():
     data, previous = resolve_audit_row(write_audit_rows([["a", "", "needs_human_check", ""]]),
                                        0, "verified against DOI landing page")
     assert previous is None
-    assert read_audit_rows(data) == [
-        ["a", "", "needs_human_check", "verified against DOI landing page"]]
+    assert read_audit_csv(data) == _audit_rows(
+        [["a", "", "needs_human_check", "verified against DOI landing page"]])
     data, previous = resolve_audit_row(data, 0, "second look")
     assert previous == "verified against DOI landing page"
-    assert read_audit_rows(data) == [["a", "", "needs_human_check", "second look"]]
+    assert read_audit_csv(data) == _audit_rows([["a", "", "needs_human_check", "second look"]])
 
 
 def test_resolve_row_errors():
@@ -289,7 +295,8 @@ def test_resolve_row_errors():
     with pytest.raises(IndexOutOfRange) as raised:
         resolve_audit_row(data, 5, "note")
     assert str(raised.value) == "row index 5 out of range 0..1"
-    assert read_audit_rows(data) == [["a", "P1", "supported", ""], ["b", "", "unsupported", ""]]
+    assert read_audit_csv(data) == _audit_rows([["a", "P1", "supported", ""],
+                                                ["b", "", "unsupported", ""]])
     assert resolve_audit_row(data, 1, "ok")[1] is None
 
 
@@ -352,12 +359,12 @@ def _hand_formatted_tables(draw):
 def test_resolving_a_hand_formatted_table_rewrites_only_the_row_lines(table, note):
     rows, index, before, line, after = table
     data = (before + line + after).encode("utf-8")
-    assert read_audit_rows(data) == rows
+    assert read_audit_csv(data) == _audit_rows(rows)
     resolved, previous = resolve_audit_row(data, index, note)
     assert previous == (rows[index][3] or None)
     rows[index][3] = note
     assert resolved == (before + _row_line(rows[index]) + after).encode("utf-8")
-    assert read_audit_rows(resolved) == rows
+    assert read_audit_csv(resolved) == _audit_rows(rows)
 
 
 def test_draft_round_trip_fixture():

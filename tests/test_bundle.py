@@ -290,7 +290,7 @@ def test_mutable_records_take_fresh_defaults_and_stay_unhashable():
     assert repr(second) == ("CheckResult(name=<CheckName.HASH_INTEGRITY: 'HashIntegrity'>, "
                             "status=<CheckStatus.PASS: 'Pass'>, findings=[])")
     _unhashable(first)
-    assert RunState("ro-a", "a", _STARTED).completed == []
+    assert RunState("ro-a").completed == []
     assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", InteractionLog("ro-a").created_at)
     assert InteractionLog("ro-a", created_at=None).created_at is None
 

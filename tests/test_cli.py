@@ -634,21 +634,19 @@ def test_resolve_on_an_oversized_audit_csv_field_is_an_error(demo_copy, capsys):
     assert not (run_dir / rundir.AUDIT_HISTORY).exists()
 
 
-_STATE = {"run_id": "ro-demo", "label": "demo", "created_at": "2026-01-02T03:04:05Z",
-          "completed": []}
+_STATE = {"run_id": "ro-demo", "completed": []}
 
 
 @pytest.mark.parametrize("state_bytes", [
     None,  # the first 20 bytes of the valid run.json, as a kill in save_state leaves it
     b"\xff\xfe not utf-8",
     b"[]",
-    b'{"run_id": "ro-demo"}',
+    b'{"completed": []}',
     json.dumps(dict(_STATE, completed="taxonomy")).encode(),
     json.dumps(dict(_STATE, run_id=5)).encode(),
     json.dumps(dict(_STATE, run_id="ro-x\n")).encode(),
-    json.dumps(dict(_STATE, created_at=None)).encode(),
 ], ids=["truncated", "not-utf8", "not-an-object", "missing-keys", "completed-string",
-        "run-id-int", "run-id-trailing-newline", "created-at-null"])
+        "run-id-int", "run-id-trailing-newline"])
 @pytest.mark.parametrize("command", [["validate"], ["taxonomy", "--stub", "taxonomy_demo"],
                                      ["resolve", "0", "checked"]], ids=lambda c: c[0])
 def test_unreadable_run_state_is_an_error_not_a_traceback(tmp_path, capsys, command,
@@ -854,6 +852,19 @@ def test_resolve_changes_only_the_resolved_note(demo_copy):
         "needs_human_check,\r\n", "needs_human_check,checked\r\n").encode("utf-8")
 
 
+def test_a_resolve_completes_its_stage_until_audit_runs_again(demo_copy):
+    # a table audit rewrites holds none of the notes resolve recorded
+    run_dir, _ = demo_copy
+    args, run = ["--run-dir", str(run_dir)], rundir.RunDirectory(run_dir)
+    assert "resolve" not in run.load_state().completed
+    assert cli.main(["resolve", "5", "checked"] + args) == 0
+    assert run.load_state().completed[-1] == "resolve"
+    assert cli.main(["resolve", "5", "checked again"] + args) == 0
+    assert run.load_state().completed.count("resolve") == 1
+    assert cli.main(["audit"] + args) == 0
+    assert "resolve" not in run.load_state().completed
+
+
 def test_resolve_supported_row_fails(tmp_path, capsys):
     run_dir = tmp_path / "run"
     run_pipeline(run_dir, label="res")
@@ -887,13 +898,14 @@ def test_a_refused_resolve_leaves_the_table_and_its_history_as_they_were(demo_co
     args = ["--run-dir", str(run_dir)]
     assert cli.main(["resolve", "5", "checked"] + args) == 0
     audit_csv, history = run_dir / rundir.AUDIT_CSV, run_dir / rundir.AUDIT_HISTORY
+    state = run_dir / rundir.STATE
     if edit:
         audit_csv.write_bytes(edit(audit_csv.read_bytes()))
-    before = audit_csv.read_bytes(), history.read_bytes()
+    before = audit_csv.read_bytes(), history.read_bytes(), state.read_bytes()
     capsys.readouterr()
     assert cli.main(["resolve", index, "checked again"] + args) == 1
     assert capsys.readouterr().err.startswith(f"error: {error}")
-    assert (audit_csv.read_bytes(), history.read_bytes()) == before
+    assert (audit_csv.read_bytes(), history.read_bytes(), state.read_bytes()) == before
 
 
 def test_a_resolve_note_that_is_not_utf8_is_a_usage_error(demo_copy):

@@ -53,7 +53,7 @@ _CONFIG = ModelConfig(Interface.OFFLINE_STUB, "model", 0.2, 1.0, 100, "", 7, "ta
 _RECORD = InvocationRecord(Stage.TAXONOMY, _CONFIG, _DIGEST, _DIGEST, _DIGEST,
                            "2026-01-02T03:04:05Z", "2026-01-02T03:04:06Z", 1, "prompt",
                            "response", ("bundle.json",), "host")
-_STATE = RunState("ro-demo", "demo", "2026-01-02T03:04:05Z", ["taxonomy"])
+_STATE = RunState("ro-demo", ["taxonomy"])
 
 # each field of each stored record -> JSON values of a type its declaration refuses
 WRONG_TYPES = [
@@ -68,7 +68,7 @@ WRONG_TYPES = [
               "attempt": [True, "1", 1.0, None], "prompt_text": [5, ["p"]],
               "response_text": [{}, False], "source_paths": ["bundle.json", [5], {}],
               "host_id": [["host"], 7]}),
-    (_STATE, {"run_id": [5, None], "label": [[], 1], "created_at": [None, 0],
+    (_STATE, {"run_id": [5, None],
               "completed": ["taxonomy", [1], {"taxonomy": True}]}),
 ]
 WRONG_TYPE_CASES = [(record, field, value) for record, fields in WRONG_TYPES
@@ -131,7 +131,10 @@ def test_missing_keys_take_defaults_or_none_or_fail_by_name():
     for required in ("stage", "config", "attempt"):
         with pytest.raises(KeyError, match=required):
             InvocationRecord.from_json({k: v for k, v in data.items() if k != required})
-    assert RunState.from_json({"run_id": "ro-a", "label": "a", "created_at": "t"}).completed == []
+    assert RunState.from_json({"run_id": "ro-a"}).completed == []
+    # a run.json written when the state held a label and a creation time still loads
+    assert RunState.from_json({"run_id": "ro-a", "label": "a", "created_at": "t"}) == \
+        RunState("ro-a")
 
 
 def test_semantic_checks_still_run_after_the_types_are_read():

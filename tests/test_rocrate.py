@@ -23,7 +23,7 @@ from airo.rocrate import (MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER, SO
                           read_manifest, render_card, write_zip_deterministic)
 from airo.verify import CheckName, verify_crate
 
-from conftest import PIPELINE, run_id_of, run_pipeline
+from conftest import PIPELINE, check_of, run_id_of, run_pipeline
 
 CARD_SECTIONS = ("Run ID", "Research Topic", "Model Configuration", "Artifacts Released",
                  "Intended Use", "Human Oversight", "Disclosure", "Limitations",
@@ -41,7 +41,7 @@ def card_sections(markdown: str) -> dict[str, str]:
 
 def test_build_card_nine_sections_and_config(demo_run):
     run_dir, _ = demo_run
-    sections = card_sections(build_card(run_dir, run_id_of(run_dir)))
+    sections = card_sections(build_card(rundir.RunDirectory(run_dir), run_id_of(run_dir)))
     assert list(sections) == list(CARD_SECTIONS)
     for title, text in sections.items():
         assert text, f"card section {title} is empty"
@@ -56,7 +56,7 @@ def test_build_card_nine_sections_and_config(demo_run):
 
 def test_card_markdown_carries_everything(demo_run):
     run_dir, _ = demo_run
-    markdown = build_card(run_dir, run_id_of(run_dir))
+    markdown = build_card(rundir.RunDirectory(run_dir), run_id_of(run_dir))
     for heading in ("Model Configuration", "Artifacts Released", "Intended Use",
                     "Human Oversight", "Disclosure", "Limitations", "Reproducibility Note"):
         assert f"## {heading}" in markdown
@@ -78,7 +78,7 @@ def test_card_missing_disclosure_section(demo_copy):
     sections["disclosure"] = "   "
     sections_path.write_text(json.dumps(sections))
     with pytest.raises(MissingSection, match="Disclosure"):
-        build_card(run_dir, run_id_of(run_dir))
+        build_card(rundir.RunDirectory(run_dir), run_id_of(run_dir))
 
 
 def test_a_log_without_the_synthesis_record_backs_no_card(demo_copy):
@@ -88,7 +88,7 @@ def test_a_log_without_the_synthesis_record_backs_no_card(demo_copy):
     log["records"] = log["records"][:1]
     log_path.write_text(json.dumps(log))
     with pytest.raises(MissingSection, match="Model Configuration"):
-        build_card(run_dir, run_id_of(run_dir))
+        build_card(rundir.RunDirectory(run_dir), run_id_of(run_dir))
 
 
 def test_a_live_endpoint_renders_the_same_card_at_every_tier(demo_run):
@@ -139,11 +139,17 @@ def test_pack_contents_and_membership(demo_run):
     assert set(members) == expected
 
 
+def _pack(run_dir: Path, tier: Tier = Tier.REVIEWER, run_id: str | None = None) -> Path:
+    """``pack`` of the run in ``run_dir``, as run ``run_id`` if given, into its ``out.zip``."""
+    return pack(rundir.RunDirectory(run_dir), run_id or run_id_of(run_dir), tier,
+                run_dir / "out.zip")
+
+
 def test_pack_deterministic(demo_copy):
     run_dir, _ = demo_copy
-    run_id = run_id_of(run_dir)
-    first = pack(run_dir, run_id, Tier.REVIEWER, out_path=run_dir / "a.zip").read_bytes()
-    second = pack(run_dir, run_id, Tier.REVIEWER, out_path=run_dir / "b.zip").read_bytes()
+    run, run_id = rundir.RunDirectory(run_dir), run_id_of(run_dir)
+    first = pack(run, run_id, Tier.REVIEWER, run_dir / "a.zip").read_bytes()
+    second = pack(run, run_id, Tier.REVIEWER, run_dir / "b.zip").read_bytes()
     assert sha256_hex(first) == sha256_hex(second)
 
 
@@ -152,8 +158,7 @@ def test_pack_never_ships_the_unredacted_log(demo_copy):
     private = (run_dir / rundir.INTERACTION_LOG).read_bytes()
     for tier in Tier:
         assert cli.main(["redact", "--tier", tier.value, "--run-dir", str(run_dir)]) == 0
-        crate = pack(run_dir, run_id_of(run_dir), tier,
-                     out_path=run_dir / f"{tier.value}.zip")
+        crate = _pack(run_dir, tier)
         members = read_crate_members(crate)
         assert "interaction_log.json" not in {name.rsplit("/", 1)[-1] for name in members}
         assert private not in members.values()
@@ -165,7 +170,7 @@ def test_pack_refuses_raw_text_under_dropping_policy(demo_copy, auditor_run, tmp
     # simulate a stale auditor-tier redaction left in the run directory
     shutil.copy(auditor_dir / rundir.REDACTED_LOG, run_dir / rundir.REDACTED_LOG)
     with pytest.raises(UnredactedLeak, match="raw text"):
-        pack(run_dir, run_id_of(run_dir), Tier.REVIEWER)
+        _pack(run_dir)
 
 
 @pytest.mark.parametrize("endpoint, leaks", [
@@ -182,9 +187,9 @@ def test_pack_refuses_a_non_generalized_endpoint(demo_copy, endpoint, leaks):
     log_path.write_text(json.dumps(data))
     if leaks:
         with pytest.raises(UnredactedLeak, match="endpoint"):
-            pack(run_dir, run_id_of(run_dir), Tier.REVIEWER)
+            _pack(run_dir)
     else:
-        assert pack(run_dir, run_id_of(run_dir), Tier.REVIEWER).is_file()
+        assert _pack(run_dir).is_file()
 
 
 @pytest.mark.parametrize("requested", [Tier.PUBLIC, Tier.AUDITOR])
@@ -196,7 +201,7 @@ def test_pack_refuses_a_redacted_log_at_another_tier(demo_copy, requested):
     data["records"][0]["config"]["endpoint"] = "https://internal.lab"
     log_path.write_text(json.dumps(data))
     with pytest.raises(UnredactedLeak, match="at tier reviewer, not the requested"):
-        pack(run_dir, run_id_of(run_dir), requested)
+        _pack(run_dir, requested)
 
 
 def test_the_stage_table_is_closed(demo_run):
@@ -204,7 +209,7 @@ def test_the_stage_table_is_closed(demo_run):
     run_dir, _ = demo_run
     stages = {name for name, (handler, _, _) in cli.COMMANDS.items()
               if getattr(handler, "func", None) is cli._run_stage}
-    assert stages | {"resolve"} == set(STAGES)
+    assert stages == set(STAGES)
     for prerequisites, action in STAGES.values():
         assert set(prerequisites) <= set(STAGES)
         if action:
@@ -217,7 +222,7 @@ def test_pack_missing_artifact_is_dangling(demo_copy):
     run_dir, _ = demo_copy
     (run_dir / rundir.DRAFT_MD).unlink()
     with pytest.raises(DanglingEntity, match="draft.md"):
-        pack(run_dir, run_id_of(run_dir), Tier.REVIEWER)
+        _pack(run_dir)
 
 
 def test_pack_names_the_missing_run_directory_files(demo_copy):
@@ -226,7 +231,7 @@ def test_pack_names_the_missing_run_directory_files(demo_copy):
     for source in (rundir.BUNDLE, rundir.SYNTHESIS_TMPL):
         (run_dir / source).unlink()
     with pytest.raises(DanglingEntity) as refused:
-        pack(run_dir, run_id_of(run_dir), Tier.REVIEWER)
+        _pack(run_dir)
     assert str(refused.value) == ("run directory is missing required file(s): "
                                   "templates/synthesis.tmpl, bundle.json")
 
@@ -242,7 +247,7 @@ def test_pack_refuses_a_redacted_log_of_another_run(demo_copy):
     crates = run_dir / rundir.CRATE_DIR
     before = sorted(crates.iterdir())
     with pytest.raises(SourceMismatch, match="ro-someone-else"):
-        pack(run_dir, "ro-someone-else", Tier.REVIEWER)
+        _pack(run_dir, run_id="ro-someone-else")
     assert cli.main(["pack", "--run-dir", str(run_dir)]) == 1
     assert sorted(crates.iterdir()) == before
 
@@ -265,6 +270,37 @@ def test_pack_refuses_a_draft_edited_after_card(demo_copy, capsys):
     assert list((run_dir / rundir.CRATE_DIR).iterdir()) == []
     assert (run_dir / rundir.STATE).read_bytes() == state
 
+
+def test_pack_refuses_a_draft_swapped_after_card_for_another_logged_call(tmp_path, capsys):
+    # both drafts were logged, so the restored one has a record; but the card was built
+    # from the other, and states another model, so the crate would fail InputDerivation
+    run_dir = tmp_path / "run"
+    args = ["--run-dir", str(run_dir)]
+    for step in (["init", "demo"], PIPELINE[1], PIPELINE[2]):
+        assert cli.main(step + args) == 0
+    draft = run_dir / rundir.DRAFT_MD
+    first = draft.read_bytes()
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**json.loads((run_dir / rundir.CONFIG).read_text()),
+                                 "model_name": "other-model"}))
+    (run_dir / rundir.FIXTURES_DIR / "other.txt").write_bytes(
+        first.replace(b"a complementary stance", b"a different stance", 1))
+    assert cli.main(["draft", "--stub", "other", "--config", str(other)] + args) == 0
+    assert draft.read_bytes() != first
+    for step in (["audit"], ["redact"], ["card"]):
+        assert cli.main(step + args) == 0
+    assert b"\n- Model: other-model\n" in (run_dir / rundir.CARD_MD).read_bytes()
+    draft.write_bytes(first)
+    state = (run_dir / rundir.STATE).read_bytes()
+    capsys.readouterr()
+    assert cli.main(["pack"] + args) == 1
+    assert capsys.readouterr().err == (
+        "error: SourceMismatch: card.md does not state the configuration of the synthesis "
+        "record that wrote outputs/draft.md; re-run draft and the stages after it\n")
+    assert list((run_dir / rundir.CRATE_DIR).iterdir()) == []
+    assert (run_dir / rundir.STATE).read_bytes() == state
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2(a): STAGES fixes each CreateAction's "
                                        "position at 0 and 1, whatever the log holds")
 def test_each_create_action_names_the_record_that_wrote_its_result(tmp_path):
@@ -285,7 +321,7 @@ def test_each_create_action_names_the_record_that_wrote_its_result(tmp_path):
     assert synthesis["response_sha256"]["hex"] == sha256_hex(members["outputs/draft.md"]).hex
 
 def _hash_findings(crate: Path) -> list[str]:
-    findings = verify_crate(crate).check(CheckName.HASH_INTEGRITY).findings
+    findings = check_of(verify_crate(crate), CheckName.HASH_INTEGRITY).findings
     return [finding for finding in findings if not finding.startswith("skipped:")]
 
 

@@ -19,7 +19,7 @@ from airo.rocrate import (MANIFEST_NAME, PACKED_MEMBERS, REDACTED_LOG_MEMBER,
 from airo.verify import (CheckName, CheckStatus, VerificationReport, verify_against_source,
                          verify_crate, verify_members)
 
-from conftest import PIPELINE, PRIVATE_ONLY_FIELDS, UNDECODABLE_JSON, run_pipeline
+from conftest import PIPELINE, PRIVATE_ONLY_FIELDS, UNDECODABLE_JSON, check_of, run_pipeline
 
 INVENTED_DRAFT = """RELATED WORK (DRAFT)
 
@@ -53,7 +53,7 @@ def test_untampered_crate_five_pass(demo_run):
 def test_reviewer_tier_raw_text_subcheck_reported_skipped(demo_run):
     _, crate = demo_run
     report = verify_crate(crate)
-    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    hash_check = check_of(report, CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.PASS
     assert any("skipped" in finding for finding in hash_check.findings)
 
@@ -73,7 +73,7 @@ def test_skip_note_does_not_hide_a_digest_mismatch(tmp_path, demo_run):
     write_zip_deterministic(tampered, members)
 
     report = verify_crate(tampered)
-    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    hash_check = check_of(report, CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.FAIL
     assert hash_check.findings[0] == "skipped:note.txt: not a member pack writes"
     assert report.overall is CheckStatus.FAIL
@@ -140,7 +140,7 @@ def test_compressed_member_is_unreadable(tmp_path, demo_run, capsys, corrupt):
 def test_auditor_tier_rehashes_raw_texts(auditor_run):
     _, crate = auditor_run
     report = verify_crate(crate)
-    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    hash_check = check_of(report, CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.PASS
     assert not any("skipped" in finding for finding in hash_check.findings)
 
@@ -163,7 +163,7 @@ def test_draft_byte_flip_fails_hash_and_claim_mapping(tmp_path, demo_run):
     assert result[CheckName.NOTES_INSPECTABLE] is CheckStatus.PASS
     assert result[CheckName.STRUCTURE_CONFORMS] is CheckStatus.PASS
     assert result[CheckName.INPUT_DERIVATION] is CheckStatus.FAIL  # no logged call wrote it
-    assert report.check(CheckName.INPUT_DERIVATION).findings == [DRAFT_NOT_LOGGED]
+    assert check_of(report, CheckName.INPUT_DERIVATION).findings == [DRAFT_NOT_LOGGED]
     assert report.overall is CheckStatus.FAIL
 
 
@@ -185,11 +185,11 @@ def test_invented_citation_crate_fails_claim_mapping(tmp_path):
     crate = run_pipeline(tmp_path / "run", label="invented",
                          stubs={"synthesis_demo": INVENTED_DRAFT})
     report = verify_crate(crate)
-    claim_check = report.check(CheckName.CLAIM_MAPPING)
+    claim_check = check_of(report, CheckName.CLAIM_MAPPING)
     assert claim_check.status is CheckStatus.FAIL
     assert any("InventedCitation" in finding for finding in claim_check.findings)
     # the packed audit itself recorded the invented row, so only closure fails
-    assert report.check(CheckName.HASH_INTEGRITY).status is CheckStatus.PASS
+    assert check_of(report, CheckName.HASH_INTEGRITY).status is CheckStatus.PASS
 
 
 def test_bundle_tamper_breaks_derivation(tmp_path, demo_run):
@@ -300,7 +300,7 @@ def test_unreadable_log_finding_names_the_log_once(tmp_path, demo_run):
     tampered = tmp_path / "tampered.zip"
     write_zip_deterministic(tampered, members)
 
-    hash_check = verify_crate(tampered).check(CheckName.HASH_INTEGRITY)
+    hash_check = check_of(verify_crate(tampered), CheckName.HASH_INTEGRITY)
     assert hash_check.findings[-1] == ("redacted log unreadable: "
                                        "Expecting value: line 1 column 1 (char 0)")
 
@@ -325,10 +325,10 @@ def _crate_without(tmp_path, crate, names, edit=None):
 def test_card_removed_with_its_manifest_entry_fails_derivation(tmp_path, demo_run):
     _, crate = demo_run
     report = verify_crate(_crate_without(tmp_path, crate, ["card.md"]))
-    derivation = report.check(CheckName.INPUT_DERIVATION)
+    derivation = check_of(report, CheckName.INPUT_DERIVATION)
     assert derivation.status is CheckStatus.FAIL
     assert derivation.findings == ["card.md missing from crate"]
-    hash_check = report.check(CheckName.HASH_INTEGRITY)  # pack always writes a card
+    hash_check = check_of(report, CheckName.HASH_INTEGRITY)  # pack always writes a card
     assert hash_check.status is CheckStatus.FAIL
     assert [f for f in hash_check.findings if not f.startswith("skipped:")] == [
         "card.md missing from crate"]
@@ -366,7 +366,7 @@ def test_card_that_contradicts_the_crate_fails_derivation(tmp_path, crate_per_ti
     packed, lines[index] = lines[index], forged
     report = verify_crate(_crate_with_member(tmp_path, crate, "card.md",
                                              "\n".join(lines).encode()))
-    assert report.check(CheckName.INPUT_DERIVATION).findings == [
+    assert check_of(report, CheckName.INPUT_DERIVATION).findings == [
         f"card.md line {index + 1}: packed {forged!r}, derived {packed!r}"]
     assert [check.name for check in report.checks if check.status is CheckStatus.FAIL] == [
         CheckName.INPUT_DERIVATION]
@@ -393,7 +393,7 @@ def test_a_title_holding_a_narrative_heading_verifies(tmp_path):
 def test_log_with_no_records_backs_no_card(tmp_path, demo_run):
     _, crate = demo_run
     report = verify_crate(_crate_with_log(tmp_path, crate, lambda data: data.update(records=[])))
-    derivation = report.check(CheckName.INPUT_DERIVATION)
+    derivation = check_of(report, CheckName.INPUT_DERIVATION)
     assert derivation.status is CheckStatus.FAIL
     assert derivation.findings == [DRAFT_NOT_LOGGED]
     assert report.overall is CheckStatus.FAIL
@@ -403,7 +403,7 @@ def test_log_without_the_synthesis_record_backs_no_card(tmp_path, demo_run):
     _, crate = demo_run
     report = verify_crate(_crate_with_log(tmp_path, crate,
                                           lambda data: data.update(records=data["records"][:1])))
-    assert report.check(CheckName.INPUT_DERIVATION).findings == [DRAFT_NOT_LOGGED]
+    assert check_of(report, CheckName.INPUT_DERIVATION).findings == [DRAFT_NOT_LOGGED]
     assert report.overall is CheckStatus.FAIL
 
 
@@ -484,7 +484,7 @@ def test_crate_without_a_packed_member_fails_hash_integrity(tmp_path, demo_run, 
     # list of what pack writes can tell that it is missing
     _, crate = demo_run
     report = verify_crate(_crate_without(tmp_path, crate, names, _drop_refs(names)))
-    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    hash_check = check_of(report, CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.FAIL
     assert [f for f in hash_check.findings if not f.startswith("skipped:")] == [
         f"{name} missing from crate" for name in names]
@@ -510,7 +510,7 @@ def test_action_naming_a_non_member_fails_hash_integrity(tmp_path, demo_run, cas
     _, crate = demo_run
     names, edit, expected = ABSENT_ACTION_MEMBERS[case]
     report = verify_crate(_crate_without(tmp_path, crate, names, edit))
-    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    hash_check = check_of(report, CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.FAIL
     assert [f for f in hash_check.findings if not f.startswith("skipped:")] == expected
     assert report.overall is CheckStatus.FAIL
@@ -532,7 +532,7 @@ def test_member_pack_never_writes_fails_hash_integrity(tmp_path, demo_run, capsy
     write_zip_deterministic(tampered, members)
 
     report = verify_crate(tampered)
-    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    hash_check = check_of(report, CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.FAIL
     assert [f for f in hash_check.findings if not f.startswith("skipped:")] == [
         "notes/private.txt: not a member pack writes"]
@@ -562,7 +562,7 @@ def test_manifest_pack_would_not_write_fails_hash_integrity(tmp_path, demo_run, 
     # every member digest still matches; only the rebuilt manifest tells the edit apart
     _, crate = demo_run
     report = verify_crate(_crate_without(tmp_path, crate, [], REWRITTEN_MANIFESTS[case]))
-    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    hash_check = check_of(report, CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.FAIL
     assert [f for f in hash_check.findings if not f.startswith("skipped:")] == [
         NOT_PACKS_MANIFEST]
@@ -593,7 +593,8 @@ def test_every_manifest_value_is_checked(demo_run):
         for value in _other_values(original):
             node[key] = value
             edited = dict(members, **{MANIFEST_NAME: json.dumps(manifest).encode()})
-            if verify_members(edited).check(CheckName.HASH_INTEGRITY).status is CheckStatus.PASS:
+            hashes = check_of(verify_members(edited), CheckName.HASH_INTEGRITY)
+            if hashes.status is CheckStatus.PASS:
                 undetected.append((node.get("@id"), key, value))
             cases += 1
         node[key] = original
@@ -699,7 +700,7 @@ def test_hostile_manifest_shape_is_a_finding(tmp_path, demo_run, mutation):
     tampered = tmp_path / "tampered.zip"
     write_zip_deterministic(tampered, members)
 
-    hash_check = verify_crate(tampered).check(CheckName.HASH_INTEGRITY)
+    hash_check = check_of(verify_crate(tampered), CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.FAIL
     assert [f for f in hash_check.findings if not f.startswith("skipped:")] == expected
 
@@ -713,7 +714,7 @@ def test_non_string_raw_text_in_crate_log_is_a_finding(tmp_path, demo_run):
     tampered = tmp_path / "tampered.zip"
     write_zip_deterministic(tampered, members)
 
-    hash_check = verify_crate(tampered).check(CheckName.HASH_INTEGRITY)
+    hash_check = check_of(verify_crate(tampered), CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.FAIL
     assert any("redacted log unreadable" in finding for finding in hash_check.findings)
 
@@ -758,7 +759,7 @@ def test_public_crate_whose_log_leaks_fails_hash_integrity(tmp_path):
             record["config"]["endpoint"] = "https://gpu.internal.lab:8443/v1"
 
     report = verify_crate(_crate_with_log(tmp_path, crate, leak))
-    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    hash_check = check_of(report, CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.FAIL
     assert hash_check.findings == [
         "redacted log record 0 retains raw text under a text-dropping policy (tier public)",
@@ -789,7 +790,7 @@ def test_private_field_in_crate_log_is_a_finding(tmp_path, demo_run, field):
     _, crate = demo_run
     tampered = _crate_with_record_field(tmp_path, crate, field, PRIVATE_ONLY_FIELDS[field])
 
-    hash_check = verify_crate(tampered).check(CheckName.HASH_INTEGRITY)
+    hash_check = check_of(verify_crate(tampered), CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.FAIL
     assert any("redacted log unreadable" in finding for finding in hash_check.findings)
 
@@ -819,7 +820,7 @@ def test_mistyped_record_field_makes_the_log_unreadable(tmp_path, demo_run, log,
             parse_log(json.dumps(data).encode())
     else:
         tampered = _crate_with_record_field(tmp_path, crate, field, value)
-        hash_check = verify_crate(tampered).check(CheckName.HASH_INTEGRITY)
+        hash_check = check_of(verify_crate(tampered), CheckName.HASH_INTEGRITY)
         assert hash_check.status is CheckStatus.FAIL
         assert any("redacted log unreadable" in finding for finding in hash_check.findings)
 
@@ -833,7 +834,7 @@ def test_wrong_typed_model_configuration_makes_the_log_unreadable(tmp_path, demo
                                             max_tokens=True)
 
     report = verify_crate(_crate_with_log(tmp_path, crate, mistype))
-    hash_check = report.check(CheckName.HASH_INTEGRITY)
+    hash_check = check_of(report, CheckName.HASH_INTEGRITY)
     assert hash_check.status is CheckStatus.FAIL
     assert [finding for finding in hash_check.findings
             if finding.startswith("redacted log unreadable: ")] == [
@@ -870,8 +871,8 @@ def test_undecodable_json_member_is_a_finding(tmp_path, demo_run, capsys, name, 
 
     report = verify_crate(tampered)
     check, finding = JSON_MEMBERS[name]
-    assert report.check(check).status is CheckStatus.FAIL
-    assert any(f.startswith(finding) for f in report.check(check).findings)
+    assert check_of(report, check).status is CheckStatus.FAIL
+    assert any(f.startswith(finding) for f in check_of(report, check).findings)
     capsys.readouterr()
     assert cli.main(["verify", str(tampered)]) == 1
     out, err = capsys.readouterr()
@@ -900,8 +901,8 @@ def test_lone_surrogate_in_a_member_is_a_finding(tmp_path, request, capsys, case
     tampered = _crate_with_member(tmp_path, crate, name, json.dumps(data).encode())
 
     report = verify_crate(tampered)
-    assert report.check(check).status is CheckStatus.FAIL
-    refused = [f for f in report.check(check).findings if f.startswith(finding)]
+    assert check_of(report, check).status is CheckStatus.FAIL
+    refused = [f for f in check_of(report, check).findings if f.startswith(finding)]
     assert len(refused) == 1 and refused[0].endswith("surrogates not allowed")
     capsys.readouterr()
     assert cli.main(["verify", str(tampered)]) == 1
@@ -916,7 +917,7 @@ def test_oversized_audit_csv_field_is_a_finding(tmp_path, demo_run):
     oversized = packed + b'"' + b"x" * 200_000 + b'",P1,supported,\r\n'
     tampered = _crate_with_member(tmp_path, crate, "outputs/audit.csv", oversized)
 
-    claims = verify_crate(tampered).check(CheckName.CLAIM_MAPPING)
+    claims = check_of(verify_crate(tampered), CheckName.CLAIM_MAPPING)
     assert claims.status is CheckStatus.FAIL
     assert [f for f in claims.findings if f.startswith("audit CSV unreadable: ")] == [
         "audit CSV unreadable: audit CSV is not readable CSV: "
